@@ -7,8 +7,12 @@ Model form (identifiable single-intercept parameterization):
 
 with innovations W_t ~ N(0, sigma2), applied after d rounds of
 first-differencing. Estimation minimizes the conditional sum of squared
-one-step residuals with pre-sample residuals set to zero, using Nelder-Mead
-restarted from (i) all zeros and (ii) OLS-based AR starting values.
+one-step residuals with pre-sample residuals set to zero. Pure AR orders are
+the OLS fit on the lag design. Orders with MA terms run Levenberg-Marquardt
+from the OLS start with the analytic Jacobian, which is itself a set of
+filtered regressors (Box, Jenkins, Reinsel & Ljung, CSS estimation); a
+solution that fails the invertibility or redundancy guard, or a failed solve,
+falls back to Nelder-Mead restarted from (i) all zeros and (ii) the OLS start.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 from scipy.signal import lfilter
 
 from .errors import (
@@ -39,6 +43,9 @@ SYNTHETIC_BASE_EPOCH = 1_609_452_000
 _BURN_IN = 200
 _MAX_ITER = 2000
 _SIMPLEX_TOL = 1e-8
+_LM_TOL = 1e-12
+# stands in for a non-finite residual so Levenberg-Marquardt rejects the step
+_LM_BLOWUP = 1e100
 
 
 @dataclass(frozen=True)
@@ -251,35 +258,94 @@ def _ols_start(z: np.ndarray, p: int, q: int) -> np.ndarray:
     return np.concatenate([coef, np.zeros(q)])
 
 
-def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
-    """Fit by minimizing the conditional sum of squares after differencing.
-
-    The search rejects parameter points whose MA polynomial has a root
-    strictly inside the unit circle and points with near-common AR/MA roots
-    (parameter redundancy); both regions deflate the CSS without predictive
-    content and would otherwise corrupt AIC comparisons. Boundary roots stay
-    reachable and are reported through the stationarity/invertibility flags.
-
-    Non-convergence within the iteration budget is surfaced on the
-    ``converged`` flag; a non-finite optimum raises OptimizerFailure.
-    sigma2 is floored at the smallest positive float so it stays > 0 even on
-    an exactly-reproduced series.
-    """
-    p, d, q = order.p, order.d, order.q
-    if len(series) <= d:
-        raise TooShortError(f"series length {len(series)} does not support d={d}")
-    z = difference_values(series.values, d)
+def _lag_matrix(z: np.ndarray, p: int) -> np.ndarray:
+    """Column i-1 holds z_{t-i} for t = p .. len(z)-1."""
     n = z.size
-    n_effective = n - p
-    if n < p + q + 2:
-        raise TooShortError(
-            f"need at least {p + q + 2} observations after differencing, got {n}"
-        )
-
-    # lag matrix precomputed once; the objective then costs one matmul + one filter
-    lag_matrix = np.empty((n - p, p))
+    lags = np.empty((n - p, p))
     for i in range(1, p + 1):
-        lag_matrix[:, i - 1] = z[p - i : n - i]
+        lags[:, i - 1] = z[p - i : n - i]
+    return lags
+
+
+def _css_jacobian(
+    params: np.ndarray, e: np.ndarray, lags: np.ndarray, q: int
+) -> np.ndarray:
+    """Jacobian of the CSS residuals ``e`` at ``params`` (alpha, beta, theta).
+
+    With e = (z_t - alpha - sum_i beta_i z_{t-i}) / Theta(L) and zero
+    pre-sample residuals, every column is itself filtered by 1/Theta(L):
+
+        de/dalpha = -1/Theta(L),  de/dbeta_i = -z_{t-i}/Theta(L),
+        de/dtheta_j = -e_{t-j}/Theta(L)
+
+    so one filter call over the stacked columns gives the whole matrix.
+    """
+    p = lags.shape[1]
+    cols = np.zeros((e.size, 1 + p + q))
+    cols[:, 0] = 1.0
+    cols[:, 1 : 1 + p] = lags
+    for j in range(1, q + 1):
+        cols[j:, p + j] = e[:-j]
+    return -lfilter([1.0], [1.0, *params[1 + p :]], cols, axis=0)
+
+
+def _css_least_squares(
+    z: np.ndarray, lags: np.ndarray, q: int
+) -> tuple[np.ndarray, float] | None:
+    """Levenberg-Marquardt on the CSS residuals from the OLS start, with the
+    analytic Jacobian.
+
+    Returns (params, css), or None when the solver fails, the optimum is not
+    finite, or it lies in a region the Nelder-Mead objective rejects (MA
+    roots strictly inside the unit circle, near-common AR/MA roots).
+    """
+    p = lags.shape[1]
+    z_head = z[p:]
+
+    def residuals(params: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = z_head - params[0]
+            if p:
+                u = u - lags @ params[1 : 1 + p]
+            e = lfilter([1.0], [1.0, *params[1 + p :]], u)
+        # a blown-up filter is a rejected step, not a NaN inside MINPACK
+        return np.where(np.isfinite(e), e, _LM_BLOWUP)
+
+    def jacobian(params: np.ndarray) -> np.ndarray:
+        # only called at accepted iterates, whose residuals are finite
+        return _css_jacobian(params, residuals(params), lags, q)
+
+    try:
+        result = least_squares(
+            residuals, _ols_start(z, p, q), jac=jacobian, method="lm",
+            ftol=_LM_TOL, xtol=_LM_TOL, gtol=_LM_TOL,
+        )
+    except (ValueError, KeyError):
+        # ValueError: fewer residuals than parameters, which "lm" refuses;
+        # KeyError: MINPACK's "tolerance too small" codes, which scipy does not map
+        return None
+    params = result.x
+    if result.status <= 0 or not np.all(np.isfinite(params)):
+        return None
+    if _ma_strictly_noninvertible(params[1 + p :]):
+        return None
+    if p and _arma_redundant(params[1 : 1 + p], params[1 + p :]):
+        return None
+    # every accepted iterate lowers the sum of squares of a finite start,
+    # so no stand-in value survives into the solution
+    return params, float(np.dot(result.fun, result.fun))
+
+
+def _css_nelder_mead(
+    z: np.ndarray, lags: np.ndarray, q: int
+) -> tuple[np.ndarray, float, bool]:
+    """Nelder-Mead on the CSS (q > 0) from (i) all zeros and (ii) the OLS AR
+    start.
+
+    The objective returns +inf in the regions the least-squares path rejects,
+    so the simplex searches only admissible parameters.
+    """
+    p = lags.shape[1]
     z_head = z[p:]
 
     def objective(params: np.ndarray) -> float:
@@ -288,15 +354,15 @@ def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         # Two guards against spurious CSS deflation: MA roots strictly inside
         # the unit circle, and near-cancelling AR/MA root pairs. Both regions
         # shrink residuals without predictive content.
-        if q and _ma_strictly_noninvertible(params[1 + p :]):
+        if _ma_strictly_noninvertible(params[1 + p :]):
             return np.inf
-        if p and q and _arma_redundant(params[1 : 1 + p], params[1 + p :]):
+        if p and _arma_redundant(params[1 : 1 + p], params[1 + p :]):
             return np.inf
         with np.errstate(over="ignore", invalid="ignore"):
             u = z_head - params[0]
             if p:
-                u = u - lag_matrix @ params[1 : 1 + p]
-            e = u if q == 0 else lfilter([1.0], [1.0, *params[1 + p :]], u)
+                u = u - lags @ params[1 : 1 + p]
+            e = lfilter([1.0], [1.0, *params[1 + p :]], u)
             css = float(np.dot(e, e))
         return css if np.isfinite(css) else np.inf
 
@@ -317,13 +383,53 @@ def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         if best is None or result.fun < best.fun:
             best = result
     assert best is not None
-    if not np.isfinite(best.fun) or not np.all(np.isfinite(best.x)):
+    return best.x, float(best.fun), bool(best.success)
+
+
+def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
+    """Fit by minimizing the conditional sum of squares after differencing.
+
+    Pure AR orders (q = 0) are solved exactly by OLS on the lag design. Orders
+    with MA terms run Levenberg-Marquardt from the OLS start; its solution is
+    rejected when an MA root lies strictly inside the unit circle or an AR
+    root nearly cancels an MA root (parameter redundancy), since both regions
+    deflate the CSS without predictive content and would corrupt AIC
+    comparisons. A rejected or failed solve falls back to a two-start
+    Nelder-Mead search that excludes those regions. Boundary roots stay
+    reachable and are reported through the stationarity/invertibility flags.
+
+    Nelder-Mead non-convergence within the iteration budget is surfaced on
+    the ``converged`` flag; a non-finite optimum raises OptimizerFailure.
+    sigma2 is floored at the smallest positive float so it stays > 0 even on
+    an exactly-reproduced series.
+    """
+    p, d, q = order.p, order.d, order.q
+    if len(series) <= d:
+        raise TooShortError(f"series length {len(series)} does not support d={d}")
+    z = difference_values(series.values, d)
+    n = z.size
+    n_effective = n - p
+    if n < p + q + 2:
+        raise TooShortError(
+            f"need at least {p + q + 2} observations after differencing, got {n}"
+        )
+
+    lags = _lag_matrix(z, p)
+    if q == 0:
+        params = _ols_start(z, p, 0)
+        e = z[p:] - params[0] - lags @ params[1:]
+        css, converged = float(np.dot(e, e)), True
+    else:
+        solved = _css_least_squares(z, lags, q)
+        if solved is None:
+            params, css, converged = _css_nelder_mead(z, lags, q)
+        else:
+            (params, css), converged = solved, True
+    if not np.isfinite(css) or not np.all(np.isfinite(params)):
         raise OptimizerFailure(f"no finite optimum for order {order}")
 
-    params = best.x
     beta = tuple(float(b) for b in params[1 : 1 + p])
     theta = tuple(float(t) for t in params[1 + p :])
-    css = float(best.fun)
     sigma2 = max(css / n_effective, float(np.finfo(np.float64).tiny))
     return ArimaModel(
         order=order,
@@ -333,7 +439,7 @@ def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         sigma2=sigma2,
         css=css,
         n_effective=n_effective,
-        converged=bool(best.success),
+        converged=converged,
         ar_stationary=ar_is_stationary(beta),
         ma_invertible=ma_is_invertible(theta),
     )

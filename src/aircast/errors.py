@@ -44,6 +44,10 @@ class TooShortError(AircastError):
     """Not enough observations to fit or forecast a model."""
 
 
+class TooLongError(AircastError, ValueError):
+    """More observations than a model accepts (the exact GP's training cap)."""
+
+
 class NonStationaryError(AircastError):
     """Autoregressive coefficients have a root inside/on the unit circle."""
 

@@ -21,7 +21,13 @@ from .errors import (
     EvaluationError,
     LengthMismatchError,
 )
-from .series import SplitSpec, TimeSeries, append_observation, split_holdout
+from .series import (
+    SplitSpec,
+    TimeSeries,
+    append_observation,
+    estimate_step_seconds,
+    split_holdout,
+)
 
 #: Comparison-table column labels per model key.
 TABLE_LABELS = {"arima": "arima", "ann": "ann", "gp": "gpr"}
@@ -127,7 +133,12 @@ class AnnAdapter:
 
 class GpAdapter:
     """GP with hyperparameters frozen from the train split; each prediction
-    re-conditions the posterior on the full history at the next time index."""
+    conditions the posterior on the full history at the next time index.
+
+    The train fit is kept, and each history that extends the points already
+    conditioned on is appended to its Cholesky factor (``gp.extend_gp``), so a
+    holdout step costs one triangular solve rather than a refactorization.
+    """
 
     name = "gp"
 
@@ -138,33 +149,32 @@ class GpAdapter:
         length_scale_grid: Sequence[float] | None = None,
     ) -> None:
         self.grids = (noise_grid, amplitude_grid, length_scale_grid)
-        self.params: gp.SeKernelParams | None = None
-        self.noise_variance: float | None = None
+        self.model: gp.GpModel | None = None
         self._base_at: int | None = None
         self._step_seconds: int | None = None
 
     def fit(self, train: TimeSeries) -> None:
-        from .series import estimate_step_seconds
-
         noise_grid, amplitude_grid, length_scale_grid = self.grids
         default_noise, default_amp, default_len = gp.default_grids(train.values)
-        self.params, self.noise_variance = gp.fit_hyperparameters(
-            gp.day_indices(train),
+        x = gp.day_indices(train)
+        params, noise_variance = gp.fit_hyperparameters(
+            x,
             train.values,
             tuple(noise_grid) if noise_grid is not None else default_noise,
             tuple(amplitude_grid) if amplitude_grid is not None else default_amp,
             tuple(length_scale_grid) if length_scale_grid is not None else default_len,
         )
+        self.model = gp.fit_gp(x, train.values, params, noise_variance)
         self._base_at = int(train.at[0])
         self._step_seconds = estimate_step_seconds(train)
 
     def predict_one(self, history: TimeSeries) -> float:
-        assert self.params is not None and self.noise_variance is not None
+        assert self.model is not None, "fit before predicting"
         assert self._base_at is not None and self._step_seconds is not None
         x = gp.day_indices(history, base_at=self._base_at)
-        model = gp.fit_gp(x, history.values, self.params, self.noise_variance)
+        self.model = gp.extend_gp(self.model, x, history.values)
         next_x = (history.at[-1] + self._step_seconds - self._base_at) / gp.SECONDS_PER_DAY
-        means, _ = gp.posterior(model, [next_x])
+        means, _ = gp.posterior(self.model, [next_x])
         return float(means[0])
 
 

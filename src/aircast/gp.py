@@ -6,7 +6,9 @@ Kernel convention used throughout: k(x, x') = amplitude * exp(-(x-x')^2 / l^2)
 so k(x, x) equals the amplitude exactly. Observation noise enters the Gram
 matrix as noise_variance * I. Posteriors and the log marginal likelihood are
 computed through a cached Cholesky factorization with bounded jitter
-escalation; the kernel matrix is never inverted explicitly.
+escalation; the kernel matrix is never inverted explicitly. Conditioning on
+further points extends that factor by one row per point instead of
+refactorizing.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .errors import FactorizationError, NoValidFitError, TooShortError
+from .errors import FactorizationError, NoValidFitError, TooLongError, TooShortError
 from .series import TimeSeries, estimate_step_seconds
 
 _MAX_TRAIN = 2000
@@ -93,6 +95,45 @@ class GpModel:
         }
 
 
+def _check_training(x: np.ndarray, y: np.ndarray, noise_variance: float) -> None:
+    if x.size != y.size:
+        raise ValueError("times and values must have equal length")
+    if x.size == 0:
+        raise ValueError("need at least one training point")
+    if x.size > _MAX_TRAIN:
+        raise TooLongError(
+            f"exact GP is capped at {_MAX_TRAIN} training points, got {x.size}"
+        )
+    if np.unique(x).size != x.size:
+        raise ValueError("training times must be distinct")
+    if noise_variance < 0:
+        raise ValueError("noise_variance must be non-negative")
+
+
+def _conditioned(
+    params: SeKernelParams,
+    noise_variance: float,
+    x: np.ndarray,
+    y: np.ndarray,
+    lower: np.ndarray,
+    jitter: float,
+) -> GpModel:
+    """Center the targets and solve them through the factor."""
+    offset = float(np.mean(y))
+    centered = y - offset
+    alpha = cho_solve((lower, True), centered)
+    return GpModel(
+        params=params,
+        noise_variance=noise_variance,
+        train_inputs=x,
+        train_targets=centered,
+        offset=offset,
+        chol_lower=lower,
+        jitter=jitter,
+        _alpha=alpha,
+    )
+
+
 def fit_gp(
     times: Sequence[float],
     values: Sequence[float],
@@ -102,23 +143,13 @@ def fit_gp(
     """Center targets, regularize, and factorize K + noise·I (+ jitter·I).
 
     Jitter starts at 1e-10·amplitude and escalates tenfold up to
-    1e-4·amplitude before giving up with FactorizationError.
+    1e-4·amplitude before giving up with FactorizationError. More than 2000
+    training points raise TooLongError.
     """
     x = np.asarray(times, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
-    if x.size != y.size:
-        raise ValueError("times and values must have equal length")
-    if x.size == 0:
-        raise ValueError("need at least one training point")
-    if x.size > _MAX_TRAIN:
-        raise ValueError(f"exact GP is capped at {_MAX_TRAIN} training points")
-    if np.unique(x).size != x.size:
-        raise ValueError("training times must be distinct")
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be non-negative")
+    _check_training(x, y, noise_variance)
 
-    offset = float(np.mean(y))
-    centered = y - offset
     base = gram_matrix(x, params) + noise_variance * np.eye(x.size)
     jitter = _JITTER_START * params.amplitude
     cap = _JITTER_CAP * params.amplitude
@@ -134,17 +165,45 @@ def fit_gp(
                 f"kernel matrix not positive definite up to jitter {jitter:g}"
             )
         jitter *= 10.0
-    alpha = cho_solve((lower, True), centered)
-    return GpModel(
-        params=params,
-        noise_variance=noise_variance,
-        train_inputs=x,
-        train_targets=centered,
-        offset=offset,
-        chol_lower=lower,
-        jitter=jitter,
-        _alpha=alpha,
-    )
+    return _conditioned(params, noise_variance, x, y, lower, jitter)
+
+
+def extend_gp(
+    model: GpModel, times: Sequence[float], values: Sequence[float]
+) -> GpModel:
+    """``fit_gp(times, values, model.params, model.noise_variance)``, reusing
+    the model's factor when ``times`` starts with its training inputs.
+
+    The factor depends on the inputs only, so each appended point adds one
+    row to it: one triangular solve against the rows above, with the model's
+    jitter on the new diagonal (Seeger 2004). All targets are then re-centred
+    and solved through the extended factor. Inputs that do not extend the
+    model's, or an appended pivot that is not positive, get a full
+    ``fit_gp``; the cap and distinct-times checks are the same as there.
+    """
+    x = np.asarray(times, dtype=np.float64)
+    y = np.asarray(values, dtype=np.float64)
+    m = len(model)
+    if not np.array_equal(x[:m], model.train_inputs):
+        return fit_gp(x, y, model.params, model.noise_variance)
+    _check_training(x, y, model.noise_variance)
+
+    lower = model.chol_lower
+    diagonal = model.params.amplitude + model.noise_variance + model.jitter
+    for i in range(m, x.size):
+        k = _cross_kernel(x[:i], x[i : i + 1], model.params)[:, 0]
+        # a NaN from a non-finite input fails the pivot test below
+        row = solve_triangular(lower, k, lower=True, check_finite=False)
+        pivot = diagonal - row @ row
+        if not pivot > 0.0:
+            return fit_gp(x, y, model.params, model.noise_variance)
+        # column-major, like LAPACK's factor, so the solves need no copy
+        grown = np.zeros((i + 1, i + 1), order="F")
+        grown[:i, :i] = lower
+        grown[i, :i] = row
+        grown[i, i] = np.sqrt(pivot)
+        lower = grown
+    return _conditioned(model.params, model.noise_variance, x, y, lower, model.jitter)
 
 
 def posterior(

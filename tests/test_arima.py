@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from aircast import arima
 from aircast.arima import (
     ArimaModel,
     ArimaOrder,
@@ -153,6 +154,91 @@ class TestFit:
             errors.append(abs(model.beta[0] - 0.7))
         assert float(np.mean(errors)) < 0.03
         assert max(errors) < 0.05
+
+
+def lag_design(z, p):
+    """Intercept column followed by z_{t-1} .. z_{t-p}, rows t = p .. n-1."""
+    n = z.size
+    return np.column_stack([np.ones(n - p)] + [z[p - i : n - i] for i in range(1, p + 1)])
+
+
+def nelder_mead_fit(series, order):
+    """The two-start Nelder-Mead search on its own, as (params, css, converged)."""
+    z = difference_values(series.values, order.d)
+    lags = arima._lag_matrix(z, order.p)
+    return arima._css_nelder_mead(z, lags, order.q)
+
+
+class TestCssEstimation:
+    @pytest.mark.parametrize("p,d", [(0, 0), (1, 0), (3, 0), (2, 1)])
+    def test_pure_ar_is_ols(self, p, d):
+        series = simulate_arma(5.0, [0.5, 0.2], [0.4], 2.0, 300, seed=30 + p)
+        model = fit_arima(series, ArimaOrder(p, d, 0))
+        z = difference_values(series.values, d)
+        design = lag_design(z, p)
+        coef, *_ = np.linalg.lstsq(design, z[p:], rcond=None)
+        np.testing.assert_allclose([model.alpha, *model.beta], coef, rtol=1e-12)
+        resid = z[p:] - design @ coef
+        assert model.css == pytest.approx(float(resid @ resid), rel=1e-12)
+        assert model.converged
+
+    @pytest.mark.parametrize("p,q", [(0, 1), (1, 1), (2, 2), (1, 3)])
+    def test_analytic_jacobian_matches_central_differences(self, p, q):
+        series = simulate_arma(3.0, [0.5], [0.3], 1.0, 200, seed=40 + q)
+        z = series.values
+        rng = np.random.default_rng(p * 10 + q)
+        params = np.concatenate([[3.0], rng.uniform(-0.3, 0.3, p + q)])
+
+        def residuals(x):
+            return css_residuals(z, x[0], x[1 : 1 + p], x[1 + p :])
+
+        jac = arima._css_jacobian(params, residuals(params), arima._lag_matrix(z, p), q)
+        numeric = np.empty_like(jac)
+        h = 1e-6
+        for k in range(params.size):
+            step = np.zeros(params.size)
+            step[k] = h
+            numeric[:, k] = (residuals(params + step) - residuals(params - step)) / (2 * h)
+        np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=1e-7)
+
+    def test_least_squares_css_not_above_nelder_mead(self):
+        accepted = 0
+        for seed in range(6):
+            series = simulate_arma(10.0, [0.6], [0.3], 2.0, 300, seed=50 + seed)
+            for p, q in [(0, 1), (1, 1), (0, 2), (1, 2)]:
+                z = series.values
+                solved = arima._css_least_squares(z, arima._lag_matrix(z, p), q)
+                if solved is None:  # guarded: fit_arima takes the Nelder-Mead path
+                    continue
+                accepted += 1
+                _, css_nm, _ = nelder_mead_fit(series, ArimaOrder(p, 0, q))
+                assert solved[1] <= css_nm * (1 + 1e-9)
+                assert fit_arima(series, ArimaOrder(p, 0, q)).css == solved[1]
+        assert accepted >= 18
+
+    def test_redundant_solution_falls_back_to_nelder_mead(self, monkeypatch):
+        series = simulate_arma(0.0, [], [], 1.0, 200, seed=100)
+        order = ArimaOrder(2, 0, 2)
+        solutions = []
+        real_least_squares = arima.least_squares
+
+        def recording(*args, **kwargs):
+            result = real_least_squares(*args, **kwargs)
+            solutions.append(result)
+            return result
+
+        monkeypatch.setattr(arima, "least_squares", recording)
+        model = fit_arima(series, order)
+        (lm,) = solutions
+        assert lm.success
+        assert arima._arma_redundant(lm.x[1:3], lm.x[3:])
+
+        params, css, converged = nelder_mead_fit(series, order)
+        assert model.alpha == params[0]
+        assert model.beta == tuple(params[1:3])
+        assert model.theta == tuple(params[3:])
+        assert model.css == css
+        assert model.converged == converged
 
 
 class TestForecast:

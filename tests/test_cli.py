@@ -254,6 +254,37 @@ class TestEvaluate:
         assert blas_thread_counts() == before
 
 
+class TestLongSeries:
+    """More points than the exact GP's 2000-point cap: GP fails, the run goes on."""
+
+    @pytest.fixture(scope="class")
+    def long_out(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("long")
+        assert main([
+            "simulate", "--out", str(out), "--seed", "5", "--n-days", "2600",
+            "--station", "Gitega",
+        ]) == 0
+        assert main([
+            "ingest", "--out", str(out), "--input", str(out / "simulated_readings.csv"),
+        ]) == 0
+        return out
+
+    def test_gp_error_recorded_beside_arima(self, long_out):
+        assert main(["evaluate", "--out", str(long_out), "--models", "arima,gp", *FAST_EVAL]) == 0
+        header, rows = read_csv(long_out / "evaluation" / "comparison.csv")
+        assert header == ["station", "rmse_arima", "rmse_gpr", "mae_arima", "mae_gpr"]
+        (row,) = rows
+        assert float(row[1]) > 0.0 and row[2] == ""
+        report = json.loads((long_out / "evaluation" / "evaluation_report.json").read_text())
+        (station,) = report["stations"]
+        assert set(station["models"]) == {"arima"}
+        assert "capped at 2000" in station["errors"]["gp"]
+
+    def test_gp_alone_is_no_model(self, long_out):
+        assert main(["evaluate", "--out", str(long_out), "--models", "gp", *FAST_EVAL]) == 4
+        assert main(["forecast", "--out", str(long_out), "--models", "gp", *FAST_EVAL]) == 4
+
+
 class TestHygiene:
     def test_writes_stay_inside_out_dir(self, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"

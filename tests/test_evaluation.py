@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aircast import ann, arima
-from aircast.errors import AircastError, EmptyInputError, EvaluationError, LengthMismatchError
+from aircast import ann, arima, gp
+from aircast.errors import (
+    AircastError,
+    EmptyInputError,
+    EvaluationError,
+    LengthMismatchError,
+    TooLongError,
+)
 from aircast.evaluation import (
     AnnAdapter,
     ArimaAdapter,
@@ -24,7 +30,7 @@ from aircast.evaluation import (
     rolling_one_step,
 )
 from aircast.reference import REPORTED_MODEL_COMPARISON
-from aircast.series import SplitSpec, TimeSeries, split_holdout
+from aircast.series import SplitSpec, TimeSeries, append_observation, split_holdout
 
 from conftest import daily_series
 
@@ -242,6 +248,93 @@ class TestCompareModels:
     def test_empty_model_set_rejected(self):
         with pytest.raises(ValueError):
             compare_models(daily_series(np.arange(40.0)), SplitSpec(fraction=0.2), [])
+
+
+def gp_oracle_step(model, base_at, history):
+    """A full fit_gp on the history and the posterior mean one day ahead."""
+    x = gp.day_indices(history, base_at=base_at)
+    refit = gp.fit_gp(x, history.values, model.params, model.noise_variance)
+    next_x = x[-1] + 1.0
+    return float(gp.posterior(refit, [next_x])[0][0])
+
+
+@pytest.fixture
+def fit_gp_calls(monkeypatch):
+    """Sizes of the training sets passed to gp.fit_gp while the test runs."""
+    calls = []
+    real_fit_gp = gp.fit_gp
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real_fit_gp(*args)
+
+    monkeypatch.setattr(gp, "fit_gp", counting)
+    return calls
+
+
+class TestGpAdapter:
+    def test_rolling_matches_per_step_refit(self):
+        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 160, seed=24)
+        train, test = split_holdout(series, SplitSpec(fraction=0.25))
+        adapter = GpAdapter()
+        adapter.fit(train)
+        trained = adapter.model
+        predictions, _ = rolling_one_step(adapter, train, test)
+        assert len(adapter.model) == len(series) - 1
+
+        history, expected = train, []
+        for i in range(len(test)):
+            expected.append(gp_oracle_step(trained, int(train.at[0]), history))
+            history = append_observation(history, int(test.at[i]), float(test.values[i]))
+        np.testing.assert_allclose(predictions, expected, rtol=1e-12)
+
+    def test_non_extending_history_refits(self, fit_gp_calls):
+        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 60, seed=25)
+        adapter = GpAdapter()
+        adapter.fit(series)
+        trained = adapter.model
+        fit_gp_calls.clear()
+        extended = append_observation(series, int(series.at[-1]) + 86_400, 15.0)
+        adapter.predict_one(extended)
+        assert fit_gp_calls == []
+
+        dropped = TimeSeries(series.granularity, series.at[1:], series.values[1:])
+        prediction = adapter.predict_one(dropped)
+        assert fit_gp_calls == [59]
+        assert prediction == pytest.approx(
+            gp_oracle_step(trained, int(series.at[0]), dropped), rel=1e-12
+        )
+
+    def test_revised_values_need_no_refit(self, fit_gp_calls):
+        # the factor depends on the instants only; every value is re-solved
+        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 60, seed=26)
+        adapter = GpAdapter()
+        adapter.fit(series)
+        trained = adapter.model
+        fit_gp_calls.clear()
+        revised = TimeSeries(series.granularity, series.at, series.values[::-1].copy())
+        prediction = adapter.predict_one(revised)
+        assert fit_gp_calls == []
+        assert prediction == pytest.approx(
+            gp_oracle_step(trained, int(series.at[0]), revised), rel=1e-12
+        )
+
+    def test_cap_error_at_the_step_that_crosses_it(self):
+        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 2010, seed=27)
+        train, test = split_holdout(series, SplitSpec(count=10))
+        assert len(train) == 2000
+        adapter = GpAdapter(noise_grid=[0.5], amplitude_grid=[2.0], length_scale_grid=[7.0])
+        adapter.fit(train)
+        with pytest.raises(EvaluationError, match="test index 1") as info:
+            rolling_one_step(adapter, train, test)
+        assert isinstance(info.value.__cause__, TooLongError)
+
+    def test_cap_recorded_per_model(self):
+        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 2600, seed=28)
+        adapters = [ArimaAdapter(order=arima.ArimaOrder(1, 0, 0)), GpAdapter()]
+        report = compare_models(series, SplitSpec(fraction=0.2), adapters, station="S")
+        assert set(report.models) == {"arima"}
+        assert "capped at 2000" in report.errors["gp"]
 
 
 class TestComparisonTable:

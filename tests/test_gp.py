@@ -1,15 +1,24 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from aircast.errors import FactorizationError, NoValidFitError, TooShortError
+from aircast import gp
+from aircast.errors import (
+    AircastError,
+    FactorizationError,
+    NoValidFitError,
+    TooLongError,
+    TooShortError,
+)
 from aircast.gp import (
     GpModel,
     SeKernelParams,
     day_indices,
+    extend_gp,
     fit_gp,
     fit_hyperparameters,
     forecast_series,
@@ -132,11 +141,78 @@ class TestFitGp:
         with pytest.raises(ValueError):
             fit_gp(x, np.zeros(2001), SeKernelParams(1.0, 3.0), 0.1)
 
+    def test_train_size_cap_is_a_toolkit_error(self):
+        x = np.arange(2001, dtype=np.float64)
+        with pytest.raises(TooLongError) as info:
+            fit_gp(x, np.zeros(2001), SeKernelParams(1.0, 3.0), 0.1)
+        assert isinstance(info.value, AircastError)
+
     def test_jitter_escalation_handles_near_duplicates(self):
         # nearly coincident inputs with zero noise: needs jitter, must succeed
         x = [0.0, 1e-9, 5.0, 10.0]
         model = fit_gp(x, [1.0, 1.0, 2.0, 3.0], SeKernelParams(1.0, 5.0), 0.0)
         assert model.jitter <= 1e-4 * model.params.amplitude
+
+
+def assert_same_model(model, oracle):
+    assert model.jitter == oracle.jitter
+    np.testing.assert_array_equal(model.train_inputs, oracle.train_inputs)
+    np.testing.assert_allclose(model.chol_lower, oracle.chol_lower, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(model._alpha, oracle._alpha, rtol=1e-12, atol=1e-12)
+    assert model.offset == pytest.approx(oracle.offset, rel=1e-12)
+
+
+class TestExtendGp:
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_matches_refit_on_extended_data(self, rng, k):
+        x, y, params, noise = random_instance(rng, 40)
+        base = fit_gp(x[: 40 - k], y[: 40 - k], params, noise)
+        assert_same_model(extend_gp(base, x, y), fit_gp(x, y, params, noise))
+
+    def test_extended_factor_reproduces_matrix(self, rng):
+        x, y, params, noise = random_instance(rng, 25)
+        model = extend_gp(fit_gp(x[:20], y[:20], params, noise), x, y)
+        target = gram_matrix(x, params) + (noise + model.jitter) * np.eye(25)
+        assert np.max(np.abs(model.chol_lower @ model.chol_lower.T - target)) < 1e-10
+        assert np.array_equal(model.chol_lower, np.tril(model.chol_lower))
+
+    def test_non_extending_inputs_refit(self, rng, monkeypatch):
+        x, y, params, noise = random_instance(rng, 30)
+        base = fit_gp(x[:20], y[:20], params, noise)
+        calls = []
+        real_fit_gp = gp.fit_gp
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return real_fit_gp(*args)
+
+        monkeypatch.setattr(gp, "fit_gp", counting)
+        extend_gp(base, x, y)
+        assert calls == []
+        shifted = np.concatenate([[x[0] - 1.0], x[1:]])
+        assert_same_model(extend_gp(base, shifted, y), real_fit_gp(shifted, y, params, noise))
+        assert_same_model(extend_gp(base, x[:10], y[:10]), real_fit_gp(x[:10], y[:10], params, noise))
+        assert calls == [30, 10]
+
+    def test_non_positive_pivot_refits(self, rng):
+        x, y, params, noise = random_instance(rng, 12)
+        base = fit_gp(x[:10], y[:10], params, noise)
+        # a stored jitter this negative drives the appended pivot below zero
+        broken = dataclasses.replace(base, jitter=-(params.amplitude + noise + 1.0))
+        assert_same_model(extend_gp(broken, x, y), fit_gp(x, y, params, noise))
+
+    def test_appended_time_must_be_distinct(self, rng):
+        x, y, params, noise = random_instance(rng, 10)
+        base = fit_gp(x, y, params, noise)
+        with pytest.raises(ValueError, match="distinct"):
+            extend_gp(base, np.append(x, x[3]), np.append(y, 1.0))
+
+    def test_cap_raised_when_extension_crosses_it(self):
+        x = np.arange(2001, dtype=np.float64)
+        y = np.sin(x / 10.0)
+        base = fit_gp(x[:2000], y[:2000], SeKernelParams(1.0, 3.0), 0.1)
+        with pytest.raises(TooLongError):
+            extend_gp(base, x, y)
 
 
 class TestPosterior:
