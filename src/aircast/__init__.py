@@ -2,7 +2,6 @@
 
 from .series import (
     Granularity,
-    Observation,
     SplitSpec,
     TimeSeries,
     difference,
@@ -14,7 +13,6 @@ from .series import (
 
 __all__ = [
     "Granularity",
-    "Observation",
     "SplitSpec",
     "TimeSeries",
     "difference",

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import ann, arima, gp, trends
+from . import ann, arima, trends
 from .errors import (
     AircastError,
     EmptySeriesError,
@@ -44,6 +44,7 @@ from .evaluation import (
     AnnAdapter,
     ArimaAdapter,
     EvalReport,
+    Forecaster,
     GpAdapter,
     comparison_table,
     compare_models,
@@ -205,10 +206,15 @@ def _parse_models(text: str) -> list[str]:
 
 
 def _parse_grid(text: str) -> tuple[int, int, int]:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError("grid must be 'p_max,d_max,q_max'")
-    return parts[0], parts[1], parts[2]
+    """'p_max,d_max,q_max', each within the bounds of an ARIMA order."""
+    try:
+        p, d, q = (int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"arima grid must be 'p_max,d_max,q_max' integers, got {text!r}"
+        ) from None
+    arima.ArimaOrder(p, d, q)  # raises ValueError outside its bounds
+    return p, d, q
 
 
 def _parse_coeffs(text: str) -> tuple[float, ...]:
@@ -239,8 +245,9 @@ def _load_station_series(
 
 def _build_adapters(
     models: Sequence[str], seed: int, station: str, arima_grid: tuple[int, int, int]
-):
-    adapters = []
+) -> list[Forecaster]:
+    """The forecasters both model stages fit, in ``models`` order."""
+    adapters: list[Forecaster] = []
     for name in models:
         if name == "arima":
             adapters.append(
@@ -582,40 +589,27 @@ def _forecast_station(task: tuple) -> dict:
     forecast_dir = out / "forecast"
     slug = station_slug(station)
     tracks: dict[str, np.ndarray] = {}
-    gp_var: np.ndarray | None = None
-    for name in models:
+    variances: dict[str, np.ndarray] = {}
+    for adapter in _build_adapters(models, seed, station, grid):
         try:
-            if name == "arima":
-                _, model = arima.select_order(train, *grid)
-                tracks[name] = arima.forecast(model, train, horizon)
-                payload = model.to_dict()
-            elif name == "ann":
-                cfg = ann.TrainConfig(seed=derive_seed(seed, station, "ann"))
-                net = ann.train(train, 7, (16,), ann.Activation.TANH, cfg)
-                tracks[name] = ann.forecast_recursive(net, train, horizon)
-                payload = net.to_dict()
-            else:
-                fc = gp.forecast_series(train, horizon)
-                tracks[name] = fc.means
-                gp_var = fc.variances
-                payload = fc.model.to_summary_dict()
-            write_json(forecast_dir / f"{slug}_{name}_model.json", payload)
+            adapter.fit(train)
+            tracks[adapter.name], variance = adapter.forecast(train, horizon)
+            if variance is not None:
+                variances[f"{adapter.name}_variance"] = variance
+            write_json(forecast_dir / f"{slug}_{adapter.name}_model.json", adapter.to_dict())
         except AircastError as exc:
-            result["errors"][name] = str(exc)
+            result["errors"][adapter.name] = str(exc)
     if not tracks:
         return result
 
-    header = ["date", "actual"] + list(tracks)
-    if gp_var is not None:
-        header.append("gp_variance")
+    columns = {**tracks, **variances}
+    header = ["date", "actual"] + list(columns)
     rows = []
     for k, at in enumerate(future_at):
         row: list = [_local_date(at) if granularity is Granularity.DAILY else _iso_local(at)]
         actual = actual_by_at.get(at)
         row.append(actual if actual is not None else "")
-        row.extend(float(tracks[name][k]) for name in tracks)
-        if gp_var is not None:
-            row.append(float(gp_var[k]))
+        row.extend(float(column[k]) for column in columns.values())
         rows.append(row)
     result["file"] = str(write_table(forecast_dir / f"{slug}_forecast", header, rows, fmt))
     result["models"] = {name: len(track) for name, track in tracks.items()}
@@ -630,6 +624,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     try:
         models = _parse_models(args.models)
         _parse_holdout(args.holdout)
+        grid = _parse_grid(args.arima_grid)
     except ValueError as exc:
         print(f"forecast: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -647,7 +642,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             args.horizon,
             tuple(models),
             args.seed,
-            _parse_grid(args.arima_grid),
+            grid,
             args.format,
         )
         for station in stations
@@ -691,6 +686,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         models = _parse_models(args.models)
         _parse_holdout(args.holdout)
+        grid = _parse_grid(args.arima_grid)
     except ValueError as exc:
         print(f"evaluate: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -707,7 +703,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             args.holdout,
             tuple(models),
             args.seed,
-            _parse_grid(args.arima_grid),
+            grid,
         )
         for station in stations
     ]

@@ -1,4 +1,10 @@
-"""Rolling one-step evaluation and the per-station model comparison.
+"""The forecaster contract, rolling one-step evaluation and the per-station
+model comparison.
+
+Each model is one :class:`Forecaster` (``fit``, ``forecast``, ``to_dict``),
+and the CLI's ``forecast`` and ``evaluate`` stages build and drive the same
+adapters: ``forecast`` fits on the train split and asks for a horizon after
+it, ``evaluate`` asks for one step at a time.
 
 Protocol: each forecaster is fitted exactly once on the train split, then
 asked for one-step-ahead predictions over the holdout while true values
@@ -9,8 +15,9 @@ can leak into an earlier prediction.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +27,7 @@ from .errors import (
     EmptyInputError,
     EvaluationError,
     LengthMismatchError,
+    TooShortError,
 )
 from .series import (
     SplitSpec,
@@ -55,18 +63,38 @@ def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
     return float(np.mean(np.abs(a - p)))
 
 
-@runtime_checkable
-class ForecastAdapter(Protocol):
-    """Uniform fit-once / predict-one contract the harness drives."""
+class Forecaster(ABC):
+    """One model behind the contract both model stages drive.
+
+    ``fit`` runs once, on the train split. ``forecast`` then predicts the
+    steps after a history that starts with that split, with the fitted
+    parameters frozen: the ``forecast`` stage asks for a horizon after the
+    train split itself, the rolling evaluation for one step at a time.
+    """
 
     name: str
 
+    @abstractmethod
     def fit(self, train: TimeSeries) -> None: ...
 
-    def predict_one(self, history: TimeSeries) -> float: ...
+    @abstractmethod
+    def forecast(
+        self, history: TimeSeries, horizon: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Means of the next ``horizon`` steps after ``history``, and their
+        variances where the model gives them (None otherwise)."""
+
+    @abstractmethod
+    def to_dict(self) -> dict:
+        """JSON-ready summary of the train fit."""
+
+    def predict_one(self, history: TimeSeries) -> float:
+        """The first step of ``forecast``."""
+        means, _ = self.forecast(history, 1)
+        return float(means[0])
 
 
-class NaiveAdapter:
+class NaiveAdapter(Forecaster):
     """Persistence baseline: predicts the last observed value."""
 
     name = "naive"
@@ -74,11 +102,14 @@ class NaiveAdapter:
     def fit(self, train: TimeSeries) -> None:
         pass
 
-    def predict_one(self, history: TimeSeries) -> float:
-        return float(history.values[-1])
+    def forecast(self, history: TimeSeries, horizon: int) -> tuple[np.ndarray, None]:
+        return np.full(horizon, history.values[-1]), None
+
+    def to_dict(self) -> dict:
+        return {}
 
 
-class ArimaAdapter:
+class ArimaAdapter(Forecaster):
     """ARIMA with AIC order selection (or a pinned order) on the train split."""
 
     name = "arima"
@@ -100,12 +131,16 @@ class ArimaAdapter:
         else:
             _, self.model = arima.select_order(train, self.p_max, self.d_max, self.q_max)
 
-    def predict_one(self, history: TimeSeries) -> float:
+    def forecast(self, history: TimeSeries, horizon: int) -> tuple[np.ndarray, None]:
         assert self.model is not None, "fit before predicting"
-        return float(arima.forecast(self.model, history, 1)[0])
+        return arima.forecast(self.model, history, horizon), None
+
+    def to_dict(self) -> dict:
+        assert self.model is not None, "fit before summarizing"
+        return self.model.to_dict()
 
 
-class AnnAdapter:
+class AnnAdapter(Forecaster):
     """Window MLP trained once; predictions read the last window of history."""
 
     name = "ann"
@@ -126,14 +161,19 @@ class AnnAdapter:
     def fit(self, train: TimeSeries) -> None:
         self.net = ann.train(train, self.window, self.hidden, self.activation, self.config)
 
-    def predict_one(self, history: TimeSeries) -> float:
+    def forecast(self, history: TimeSeries, horizon: int) -> tuple[np.ndarray, None]:
         assert self.net is not None, "fit before predicting"
-        return ann.forward(self.net, history.values[-self.window :])
+        return ann.forecast_recursive(self.net, history, horizon), None
+
+    def to_dict(self) -> dict:
+        assert self.net is not None, "fit before summarizing"
+        return self.net.to_dict()
 
 
-class GpAdapter:
-    """GP with hyperparameters frozen from the train split; each prediction
-    conditions the posterior on the full history at the next time index.
+class GpAdapter(Forecaster):
+    """GP with hyperparameters frozen from the train split; each forecast
+    conditions the posterior on the full history and queries the next steps
+    at the train split's cadence.
 
     The train fit is kept, and each history that extends the points already
     conditioned on is appended to its Cholesky factor (``gp.extend_gp``), so a
@@ -150,10 +190,13 @@ class GpAdapter:
     ) -> None:
         self.grids = (noise_grid, amplitude_grid, length_scale_grid)
         self.model: gp.GpModel | None = None
+        self._fitted: gp.GpModel | None = None
         self._base_at: int | None = None
         self._step_seconds: int | None = None
 
     def fit(self, train: TimeSeries) -> None:
+        if len(train) < 10:
+            raise TooShortError("need at least 10 observations to fit the GP")
         noise_grid, amplitude_grid, length_scale_grid = self.grids
         default_noise, default_amp, default_len = gp.default_grids(train.values)
         x = gp.day_indices(train)
@@ -164,18 +207,23 @@ class GpAdapter:
             tuple(amplitude_grid) if amplitude_grid is not None else default_amp,
             tuple(length_scale_grid) if length_scale_grid is not None else default_len,
         )
-        self.model = gp.fit_gp(x, train.values, params, noise_variance)
+        self.model = self._fitted = gp.fit_gp(x, train.values, params, noise_variance)
         self._base_at = int(train.at[0])
         self._step_seconds = estimate_step_seconds(train)
 
-    def predict_one(self, history: TimeSeries) -> float:
+    def forecast(self, history: TimeSeries, horizon: int) -> tuple[np.ndarray, np.ndarray]:
         assert self.model is not None, "fit before predicting"
         assert self._base_at is not None and self._step_seconds is not None
+        if horizon < 0:
+            raise ValueError("horizon must be non-negative")
         x = gp.day_indices(history, base_at=self._base_at)
         self.model = gp.extend_gp(self.model, x, history.values)
-        next_x = (history.at[-1] + self._step_seconds - self._base_at) / gp.SECONDS_PER_DAY
-        means, _ = gp.posterior(self.model, [next_x])
-        return float(means[0])
+        future_at = history.at[-1] + self._step_seconds * np.arange(1, horizon + 1)
+        return gp.posterior(self.model, (future_at - self._base_at) / gp.SECONDS_PER_DAY)
+
+    def to_dict(self) -> dict:
+        assert self._fitted is not None, "fit before summarizing"
+        return self._fitted.to_summary_dict()
 
 
 @dataclass(frozen=True)
@@ -211,7 +259,7 @@ class EvalReport:
 
 
 def rolling_one_step(
-    adapter: ForecastAdapter, train: TimeSeries, test: TimeSeries
+    adapter: Forecaster, train: TimeSeries, test: TimeSeries
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-step predictions over the holdout, feeding true values as they arrive.
 
@@ -234,7 +282,7 @@ def rolling_one_step(
 def compare_models(
     series: TimeSeries,
     spec: SplitSpec,
-    adapters: Sequence[ForecastAdapter],
+    adapters: Sequence[Forecaster],
     station: str = "",
 ) -> EvalReport:
     """Fit and evaluate every adapter on the identical split.

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .errors import FactorizationError, NoValidFitError, TooLongError, TooShortError
-from .series import TimeSeries, estimate_step_seconds
+from .errors import FactorizationError, NoValidFitError, TooLongError
+from .series import TimeSeries
 
 _MAX_TRAIN = 2000
 _JITTER_START = 1e-10
@@ -297,44 +297,3 @@ def day_indices(series: TimeSeries, base_at: int | None = None) -> np.ndarray:
     """Observation instants as (possibly fractional) day offsets from a base."""
     base = series.at[0] if base_at is None else base_at
     return (series.at - base) / SECONDS_PER_DAY
-
-
-@dataclass(frozen=True)
-class GpForecast:
-    means: np.ndarray
-    variances: np.ndarray
-    model: GpModel
-
-
-def forecast_series(
-    series: TimeSeries,
-    horizon: int,
-    noise_grid: Sequence[float] | None = None,
-    amplitude_grid: Sequence[float] | None = None,
-    length_scale_grid: Sequence[float] | None = None,
-) -> GpForecast:
-    """Fit hyperparameters on the series and predict the next ``horizon`` steps.
-
-    Instants are encoded as day offsets from the first observation; the next
-    steps continue at the series' own cadence.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    if len(series) < 10:
-        raise TooShortError("need at least 10 observations to fit the GP")
-    default_noise, default_amp, default_len = default_grids(series.values)
-    noise_grid = tuple(noise_grid) if noise_grid is not None else default_noise
-    amplitude_grid = tuple(amplitude_grid) if amplitude_grid is not None else default_amp
-    length_scale_grid = (
-        tuple(length_scale_grid) if length_scale_grid is not None else default_len
-    )
-
-    x = day_indices(series)
-    params, noise = fit_hyperparameters(
-        x, series.values, noise_grid, amplitude_grid, length_scale_grid
-    )
-    model = fit_gp(x, series.values, params, noise)
-    step_days = estimate_step_seconds(series) / SECONDS_PER_DAY
-    query = x[-1] + step_days * np.arange(1, horizon + 1)
-    means, variances = posterior(model, query)
-    return GpForecast(means=means, variances=variances, model=model)

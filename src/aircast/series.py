@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,14 +47,6 @@ class Granularity(Enum):
     @property
     def coarseness(self) -> int:
         return {"raw": 0, "hourly": 1, "daily": 2}[self.value]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One timestamped measurement (µg/m³ for particulate series)."""
-
-    at: int
-    value: float
 
 
 @dataclass(frozen=True)
@@ -97,26 +89,11 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.at.size)
 
-    def observations(self) -> Iterator[Observation]:
-        for t, v in zip(self.at.tolist(), self.values.tolist()):
-            yield Observation(t, v)
-
     def local_datetimes(self) -> list[datetime]:
         return [datetime.fromtimestamp(int(t), tz=LOCAL_TZ) for t in self.at]
 
     def local_dates(self) -> list[date]:
         return [dt.date() for dt in self.local_datetimes()]
-
-    @classmethod
-    def from_observations(
-        cls, granularity: Granularity, observations: Sequence[Observation]
-    ) -> "TimeSeries":
-        obs = sorted(observations, key=lambda o: o.at)
-        return cls(
-            granularity,
-            np.array([o.at for o in obs], dtype=np.int64),
-            np.array([o.value for o in obs], dtype=np.float64),
-        )
 
     @classmethod
     def from_pairs(

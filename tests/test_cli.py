@@ -254,6 +254,39 @@ class TestEvaluate:
         assert blas_thread_counts() == before
 
 
+BAD_ARIMA_GRIDS = ["1,2", "1,0,1,1", "a,0,0", "1.5,0,0", "11,0,0", "1,3,1", "1,0,11", "-1,0,1"]
+
+
+class TestForecasterContract:
+    """`forecast` and `evaluate` build and fit the same forecasters."""
+
+    @pytest.mark.parametrize("command", ["forecast", "evaluate"])
+    @pytest.mark.parametrize("grid", BAD_ARIMA_GRIDS)
+    def test_bad_arima_grid_is_schema_error(self, tmp_path, command, grid):
+        # an empty --out would exit 3 at the station lookup: 2 means it came first
+        assert main([command, "--out", str(tmp_path), f"--arima-grid={grid}"]) == 2
+
+    def test_first_forecast_step_is_first_evaluation_prediction(self, pipeline_out):
+        args = ["--out", str(pipeline_out), "--models", "arima,ann,gp", "--station", "Gitega",
+                "--seed", "3", "--holdout", "0.2", *FAST_EVAL]
+        assert main(["forecast", "--horizon", "1", *args]) == 0
+        assert main(["evaluate", *args]) == 0
+        header, rows = read_csv(pipeline_out / "forecast" / "gitega_forecast.csv")
+        report = json.loads((pipeline_out / "evaluation" / "evaluation_report.json").read_text())
+        (station,) = report["stations"]
+        for name in ("arima", "ann", "gp"):
+            assert float(rows[0][header.index(name)]) == station["models"][name]["predictions"][0]
+
+    def test_short_train_gp_refused_by_both_stages(self, pipeline_out, capsys):
+        # a count holdout leaves a 5-point train; the GP needs 10
+        args = ["--out", str(pipeline_out), "--models", "gp", "--station", "Gitega",
+                "--holdout", "155", *FAST_EVAL]
+        for command in ("forecast", "evaluate"):
+            capsys.readouterr()
+            assert main([command, *args]) == 4
+            assert "need at least 10 observations to fit the GP" in capsys.readouterr().err
+
+
 class TestLongSeries:
     """More points than the exact GP's 2000-point cap: GP fails, the run goes on."""
 

@@ -21,12 +21,12 @@ from aircast.gp import (
     extend_gp,
     fit_gp,
     fit_hyperparameters,
-    forecast_series,
     gram_matrix,
     log_marginal_likelihood,
     posterior,
     se_kernel,
 )
+from aircast.evaluation import GpAdapter
 
 from conftest import daily_series
 
@@ -350,29 +350,43 @@ class TestHyperparameterFit:
 
 
 class TestForecastSeries:
+    """The GP forecaster as the ``forecast`` stage drives it: fit on a
+    series, then forecast the steps after that same series."""
+
+    @staticmethod
+    def forecast_after(series, horizon):
+        adapter = GpAdapter()
+        adapter.fit(series)
+        means, variances = adapter.forecast(series, horizon)
+        return adapter, means, variances
+
     def test_constant_series(self):
         series = daily_series([42.0] * 30)
-        fc = forecast_series(series, 5)
-        np.testing.assert_allclose(fc.means, 42.0, rtol=0.01)
+        _, means, _ = self.forecast_after(series, 5)
+        np.testing.assert_allclose(means, 42.0, rtol=0.01)
 
     def test_horizon_zero(self):
         series = daily_series(np.linspace(10, 20, 15))
-        fc = forecast_series(series, 0)
-        assert fc.means.size == 0 and fc.variances.size == 0
+        _, means, variances = self.forecast_after(series, 0)
+        assert means.size == 0 and variances.size == 0
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError):
+            self.forecast_after(daily_series(np.linspace(10, 20, 15)), -1)
 
     def test_variance_non_decreasing_beyond_train(self, rng):
         series = daily_series(rng.uniform(20, 60, 40))
-        fc = forecast_series(series, 10)
-        assert np.all(np.diff(fc.variances) >= -1e-12)
+        _, _, variances = self.forecast_after(series, 10)
+        assert np.all(np.diff(variances) >= -1e-12)
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
-            forecast_series(daily_series([1.0] * 9), 3)
+            self.forecast_after(daily_series([1.0] * 9), 3)
 
     def test_summary_serializable(self, rng):
         series = daily_series(rng.uniform(20, 60, 30))
-        fc = forecast_series(series, 3)
-        summary = fc.model.to_summary_dict()
+        adapter, _, _ = self.forecast_after(series, 3)
+        summary = adapter.to_dict()
         assert set(summary) == {
             "amplitude", "length_scale", "noise_variance", "n_train",
             "offset", "jitter", "log_marginal_likelihood",
