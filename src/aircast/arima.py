@@ -107,14 +107,9 @@ class ArimaModel:
 
 
 def _poly_roots_outside_unit_circle(ascending: Sequence[float]) -> bool:
-    """True when every root of the polynomial (ascending coeffs) lies strictly
-    outside the unit circle. Degree-0 polynomials pass vacuously."""
-    coeffs = np.asarray(ascending, dtype=np.float64)
-    while coeffs.size > 1 and coeffs[-1] == 0.0:
-        coeffs = coeffs[:-1]
-    if coeffs.size <= 1:
-        return True
-    roots = np.polynomial.polynomial.polyroots(coeffs)
+    """True when every root of the polynomial (ascending coeffs, constant 1)
+    lies strictly outside the unit circle. Degree-0 polynomials pass vacuously."""
+    roots = _roots_ascending(np.asarray(ascending, dtype=np.float64))
     return bool(np.all(np.abs(roots) > 1.0))
 
 
@@ -246,14 +241,13 @@ def css_residuals(
     return lfilter([1.0], [1.0, *theta], u)
 
 
-def _ols_start(z: np.ndarray, p: int, q: int) -> np.ndarray:
-    """OLS fit of z_t on an intercept and its last p values; MA terms start at zero."""
+def _ols_start(z: np.ndarray, lags: np.ndarray, q: int) -> np.ndarray:
+    """OLS fit of z_t on an intercept and its ``_lag_matrix`` columns; MA terms
+    start at zero."""
+    p = lags.shape[1]
     if p == 0:
         return np.array([float(np.mean(z))] + [0.0] * q)
-    rows = z.size - p
-    design = np.ones((rows, p + 1))
-    for i in range(1, p + 1):
-        design[:, i] = z[p - i : z.size - i]
+    design = np.column_stack([np.ones(lags.shape[0]), lags])
     coef, *_ = np.linalg.lstsq(design, z[p:], rcond=None)
     return np.concatenate([coef, np.zeros(q)])
 
@@ -265,6 +259,17 @@ def _lag_matrix(z: np.ndarray, p: int) -> np.ndarray:
     for i in range(1, p + 1):
         lags[:, i - 1] = z[p - i : n - i]
     return lags
+
+
+def _css_errors(params: np.ndarray, z: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """CSS residuals at ``params`` (alpha, beta, theta), for t = p .. len(z)-1;
+    non-finite where the MA filter blows up."""
+    p = lags.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = z[p:] - params[0]
+        if p:
+            u = u - lags @ params[1 : 1 + p]
+        return lfilter([1.0], [1.0, *params[1 + p :]], u)
 
 
 def _css_jacobian(
@@ -300,14 +305,9 @@ def _css_least_squares(
     roots strictly inside the unit circle, near-common AR/MA roots).
     """
     p = lags.shape[1]
-    z_head = z[p:]
 
     def residuals(params: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = z_head - params[0]
-            if p:
-                u = u - lags @ params[1 : 1 + p]
-            e = lfilter([1.0], [1.0, *params[1 + p :]], u)
+        e = _css_errors(params, z, lags)
         # a blown-up filter is a rejected step, not a NaN inside MINPACK
         return np.where(np.isfinite(e), e, _LM_BLOWUP)
 
@@ -317,7 +317,7 @@ def _css_least_squares(
 
     try:
         result = least_squares(
-            residuals, _ols_start(z, p, q), jac=jacobian, method="lm",
+            residuals, _ols_start(z, lags, q), jac=jacobian, method="lm",
             ftol=_LM_TOL, xtol=_LM_TOL, gtol=_LM_TOL,
         )
     except (ValueError, KeyError):
@@ -346,7 +346,6 @@ def _css_nelder_mead(
     so the simplex searches only admissible parameters.
     """
     p = lags.shape[1]
-    z_head = z[p:]
 
     def objective(params: np.ndarray) -> float:
         if not np.all(np.isfinite(params)):
@@ -358,15 +357,12 @@ def _css_nelder_mead(
             return np.inf
         if p and _arma_redundant(params[1 : 1 + p], params[1 + p :]):
             return np.inf
+        e = _css_errors(params, z, lags)
         with np.errstate(over="ignore", invalid="ignore"):
-            u = z_head - params[0]
-            if p:
-                u = u - lags @ params[1 : 1 + p]
-            e = lfilter([1.0], [1.0, *params[1 + p :]], u)
             css = float(np.dot(e, e))
         return css if np.isfinite(css) else np.inf
 
-    starts = [np.zeros(1 + p + q), _ols_start(z, p, q)]
+    starts = [np.zeros(1 + p + q), _ols_start(z, lags, q)]
     best = None
     for x0 in starts:
         result = minimize(
@@ -416,8 +412,8 @@ def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
 
     lags = _lag_matrix(z, p)
     if q == 0:
-        params = _ols_start(z, p, 0)
-        e = z[p:] - params[0] - lags @ params[1:]
+        params = _ols_start(z, lags, 0)
+        e = _css_errors(params, z, lags)
         css, converged = float(np.dot(e, e)), True
     else:
         solved = _css_least_squares(z, lags, q)

@@ -28,6 +28,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -224,6 +225,20 @@ def _parse_coeffs(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+def _parse_model_flags(args: argparse.Namespace) -> bool:
+    """Parse ``--models`` and ``--arima-grid`` in place and ``--holdout`` into
+    ``args.split`` (``args.holdout`` keeps the text the report records).
+    False, after saying why, when a flag is invalid."""
+    try:
+        args.models = _parse_models(args.models)
+        args.arima_grid = _parse_grid(args.arima_grid)
+        args.split = _parse_holdout(args.holdout)
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _station_names(out: Path, requested: Sequence[str]) -> list[str]:
     """Stations to process: the requested filter, or every ingested station."""
     report_path = out / "ingest_report.json"
@@ -237,25 +252,16 @@ def _station_names(out: Path, requested: Sequence[str]) -> list[str]:
     return sorted(known)
 
 
-def _load_station_series(
-    out: Path, station: str, granularity: Granularity
-) -> TimeSeries | None:
-    return load_series_csv(series_path(out, station, granularity), granularity)
-
-
-def _build_adapters(
-    models: Sequence[str], seed: int, station: str, arima_grid: tuple[int, int, int]
-) -> list[Forecaster]:
-    """The forecasters both model stages fit, in ``models`` order."""
+def _build_adapters(args: argparse.Namespace, station: str) -> list[Forecaster]:
+    """The forecasters both model stages fit, in ``args.models`` order."""
     adapters: list[Forecaster] = []
-    for name in models:
+    for name in args.models:
         if name == "arima":
-            adapters.append(
-                ArimaAdapter(p_max=arima_grid[0], d_max=arima_grid[1], q_max=arima_grid[2])
-            )
+            p_max, d_max, q_max = args.arima_grid
+            adapters.append(ArimaAdapter(p_max=p_max, d_max=d_max, q_max=q_max))
         elif name == "ann":
             adapters.append(
-                AnnAdapter(config=ann.TrainConfig(seed=derive_seed(seed, station, "ann")))
+                AnnAdapter(config=ann.TrainConfig(seed=derive_seed(args.seed, station, "ann")))
             )
         elif name == "gp":
             adapters.append(GpAdapter())
@@ -346,6 +352,16 @@ def _run_pool(worker: Callable, tasks: Sequence, workers: int) -> list:
             return list(pool.map(worker, tasks))
 
 
+def _run_stations(args: argparse.Namespace, worker: Callable) -> list | None:
+    """``worker(args, station)`` for each station to process, in station order;
+    None, after saying so, when there is none."""
+    stations = _station_names(Path(args.out), args.station)
+    if not stations:
+        print(f"{args.command}: no stations to process (run ingest first?)", file=sys.stderr)
+        return None
+    return _run_pool(partial(worker, args), stations, args.workers)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -393,6 +409,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not args.input:
         print("ingest: at least one --input file required", file=sys.stderr)
         return EXIT_SCHEMA
+    if not 0.0 <= args.min_coverage <= 1.0:  # also refuses nan
+        print("ingest: --min-coverage must lie in [0, 1]", file=sys.stderr)
+        return EXIT_SCHEMA
+    try:
+        requested = [Station(name) for name in args.station]
+    except ValueError as exc:
+        print(f"ingest: --station: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     mapping = ColumnMapping(
         station=args.station_column,
         timestamp=args.timestamp_column,
@@ -433,9 +457,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return EXIT_EMPTY
 
     pollutant = Pollutant(args.pollutant.upper())
-    wanted = (
-        [Station(s) for s in args.station] if args.station else sorted(stations_seen, key=lambda s: s.name)
-    )
+    wanted = requested or sorted(stations_seen, key=lambda s: s.name)
     written = 0
     for station in wanted:
         try:
@@ -470,71 +492,57 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # trend
 
-def _trend_station(task: tuple) -> dict:
-    out_dir, station, threshold, fmt = task
-    out = Path(out_dir)
+def _trend_station(args: argparse.Namespace, station: str) -> dict:
+    out = Path(args.out)
     result: dict = {"station": station, "files": [], "error": None}
 
-    hourly = _load_station_series(out, station, Granularity.HOURLY)
-    daily = _load_station_series(out, station, Granularity.DAILY)
+    hourly, daily = (
+        load_series_csv(series_path(out, station, granularity), granularity)
+        for granularity in (Granularity.HOURLY, Granularity.DAILY)
+    )
     if hourly is None and daily is None:
         result["error"] = "no ingested series found"
         return result
 
-    trend_dir = out / "trend"
-    slug = station_slug(station)
+    tables: list[tuple[str, tuple[list[str], list[list]]]] = []
     if hourly is not None:
         profile = trends.hour_of_day_profile(hourly)
-        header, rows = trends.hour_profile_rows(profile)
-        result["files"].append(
-            str(write_table(trend_dir / f"{slug}_hour_profile", header, rows, fmt))
-        )
+        tables.append(("hour_profile", trends.hour_profile_rows(profile)))
         result["median_hourly"] = float(np.median(hourly.values))
     if daily is not None:
         weekday = trends.day_of_week_profile(daily)
-        header, rows = trends.weekday_profile_rows(weekday)
-        result["files"].append(
-            str(write_table(trend_dir / f"{slug}_weekday_profile", header, rows, fmt))
-        )
         grid = trends.calendar_daily_means(daily)
-        header, rows = trends.calendar_rows(grid)
-        result["files"].append(
-            str(write_table(trend_dir / f"{slug}_calendar", header, rows, fmt))
-        )
-        header, rows = trends.seasonal_rows(trends.seasonal_means(daily))
-        result["files"].append(
-            str(write_table(trend_dir / f"{slug}_seasonal", header, rows, fmt))
-        )
-        exceedance = trends.who_exceedance(grid, threshold)
-        header, rows = trends.exceedance_rows(exceedance)
-        result["files"].append(
-            str(write_table(trend_dir / f"{slug}_who_exceedance", header, rows, fmt))
-        )
+        exceedance = trends.who_exceedance(grid, args.who_threshold)
+        tables += [
+            ("weekday_profile", trends.weekday_profile_rows(weekday)),
+            ("calendar", trends.calendar_rows(grid)),
+            ("seasonal", trends.seasonal_rows(trends.seasonal_means(daily))),
+            ("who_exceedance", trends.exceedance_rows(exceedance)),
+        ]
         result["exceedance_fraction"] = exceedance.fraction
-        medians = [s.median for s in weekday if s is not None]
-        if medians:
-            peak = max(
-                (i for i, s in enumerate(weekday) if s is not None),
-                key=lambda i: weekday[i].median,
-            )
+        present = [i for i, s in enumerate(weekday) if s is not None]
+        if present:
+            peak = max(present, key=lambda i: weekday[i].median)
             result["peak_weekday"] = trends.WEEKDAY_NAMES[peak]
+
+    slug = station_slug(station)
+    for name, (header, rows) in tables:
+        path = write_table(out / "trend" / f"{slug}_{name}", header, rows, args.format)
+        result["files"].append(str(path))
     return result
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    stations = _station_names(out, args.station)
-    if not stations:
-        print("trend: no stations to process (run ingest first?)", file=sys.stderr)
+    results = _run_stations(args, _trend_station)
+    if results is None:
         return EXIT_EMPTY
 
-    tasks = [(str(out), station, args.who_threshold, args.format) for station in stations]
-    results = _run_pool(_trend_station, tasks, args.workers)
-
+    for r in results:
+        if r["error"]:
+            print(f"trend: {r['station']}: {r['error']}", file=sys.stderr)
     processed = [r for r in results if r["error"] is None]
     if not processed:
-        for r in results:
-            print(f"trend: {r['station']}: {r['error']}", file=sys.stderr)
         return EXIT_EMPTY
 
     ranking = sorted(
@@ -556,9 +564,6 @@ def cmd_trend(args: argparse.Namespace) -> int:
         },
     }
     write_json(out / "trend" / "summary.json", summary)
-    for r in results:
-        if r["error"]:
-            print(f"trend: {r['station']}: {r['error']}", file=sys.stderr)
     print(f"trend: wrote analyses for {len(processed)} stations under {out / 'trend'}")
     return EXIT_OK
 
@@ -566,34 +571,33 @@ def cmd_trend(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # forecast
 
-def _forecast_station(task: tuple) -> dict:
-    (out_dir, station, granularity_name, holdout, horizon, models, seed, grid, fmt) = task
-    out = Path(out_dir)
-    granularity = Granularity(granularity_name)
+def _forecast_station(args: argparse.Namespace, station: str) -> dict:
+    out = Path(args.out)
+    granularity = Granularity(args.granularity)
     result: dict = {"station": station, "models": {}, "errors": {}}
 
-    series = _load_station_series(out, station, granularity)
+    series = load_series_csv(series_path(out, station, granularity), granularity)
     if series is None:
         result["errors"]["*"] = "no ingested series found"
         return result
     try:
-        train, _ = split_holdout(series, _parse_holdout(holdout))
+        train, _ = split_holdout(series, args.split)
     except AircastError as exc:
         result["errors"]["*"] = str(exc)
         return result
 
     step = estimate_step_seconds(train)
-    future_at = [int(train.at[-1]) + step * (k + 1) for k in range(horizon)]
+    future_at = [int(train.at[-1]) + step * (k + 1) for k in range(args.horizon)]
     actual_by_at = dict(zip(series.at.tolist(), series.values.tolist()))
 
     forecast_dir = out / "forecast"
     slug = station_slug(station)
     tracks: dict[str, np.ndarray] = {}
     variances: dict[str, np.ndarray] = {}
-    for adapter in _build_adapters(models, seed, station, grid):
+    for adapter in _build_adapters(args, station):
         try:
             adapter.fit(train)
-            tracks[adapter.name], variance = adapter.forecast(train, horizon)
+            tracks[adapter.name], variance = adapter.forecast(train, args.horizon)
             if variance is not None:
                 variances[f"{adapter.name}_variance"] = variance
             write_json(forecast_dir / f"{slug}_{adapter.name}_model.json", adapter.to_dict())
@@ -611,43 +615,20 @@ def _forecast_station(task: tuple) -> dict:
         row.append(actual if actual is not None else "")
         row.extend(float(column[k]) for column in columns.values())
         rows.append(row)
-    result["file"] = str(write_table(forecast_dir / f"{slug}_forecast", header, rows, fmt))
+    result["file"] = str(write_table(forecast_dir / f"{slug}_forecast", header, rows, args.format))
     result["models"] = {name: len(track) for name, track in tracks.items()}
     return result
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
-    out = Path(args.out)
     if args.horizon < 1:
         print("forecast: horizon must be >= 1", file=sys.stderr)
         return EXIT_SCHEMA
-    try:
-        models = _parse_models(args.models)
-        _parse_holdout(args.holdout)
-        grid = _parse_grid(args.arima_grid)
-    except ValueError as exc:
-        print(f"forecast: {exc}", file=sys.stderr)
+    if not _parse_model_flags(args):
         return EXIT_SCHEMA
-    stations = _station_names(out, args.station)
-    if not stations:
-        print("forecast: no stations to process (run ingest first?)", file=sys.stderr)
+    results = _run_stations(args, _forecast_station)
+    if results is None:
         return EXIT_EMPTY
-
-    tasks = [
-        (
-            str(out),
-            station,
-            args.granularity,
-            args.holdout,
-            args.horizon,
-            tuple(models),
-            args.seed,
-            grid,
-            args.format,
-        )
-        for station in stations
-    ]
-    results = _run_pool(_forecast_station, tasks, args.workers)
 
     succeeded = 0
     for result in results:
@@ -658,56 +639,33 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         print("forecast: no model produced a forecast", file=sys.stderr)
         return EXIT_NO_MODEL
     print(f"forecast: wrote forecasts for {sum(1 for r in results if r['models'])} "
-          f"stations under {out / 'forecast'}")
+          f"stations under {Path(args.out) / 'forecast'}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # evaluate
 
-def _evaluate_station(task: tuple) -> EvalReport:
-    (out_dir, station, granularity_name, holdout, models, seed, grid) = task
-    out = Path(out_dir)
-    series = _load_station_series(out, station, Granularity(granularity_name))
+def _evaluate_station(args: argparse.Namespace, station: str) -> EvalReport:
+    granularity = Granularity(args.granularity)
+    series = load_series_csv(series_path(Path(args.out), station, granularity), granularity)
     report = EvalReport(station=station, split="")
     if series is None:
         report.errors["*"] = "no ingested series found"
         return report
-    adapters = _build_adapters(models, seed, station, grid)
     try:
-        return compare_models(series, _parse_holdout(holdout), adapters, station=station)
+        return compare_models(series, args.split, _build_adapters(args, station), station=station)
     except AircastError as exc:
         report.errors["*"] = str(exc)
         return report
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    try:
-        models = _parse_models(args.models)
-        _parse_holdout(args.holdout)
-        grid = _parse_grid(args.arima_grid)
-    except ValueError as exc:
-        print(f"evaluate: {exc}", file=sys.stderr)
+    if not _parse_model_flags(args):
         return EXIT_SCHEMA
-    stations = _station_names(out, args.station)
-    if not stations:
-        print("evaluate: no stations to process (run ingest first?)", file=sys.stderr)
+    reports = _run_stations(args, _evaluate_station)
+    if reports is None:
         return EXIT_EMPTY
-
-    tasks = [
-        (
-            str(out),
-            station,
-            args.granularity,
-            args.holdout,
-            tuple(models),
-            args.seed,
-            grid,
-        )
-        for station in stations
-    ]
-    reports = _run_pool(_evaluate_station, tasks, args.workers)
 
     for report in reports:
         for scope, message in report.errors.items():
@@ -716,14 +674,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print("evaluate: no model succeeded on any station", file=sys.stderr)
         return EXIT_NO_MODEL
 
-    eval_dir = out / "evaluation"
-    header, rows = comparison_table(reports, models)
+    eval_dir = Path(args.out) / "evaluation"
+    header, rows = comparison_table(reports, args.models)
     write_table(eval_dir / "comparison", header, rows, args.format)
     write_json(
         eval_dir / "evaluation_report.json",
         {
             "seed": args.seed,
-            "models": models,
+            "models": args.models,
             "holdout": args.holdout,
             "protocol": "rolling one-step, parameters frozen after one fit on train",
             "stations": [report.to_dict() for report in reports],
@@ -750,7 +708,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_station_stage_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the stages that run per station: trend, forecast, evaluate."""
+    parser.add_argument("--workers", type=int, default=_default_workers(),
+                        help="station worker pool size (default: %(default)s, the CPUs "
+                             "this process may run on)")
+    parser.add_argument("--format", choices=["csv", "json"], default="csv",
+                        help="output format for data files")
+
+
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    _add_station_stage_flags(parser)
     parser.add_argument("--models", default=",".join(DEFAULT_MODELS),
                         help="comma-separated subset of arima,ann,gp")
     parser.add_argument("--holdout", default="0.2",
@@ -760,11 +728,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="which cleaned series to model")
     parser.add_argument("--arima-grid", default=",".join(map(str, DEFAULT_ARIMA_GRID)),
                         help="ARIMA order-selection bounds 'p_max,d_max,q_max'")
-    parser.add_argument("--workers", type=int, default=_default_workers(),
-                        help="station worker pool size (default: %(default)s, the CPUs "
-                             "this process may run on)")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv",
-                        help="output format for data files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -802,10 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_trend)
     p_trend.add_argument("--who-threshold", type=float, default=trends.WHO_DAILY_GUIDELINE,
                          help="daily-mean exceedance threshold, µg/m³")
-    p_trend.add_argument("--workers", type=int, default=_default_workers(),
-                         help="station worker pool size (default: %(default)s, the CPUs "
-                              "this process may run on)")
-    p_trend.add_argument("--format", choices=["csv", "json"], default="csv")
+    _add_station_stage_flags(p_trend)
     p_trend.set_defaults(func=cmd_trend)
 
     p_fc = sub.add_parser("forecast", help="fit models on the train split and forecast ahead")

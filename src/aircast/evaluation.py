@@ -141,25 +141,20 @@ class ArimaAdapter(Forecaster):
 
 
 class AnnAdapter(Forecaster):
-    """Window MLP trained once; predictions read the last window of history."""
+    """Window MLP (7 lags, one tanh layer of 16) trained once; predictions read
+    the last window of history."""
 
     name = "ann"
+    WINDOW = 7
+    HIDDEN = (16,)
+    ACTIVATION = ann.Activation.TANH
 
-    def __init__(
-        self,
-        window: int = 7,
-        hidden: Sequence[int] = (16,),
-        activation: ann.Activation = ann.Activation.TANH,
-        config: ann.TrainConfig | None = None,
-    ) -> None:
-        self.window = window
-        self.hidden = tuple(hidden)
-        self.activation = activation
+    def __init__(self, config: ann.TrainConfig | None = None) -> None:
         self.config = config or ann.TrainConfig()
         self.net: ann.MlpForecaster | None = None
 
     def fit(self, train: TimeSeries) -> None:
-        self.net = ann.train(train, self.window, self.hidden, self.activation, self.config)
+        self.net = ann.train(train, self.WINDOW, self.HIDDEN, self.ACTIVATION, self.config)
 
     def forecast(self, history: TimeSeries, horizon: int) -> tuple[np.ndarray, None]:
         assert self.net is not None, "fit before predicting"

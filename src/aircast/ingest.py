@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -120,7 +120,7 @@ def _parse_pollutant(text: str) -> Pollutant:
 
 
 def parse_readings(
-    stream: BinaryIO | Iterable[str],
+    stream: BinaryIO,
     mapping: ColumnMapping | None = None,
 ) -> tuple[list[RawReading], IngestReport]:
     """Parse a CSV stream into validated readings plus a quality report.
@@ -131,11 +131,7 @@ def parse_readings(
     absent from the header; IO failures propagate as OSError.
     """
     mapping = mapping or ColumnMapping()
-    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or hasattr(stream, "read"):
-        text = io.TextIOWrapper(stream, encoding="utf-8", errors="replace", newline="")
-    else:
-        text = stream  # already decoded lines
-
+    text = io.TextIOWrapper(stream, encoding="utf-8", errors="replace", newline="")
     reader = csv.reader(text)
     try:
         header = next(reader)

@@ -304,17 +304,6 @@ def split_holdout(series: TimeSeries, spec: SplitSpec) -> tuple[TimeSeries, Time
     return train, test
 
 
-def concat(head: TimeSeries, tail: TimeSeries) -> TimeSeries:
-    """Concatenate two series of the same granularity (head strictly before tail)."""
-    if head.granularity is not tail.granularity:
-        raise GranularityError("cannot concatenate series of different granularity")
-    return TimeSeries(
-        head.granularity,
-        np.concatenate([head.at, tail.at]),
-        np.concatenate([head.values, tail.values]),
-    )
-
-
 def append_observation(series: TimeSeries, at: int, value: float) -> TimeSeries:
     """Return a new series with one observation appended at the end."""
     return TimeSeries(

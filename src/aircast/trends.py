@@ -47,17 +47,6 @@ class FiveNumberSummary:
     iqr: float
     count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-            "iqr": self.iqr,
-            "count": self.count,
-        }
-
 
 class Season(Enum):
     LONG_DRY = "long_dry"  # June-August
@@ -107,16 +96,6 @@ class ExceedanceReport:
     threshold: float
     entries: tuple[ExceedanceEntry, ...]
     fraction: float | None  # None when there are no entries
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "fraction": self.fraction,
-            "entries": [
-                {"date": e.day.isoformat(), "value": e.value, "exceeds": e.exceeds}
-                for e in self.entries
-            ],
-        }
 
 
 def five_number_summary(

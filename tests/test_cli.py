@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import gzip
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from aircast.cli import blas_thread_counts, main, single_blas_thread, station_slug
 
 FAST_EVAL = ["--arima-grid", "1,0,1", "--workers", "1"]
+STAGE_DIRS = {"trend": "trend", "forecast": "forecast", "evaluate": "evaluation"}
 
 
 def read_csv(path: Path):
@@ -104,6 +106,17 @@ class TestIngest:
         src.write_text("a,b\n1,2\n", encoding="utf-8")
         assert main(["ingest", "--out", str(tmp_path), "--input", str(src)]) == 2
 
+    @pytest.mark.parametrize("flag", [
+        "--min-coverage=1.5", "--min-coverage=-0.1", "--min-coverage=nan",
+        "--station=", "--station= ",
+    ])
+    def test_bad_argument_is_schema_error_before_any_output(self, tmp_path, flag):
+        src = tmp_path / "readings.csv"
+        src.write_text(self.CSV, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(src), flag]) == 2
+        assert not out.exists()
+
 
 class TestTrend:
     def test_five_files_per_station(self, pipeline_out):
@@ -139,8 +152,9 @@ class TestTrend:
         payload = json.loads((pipeline_out / "trend" / "gitega_seasonal.json").read_text())
         assert all({"season", "mean", "count"} <= set(entry) for entry in payload)
 
-    def test_without_ingest_is_empty(self, tmp_path):
-        assert main(["trend", "--out", str(tmp_path), "--workers", "1"]) == 3
+    @pytest.mark.parametrize("command", ["trend", "forecast", "evaluate"])
+    def test_without_ingest_is_empty(self, tmp_path, command):
+        assert main([command, "--out", str(tmp_path), "--workers", "1"]) == 3
 
 
 class TestForecast:
@@ -220,24 +234,31 @@ class TestEvaluate:
         assert first == second
 
     @staticmethod
-    def assert_pool_matches_serial(out: Path, models: str) -> None:
-        serial_args = [
-            "evaluate", "--out", str(out), "--models", models,
-            "--seed", "4", "--arima-grid", "1,0,1", "--workers", "1",
-        ]
-        assert main(serial_args) == 0
-        serial = (out / "evaluation" / "comparison.csv").read_bytes()
-        pool_args = serial_args[:-1] + ["2"]
-        assert main(pool_args) == 0
-        pooled = (out / "evaluation" / "comparison.csv").read_bytes()
-        assert serial == pooled
+    def assert_pool_matches_serial(out: Path, command: str, *flags: str) -> None:
+        """Every file ``command`` writes is byte-identical with one worker and two."""
+        stage_dir = out / STAGE_DIRS[command]
+        written = []
+        for workers in ("1", "2"):
+            shutil.rmtree(stage_dir, ignore_errors=True)
+            assert main([command, "--out", str(out), *flags, "--workers", workers]) == 0
+            written.append({
+                path.relative_to(stage_dir): path.read_bytes()
+                for path in sorted(stage_dir.rglob("*")) if path.is_file()
+            })
+        serial, pooled = written
+        assert serial and serial == pooled
 
     def test_worker_pool_matches_serial(self, pipeline_out):
-        self.assert_pool_matches_serial(pipeline_out, "arima")
+        flags = ["--models", "arima", "--seed", "4", "--arima-grid", "1,0,1"]
+        self.assert_pool_matches_serial(pipeline_out, "evaluate", *flags)
+        self.assert_pool_matches_serial(pipeline_out, "forecast", *flags)
+        self.assert_pool_matches_serial(pipeline_out, "trend")
 
     def test_worker_pool_matches_serial_blas_models(self, pipeline_out):
         # ANN and GP do their work in BLAS, whose sums depend on its thread count.
-        self.assert_pool_matches_serial(pipeline_out, "ann,gp")
+        flags = ["--models", "ann,gp", "--seed", "4"]
+        self.assert_pool_matches_serial(pipeline_out, "evaluate", *flags)
+        self.assert_pool_matches_serial(pipeline_out, "forecast", *flags)
 
     def test_blas_threads_restored_after_main(self, pipeline_out):
         before = blas_thread_counts()
@@ -255,16 +276,22 @@ class TestEvaluate:
 
 
 BAD_ARIMA_GRIDS = ["1,2", "1,0,1,1", "a,0,0", "1.5,0,0", "11,0,0", "1,3,1", "1,0,11", "-1,0,1"]
+BAD_OTHER_MODEL_FLAGS = ["--holdout=abc", "--holdout=0", "--holdout=1.5", "--models=prophet"]
 
 
 class TestForecasterContract:
     """`forecast` and `evaluate` build and fit the same forecasters."""
 
     @pytest.mark.parametrize("command", ["forecast", "evaluate"])
-    @pytest.mark.parametrize("grid", BAD_ARIMA_GRIDS)
-    def test_bad_arima_grid_is_schema_error(self, tmp_path, command, grid):
+    @pytest.mark.parametrize(
+        "flag",
+        [f"--arima-grid={grid}" for grid in BAD_ARIMA_GRIDS] + BAD_OTHER_MODEL_FLAGS,
+        ids=BAD_ARIMA_GRIDS + [flag.lstrip("-") for flag in BAD_OTHER_MODEL_FLAGS],
+    )
+    def test_bad_arima_grid_is_schema_error(self, tmp_path, command, flag):
+        """Any bad model flag, the ARIMA grid among them, exits 2."""
         # an empty --out would exit 3 at the station lookup: 2 means it came first
-        assert main([command, "--out", str(tmp_path), f"--arima-grid={grid}"]) == 2
+        assert main([command, "--out", str(tmp_path), flag]) == 2
 
     def test_first_forecast_step_is_first_evaluation_prediction(self, pipeline_out):
         args = ["--out", str(pipeline_out), "--models", "arima,ann,gp", "--station", "Gitega",
