@@ -17,7 +17,7 @@ falls back to Nelder-Mead restarted from (i) all zeros and (ii) the OLS start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -77,50 +77,34 @@ class ArimaModel:
     ma_invertible: bool
 
     def to_dict(self) -> dict:
-        return {
-            "order": {"p": self.order.p, "d": self.order.d, "q": self.order.q},
-            "alpha": self.alpha,
-            "beta": list(self.beta),
-            "theta": list(self.theta),
-            "sigma2": self.sigma2,
-            "css": self.css,
-            "n_effective": self.n_effective,
-            "converged": self.converged,
-            "ar_stationary": self.ar_stationary,
-            "ma_invertible": self.ma_invertible,
-        }
+        # field order is the JSON key order; tuples encode as lists
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArimaModel":
-        return cls(
-            order=ArimaOrder(**data["order"]),
-            alpha=data["alpha"],
-            beta=tuple(data["beta"]),
-            theta=tuple(data["theta"]),
-            sigma2=data["sigma2"],
-            css=data["css"],
-            n_effective=data["n_effective"],
-            converged=data["converged"],
-            ar_stationary=data["ar_stationary"],
-            ma_invertible=data["ma_invertible"],
-        )
+        return cls(**{
+            **data,
+            "order": ArimaOrder(**data["order"]),
+            "beta": tuple(data["beta"]),
+            "theta": tuple(data["theta"]),
+        })
 
 
-def _poly_roots_outside_unit_circle(ascending: Sequence[float]) -> bool:
-    """True when every root of the polynomial (ascending coeffs, constant 1)
-    lies strictly outside the unit circle. Degree-0 polynomials pass vacuously."""
+def _min_root_modulus(ascending: Sequence[float]) -> float:
+    """Smallest root modulus of a polynomial given ascending coefficients with
+    constant 1; +inf when it has no roots (degree 0)."""
     roots = _roots_ascending(np.asarray(ascending, dtype=np.float64))
-    return bool(np.all(np.abs(roots) > 1.0))
+    return float(np.min(np.abs(roots))) if roots.size else np.inf
 
 
 def ar_is_stationary(beta: Sequence[float]) -> bool:
     """Stationarity of 1 - beta_1 x - ... - beta_p x^p."""
-    return _poly_roots_outside_unit_circle([1.0, *(-b for b in beta)])
+    return _min_root_modulus([1.0, *(-b for b in beta)]) > 1.0
 
 
 def ma_is_invertible(theta: Sequence[float]) -> bool:
     """Invertibility of 1 + theta_1 x + ... + theta_q x^q."""
-    return _poly_roots_outside_unit_circle([1.0, *theta])
+    return _min_root_modulus([1.0, *theta]) > 1.0
 
 
 def _ma_strictly_noninvertible(theta: np.ndarray, tol: float = 1e-9) -> bool:
@@ -132,10 +116,7 @@ def _ma_strictly_noninvertible(theta: np.ndarray, tol: float = 1e-9) -> bool:
     """
     if np.sum(np.abs(theta)) < 1.0:  # sufficient for all roots outside
         return False
-    roots = _roots_ascending(np.concatenate([[1.0], theta]))
-    if roots.size == 0:
-        return False
-    return bool(np.any(np.abs(roots) < 1.0 - tol))
+    return _min_root_modulus(np.concatenate([[1.0], theta])) < 1.0 - tol
 
 
 def _roots_ascending(ascending: np.ndarray) -> np.ndarray:
@@ -183,6 +164,17 @@ def _arma_redundant(beta: np.ndarray, theta: np.ndarray) -> bool:
     dist = np.abs(ar_roots[:, None] - ma_roots[None, :])
     scale = np.maximum(1.0, np.abs(ma_roots))[None, :]
     return bool(np.any(dist / scale < _REDUNDANCY_TOL))
+
+
+def _inadmissible(params: np.ndarray, p: int) -> bool:
+    """True in the region both CSS solvers exclude: an MA root strictly inside
+    the unit circle, or near-cancelling AR/MA roots. Both shrink the in-sample
+    residuals without predictive content, so they would corrupt AIC
+    comparisons."""
+    theta = params[1 + p :]
+    return _ma_strictly_noninvertible(theta) or (
+        p > 0 and _arma_redundant(params[1 : 1 + p], theta)
+    )
 
 
 def simulate_arma(
@@ -301,10 +293,8 @@ def _css_least_squares(
     analytic Jacobian.
 
     Returns (params, css), or None when the solver fails, the optimum is not
-    finite, or it lies in a region the Nelder-Mead objective rejects (MA
-    roots strictly inside the unit circle, near-common AR/MA roots).
+    finite, or it is ``_inadmissible``.
     """
-    p = lags.shape[1]
 
     def residuals(params: np.ndarray) -> np.ndarray:
         e = _css_errors(params, z, lags)
@@ -327,9 +317,7 @@ def _css_least_squares(
     params = result.x
     if result.status <= 0 or not np.all(np.isfinite(params)):
         return None
-    if _ma_strictly_noninvertible(params[1 + p :]):
-        return None
-    if p and _arma_redundant(params[1 : 1 + p], params[1 + p :]):
+    if _inadmissible(params, lags.shape[1]):
         return None
     # every accepted iterate lowers the sum of squares of a finite start,
     # so no stand-in value survives into the solution
@@ -342,20 +330,13 @@ def _css_nelder_mead(
     """Nelder-Mead on the CSS (q > 0) from (i) all zeros and (ii) the OLS AR
     start.
 
-    The objective returns +inf in the regions the least-squares path rejects,
-    so the simplex searches only admissible parameters.
+    The objective returns +inf where parameters are not finite or are
+    ``_inadmissible``, so the simplex searches only admissible parameters.
     """
     p = lags.shape[1]
 
     def objective(params: np.ndarray) -> float:
-        if not np.all(np.isfinite(params)):
-            return np.inf
-        # Two guards against spurious CSS deflation: MA roots strictly inside
-        # the unit circle, and near-cancelling AR/MA root pairs. Both regions
-        # shrink residuals without predictive content.
-        if _ma_strictly_noninvertible(params[1 + p :]):
-            return np.inf
-        if p and _arma_redundant(params[1 : 1 + p], params[1 + p :]):
+        if not np.all(np.isfinite(params)) or _inadmissible(params, p):
             return np.inf
         e = _css_errors(params, z, lags)
         with np.errstate(over="ignore", invalid="ignore"):

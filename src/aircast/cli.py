@@ -26,7 +26,7 @@ import os
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from functools import partial
 from pathlib import Path
@@ -189,11 +189,18 @@ def series_path(out: Path, station: str, granularity: Granularity) -> Path:
 # Argument plumbing
 
 def _parse_holdout(text: str) -> SplitSpec:
+    """An integer is a count of trailing observations, anything else a fraction."""
     try:
-        return SplitSpec(count=int(text))
+        count = int(text)
     except ValueError:
-        pass
-    return SplitSpec(fraction=float(text))
+        try:
+            fraction = float(text)
+        except ValueError:
+            raise ValueError(
+                f"--holdout must be a fraction in (0, 1) or an integer count, got {text!r}"
+            ) from None
+        return SplitSpec(fraction=fraction)
+    return SplitSpec(count=count)
 
 
 def _parse_models(text: str) -> list[str]:
@@ -311,11 +318,6 @@ def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int],
     return controls
 
 
-def blas_thread_counts() -> list[int]:
-    """Threads each loaded OpenBLAS will use, in load-path order."""
-    return [get() for get, _ in _openblas_thread_controls()]
-
-
 def _one_blas_thread() -> None:
     for _, set_threads in _openblas_thread_controls():
         set_threads(1)
@@ -368,17 +370,16 @@ def _run_stations(args: argparse.Namespace, worker: Callable) -> list | None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     stations = args.station or [s.name for s in STATION_ROSTER]
-    override = None
-    if args.beta is not None or args.theta is not None or args.sigma is not None or args.alpha is not None:
-        override = SimParams(
-            alpha=args.alpha if args.alpha is not None else _FALLBACK_SIM.alpha,
-            beta=_parse_coeffs(args.beta) if args.beta is not None else _FALLBACK_SIM.beta,
-            theta=_parse_coeffs(args.theta) if args.theta is not None else _FALLBACK_SIM.theta,
-            sigma=args.sigma if args.sigma is not None else _FALLBACK_SIM.sigma,
-        )
-
     rows = []
     try:
+        given = {
+            "alpha": args.alpha,
+            "beta": None if args.beta is None else _parse_coeffs(args.beta),
+            "theta": None if args.theta is None else _parse_coeffs(args.theta),
+            "sigma": args.sigma,
+        }
+        given = {field: value for field, value in given.items() if value is not None}
+        override = replace(_FALLBACK_SIM, **given) if given else None
         for name in stations:
             params = override or STATION_SIM_PARAMS.get(name, _FALLBACK_SIM)
             series = arima.simulate_arma(

@@ -94,21 +94,6 @@ class Forecaster(ABC):
         return float(means[0])
 
 
-class NaiveAdapter(Forecaster):
-    """Persistence baseline: predicts the last observed value."""
-
-    name = "naive"
-
-    def fit(self, train: TimeSeries) -> None:
-        pass
-
-    def forecast(self, history: TimeSeries, horizon: int) -> tuple[np.ndarray, None]:
-        return np.full(horizon, history.values[-1]), None
-
-    def to_dict(self) -> dict:
-        return {}
-
-
 class ArimaAdapter(Forecaster):
     """ARIMA with AIC order selection (or a pinned order) on the train split."""
 
@@ -192,16 +177,12 @@ class GpAdapter(Forecaster):
     def fit(self, train: TimeSeries) -> None:
         if len(train) < 10:
             raise TooShortError("need at least 10 observations to fit the GP")
-        noise_grid, amplitude_grid, length_scale_grid = self.grids
-        default_noise, default_amp, default_len = gp.default_grids(train.values)
+        grids = [
+            default if grid is None else tuple(grid)
+            for grid, default in zip(self.grids, gp.default_grids(train.values))
+        ]
         x = gp.day_indices(train)
-        params, noise_variance = gp.fit_hyperparameters(
-            x,
-            train.values,
-            tuple(noise_grid) if noise_grid is not None else default_noise,
-            tuple(amplitude_grid) if amplitude_grid is not None else default_amp,
-            tuple(length_scale_grid) if length_scale_grid is not None else default_len,
-        )
+        params, noise_variance = gp.fit_hyperparameters(x, train.values, *grids)
         self.model = self._fitted = gp.fit_gp(x, train.values, params, noise_variance)
         self._base_at = int(train.at[0])
         self._step_seconds = estimate_step_seconds(train)

@@ -46,9 +46,11 @@ class SeKernelParams:
             raise ValueError("length_scale must be finite and positive")
 
 
-def se_kernel(x: float, x2: float, params: SeKernelParams) -> float:
-    diff = x - x2
-    return float(params.amplitude * np.exp(-(diff * diff) / params.length_scale**2))
+def _cross_kernel(
+    train: np.ndarray, test: np.ndarray, params: SeKernelParams
+) -> np.ndarray:
+    diff = train[:, None] - test[None, :]
+    return params.amplitude * np.exp(-(diff * diff) / params.length_scale**2)
 
 
 def gram_matrix(xs: Sequence[float], params: SeKernelParams) -> np.ndarray:
@@ -56,15 +58,7 @@ def gram_matrix(xs: Sequence[float], params: SeKernelParams) -> np.ndarray:
     arr = np.asarray(xs, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("xs must be non-empty")
-    diff = arr[:, None] - arr[None, :]
-    return params.amplitude * np.exp(-(diff * diff) / params.length_scale**2)
-
-
-def _cross_kernel(
-    train: np.ndarray, test: np.ndarray, params: SeKernelParams
-) -> np.ndarray:
-    diff = train[:, None] - test[None, :]
-    return params.amplitude * np.exp(-(diff * diff) / params.length_scale**2)
+    return _cross_kernel(arr, arr, params)
 
 
 @dataclass(frozen=True)
@@ -253,7 +247,8 @@ def fit_hyperparameters(
         if len(grid) == 0 or any(g <= 0 for g in grid):
             raise ValueError(f"{name} must be non-empty with positive entries")
 
-    best: tuple[float, float, float, float] | None = None  # lml, l, amp, noise
+    best_key: tuple[float, float, float] | None = None  # lml, l, -amplitude
+    best: tuple[SeKernelParams, float] | None = None
     for amplitude in amplitude_grid:
         for length_scale in length_scale_grid:
             params = SeKernelParams(float(amplitude), float(length_scale))
@@ -262,23 +257,13 @@ def fit_hyperparameters(
                     model = fit_gp(times, values, params, float(noise))
                 except FactorizationError:
                     continue
-                lml = log_marginal_likelihood(model)
-                candidate = (lml, params.length_scale, params.amplitude, float(noise))
-                if best is None:
-                    best = candidate
-                    continue
-                better = candidate[0] > best[0] or (
-                    candidate[0] == best[0]
-                    and (
-                        candidate[1] > best[1]
-                        or (candidate[1] == best[1] and candidate[2] < best[2])
-                    )
-                )
-                if better:
-                    best = candidate
+                key = (log_marginal_likelihood(model), params.length_scale, -params.amplitude)
+                # strict, so a full tie keeps the earlier cell
+                if best_key is None or key > best_key:
+                    best_key, best = key, (params, float(noise))
     if best is None:
         raise NoValidFitError("every hyperparameter grid cell failed factorization")
-    return SeKernelParams(best[2], best[1]), best[3]
+    return best
 
 
 def default_grids(

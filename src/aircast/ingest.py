@@ -143,12 +143,8 @@ def parse_readings(
     missing = [col for col in mapping.required() if col not in header_index]
     if missing:
         raise SchemaError(f"header is missing required columns: {', '.join(missing)}")
-    idx = {role: header_index[col] for role, col in (
-        ("station", mapping.station),
-        ("timestamp", mapping.timestamp),
-        ("pollutant", mapping.pollutant),
-        ("value", mapping.value),
-    )}
+    columns = [header_index[col] for col in mapping.required()]
+    station_col, timestamp_col, pollutant_col, value_col = columns
 
     readings: list[RawReading] = []
     report = IngestReport()
@@ -165,25 +161,25 @@ def parse_readings(
         if not row:
             continue  # blank line, not a data row
         report.rows_read += 1
-        if len(row) <= max(idx.values()):
+        if len(row) <= max(columns):
             report.rejects.append((line_no, "missing fields"))
             continue
-        station_name = row[idx["station"]].strip()
+        station_name = row[station_col].strip()
         if not station_name:
             report.rejects.append((line_no, "empty station"))
             continue
         try:
-            at = _parse_timestamp(row[idx["timestamp"]])
+            at = _parse_timestamp(row[timestamp_col])
         except (ValueError, OverflowError, OSError):
             report.rejects.append((line_no, "bad timestamp"))
             continue
         try:
-            pollutant = _parse_pollutant(row[idx["pollutant"]])
+            pollutant = _parse_pollutant(row[pollutant_col])
         except ValueError:
             report.rejects.append((line_no, "unknown pollutant"))
             continue
         try:
-            value = float(row[idx["value"]])
+            value = float(row[value_col])
         except ValueError:
             report.rejects.append((line_no, "unparseable value"))
             continue

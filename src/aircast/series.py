@@ -198,12 +198,7 @@ def difference(series: TimeSeries, d: int) -> TimeSeries:
     """
     if d < 0:
         raise ValueError("d must be non-negative")
-    if len(series) <= d:
-        raise LengthError(f"need length > {d}, got {len(series)}")
-    values = series.values
-    for _ in range(d):
-        values = np.diff(values)
-    return TimeSeries(series.granularity, series.at[d:], values)
+    return TimeSeries(series.granularity, series.at[d:], difference_values(series.values, d))
 
 
 def difference_values(values: np.ndarray, d: int) -> np.ndarray:
@@ -227,20 +222,12 @@ def inverse_difference_values(
     """
     if len(seeds) != d:
         raise SeedError(f"expected {d} seeds, got {len(seeds)}")
-    if d == 0:
-        return np.asarray(diffed, dtype=np.float64).copy()
-    # last[k] tracks the previous value of the k-th difference level
-    last = [np.asarray(seeds, dtype=np.float64)]
-    for _ in range(d - 1):
-        last.append(np.diff(last[-1]))
-    state = [lvl[-1] for lvl in last]
-    out = np.empty(len(diffed))
-    for i, z in enumerate(np.asarray(diffed, dtype=np.float64)):
-        acc = z
-        for k in range(d - 1, -1, -1):
-            acc = state[k] + acc
-            state[k] = acc
-        out[i] = acc
+    seeds = np.asarray(seeds, dtype=np.float64)
+    out = np.array(diffed, dtype=np.float64)
+    # integrate one level at a time, from the (d-1)-th difference down: a
+    # sequential running sum from the last value of the seeds at that level
+    for k in range(d - 1, -1, -1):
+        out = np.cumsum(np.concatenate([np.diff(seeds, n=k)[-1:], out]))[1:]
     return out
 
 

@@ -14,6 +14,7 @@ from aircast.arima import (
     css_residuals,
     fit_arima,
     forecast,
+    ma_is_invertible,
     ma_unconditional_moments,
     select_order,
     simulate_arma,
@@ -48,6 +49,35 @@ class TestOrderGuardrails:
             ArimaOrder(0, 3, 0)
         with pytest.raises(ValueError):
             ArimaOrder(0, 0, -1)
+
+
+def polynomial_with_roots(rng):
+    """Ascending real coefficients, constant 1, of a polynomial of degree 0-6
+    whose roots have moduli in [0.5, 0.95] or [1.05, 2]: real roots and
+    complex-conjugate pairs."""
+    def modulus():
+        return rng.uniform(0.5, 0.95) if rng.random() < 0.5 else rng.uniform(1.05, 2.0)
+
+    roots = []
+    for _ in range(rng.integers(0, 4)):
+        if rng.random() < 0.5:
+            roots.append(modulus() * rng.choice([-1.0, 1.0]))
+        else:
+            root = modulus() * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+            roots += [root, np.conj(root)]
+    coeffs = np.polynomial.polynomial.polyfromroots(roots).real
+    return coeffs / coeffs[0]
+
+
+class TestRootFlags:
+    """Stationarity and invertibility against numpy's own root finder."""
+
+    def test_agree_with_np_roots(self, rng):
+        for _ in range(500):
+            ascending = polynomial_with_roots(rng)
+            expected = bool(np.all(np.abs(np.roots(ascending[::-1])) > 1.0))
+            assert ar_is_stationary(-ascending[1:]) == expected
+            assert ma_is_invertible(ascending[1:]) == expected
 
 
 class TestSimulate:

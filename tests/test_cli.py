@@ -8,10 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from aircast.cli import blas_thread_counts, main, single_blas_thread, station_slug
+from aircast.cli import _openblas_thread_controls, main, single_blas_thread, station_slug
 
 FAST_EVAL = ["--arima-grid", "1,0,1", "--workers", "1"]
 STAGE_DIRS = {"trend": "trend", "forecast": "forecast", "evaluate": "evaluation"}
+
+
+def blas_thread_counts() -> list[int]:
+    """Threads each loaded OpenBLAS will use, in load-path order."""
+    return [get() for get, _ in _openblas_thread_controls()]
 
 
 def read_csv(path: Path):
@@ -56,6 +61,12 @@ class TestSimulate:
 
     def test_nonstationary_override_rejected(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), "--beta", "1.1"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--beta=0.5,x", "--theta=abc"])
+    def test_unparseable_override_rejected(self, tmp_path, capsys, flag):
+        assert main(["simulate", "--out", str(tmp_path), flag]) == 2
+        assert "simulate: invalid parameters" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AIRCAST_OUT", str(tmp_path / "envout"))
@@ -292,6 +303,19 @@ class TestForecasterContract:
         """Any bad model flag, the ARIMA grid among them, exits 2."""
         # an empty --out would exit 3 at the station lookup: 2 means it came first
         assert main([command, "--out", str(tmp_path), flag]) == 2
+
+    @pytest.mark.parametrize(
+        "holdout, message",
+        [
+            ("0", "count must be >= 1"),
+            ("-3", "count must be >= 1"),
+            ("1.5", "fraction must lie in (0, 1)"),
+            ("abc", "--holdout must be a fraction in (0, 1) or an integer count, got 'abc'"),
+        ],
+    )
+    def test_holdout_error_names_the_reading(self, tmp_path, capsys, holdout, message):
+        assert main(["evaluate", "--out", str(tmp_path), f"--holdout={holdout}"]) == 2
+        assert capsys.readouterr().err == f"evaluate: {message}\n"
 
     def test_first_forecast_step_is_first_evaluation_prediction(self, pipeline_out):
         args = ["--out", str(pipeline_out), "--models", "arima,ann,gp", "--station", "Gitega",

@@ -20,9 +20,9 @@ from aircast.evaluation import (
     AnnAdapter,
     ArimaAdapter,
     EvalReport,
+    Forecaster,
     GpAdapter,
     ModelEval,
-    NaiveAdapter,
     comparison_table,
     compare_models,
     mae,
@@ -95,6 +95,21 @@ class TestMetrics:
         assert mae(actual, predicted) == pytest.approx(
             two_pass_mae(actual, predicted), abs=1e-12, rel=1e-12
         )
+
+
+class NaiveAdapter(Forecaster):
+    """Persistence baseline: predicts the last observed value."""
+
+    name = "naive"
+
+    def fit(self, train):
+        pass
+
+    def forecast(self, history, horizon):
+        return np.full(horizon, history.values[-1]), None
+
+    def to_dict(self):
+        return {}
 
 
 class CountingAdapter:

@@ -24,7 +24,6 @@ from aircast.gp import (
     gram_matrix,
     log_marginal_likelihood,
     posterior,
-    se_kernel,
 )
 from aircast.evaluation import GpAdapter
 
@@ -76,17 +75,17 @@ def random_instance(rng, n):
 class TestKernel:
     def test_zero_distance_equals_amplitude(self):
         params = SeKernelParams(2.5, 7.0)
-        assert se_kernel(3.0, 3.0, params) == 2.5
+        assert gram_matrix([3.0], params)[0, 0] == 2.5
 
     def test_distance_equal_to_length_scale(self):
         params = SeKernelParams(1.0, 4.0)
-        assert se_kernel(0.0, 4.0, params) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert gram_matrix([0.0, 4.0], params)[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_symmetry(self, rng):
         params = SeKernelParams(1.7, 3.3)
         for _ in range(20):
             a, b = rng.uniform(-50, 50, 2)
-            assert se_kernel(a, b, params) == se_kernel(b, a, params)
+            assert gram_matrix([a, b], params)[0, 1] == gram_matrix([b, a], params)[0, 1]
 
     def test_positive_params_enforced(self):
         with pytest.raises(ValueError):
@@ -347,6 +346,14 @@ class TestHyperparameterFit:
         params, _ = fit_hyperparameters(x, y, [0.1], [1.0, 2.0], [3.0, 30.0])
         assert params.length_scale == 30.0
         assert params.amplitude == 1.0
+
+    def test_exact_ties_follow_the_stated_order(self, monkeypatch):
+        # every cell scores the same: the larger length scale wins, then the
+        # smaller amplitude, then the earlier noise in grid order
+        monkeypatch.setattr(gp, "log_marginal_likelihood", lambda model: -1.0)
+        x = np.arange(12, dtype=np.float64)
+        params, noise = fit_hyperparameters(x, np.sin(x), [0.2, 0.1], [2.0, 1.0, 3.0], [3.0, 30.0, 7.0])
+        assert (params.length_scale, params.amplitude, noise) == (30.0, 1.0, 0.2)
 
 
 class TestForecastSeries:

@@ -19,6 +19,7 @@ from aircast.series import (
     difference,
     interpolate_gaps,
     inverse_difference,
+    inverse_difference_values,
     resample_mean,
     split_holdout,
 )
@@ -155,6 +156,24 @@ class TestInverseDifference:
     def test_seed_count_enforced(self):
         with pytest.raises(SeedError):
             inverse_difference(daily_series([1.0]), [1.0, 2.0], 1)
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_matches_step_by_step_recursion(self, rng, d):
+        """Bit for bit: each new value is integrated one step at a time, from
+        the (d-1)-th difference down to the series itself."""
+        for _ in range(200):
+            seeds = rng.uniform(-50, 50, d)
+            diffed = rng.uniform(-50, 50, rng.integers(0, 30))
+            # latest value of the original series and of its first difference
+            state = [*seeds[-1:], *np.diff(seeds)[-1:]]
+            expected = []
+            for z in diffed:
+                acc = z
+                for k in range(d - 1, -1, -1):
+                    acc = state[k] = state[k] + acc
+                expected.append(acc)
+            restored = inverse_difference_values(diffed, seeds, d)
+            np.testing.assert_array_equal(restored, np.array(expected, dtype=np.float64))
 
     @given(
         st.lists(st.floats(-100, 100), min_size=50, max_size=50),
