@@ -255,7 +255,8 @@ def _station_names(out: Path, requested: Sequence[str]) -> list[str]:
             known = json.load(fh).get("stations_seen", [])
     if requested:
         known_by_key = {name.casefold(): name for name in known}
-        return [known_by_key.get(name.casefold(), name) for name in requested]
+        names = (known_by_key.setdefault(name.casefold(), name) for name in requested)
+        return list(dict.fromkeys(names))  # a station named twice, in any case, runs once
     return sorted(known)
 
 
@@ -414,7 +415,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print("ingest: --min-coverage must lie in [0, 1]", file=sys.stderr)
         return EXIT_SCHEMA
     try:
-        requested = [Station(name) for name in args.station]
+        requested = list(dict.fromkeys(map(Station, args.station)))
     except ValueError as exc:
         print(f"ingest: --station: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -425,39 +426,38 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         value=args.value_column,
     )
 
-    readings = []
-    file_reports: dict[str, dict] = {}
-    totals = {"rows_read": 0, "rows_accepted": 0}
-    stations_seen: set[Station] = set()
+    tables = []
+    reports = []
     for raw_path in args.input:
         path = Path(raw_path)
         try:
-            file_readings, report = parse_readings_path(path, mapping)
+            table, report = parse_readings_path(path, mapping)
         except OSError as exc:
             print(f"ingest: cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_IO
         except SchemaError as exc:
             print(f"ingest: {path}: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
-        readings.extend(file_readings)
-        file_reports[str(path)] = report.to_dict()
-        totals["rows_read"] += report.rows_read
-        totals["rows_accepted"] += report.rows_accepted
-        stations_seen.update(report.stations_seen)
+        tables.append(table)
+        reports.append((path, report))
 
-    report_payload = {
-        "files": file_reports,
-        "rows_read": totals["rows_read"],
-        "rows_accepted": totals["rows_accepted"],
+    rows_read = sum(report.rows_read for _, report in reports)
+    rows_accepted = sum(report.rows_accepted for _, report in reports)
+    # union keeps the first file's spelling of a station
+    stations_seen = set().union(*(report.stations_seen for _, report in reports))
+    write_json(out / "ingest_report.json", {
+        "files": {str(path): report.to_dict() for path, report in reports},
+        "rows_read": rows_read,
+        "rows_accepted": rows_accepted,
         "stations_seen": sorted(s.name for s in stations_seen),
-    }
-    write_json(out / "ingest_report.json", report_payload)
+    })
 
-    if totals["rows_accepted"] == 0:
+    if rows_accepted == 0:
         print("ingest: no rows accepted", file=sys.stderr)
         return EXIT_EMPTY
 
-    pollutant = Pollutant(args.pollutant.upper())
+    readings = np.concatenate(tables).view(np.recarray)
+    pollutant = Pollutant(args.pollutant)
     wanted = requested or sorted(stations_seen, key=lambda s: s.name)
     written = 0
     for station in wanted:
@@ -485,7 +485,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if written == 0:
         print("ingest: no station series written", file=sys.stderr)
         return EXIT_EMPTY
-    print(f"ingest: accepted {totals['rows_accepted']}/{totals['rows_read']} rows; "
+    print(f"ingest: accepted {rows_accepted}/{rows_read} rows; "
           f"wrote {written} series files under {out / 'series'}")
     return EXIT_OK
 
@@ -752,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ing)
     p_ing.add_argument("--input", action="append", default=[], required=True,
                        help="input CSV path (.gz accepted); repeatable")
-    p_ing.add_argument("--pollutant", default="PM25",
+    p_ing.add_argument("--pollutant", default="PM25", type=str.upper,
                        choices=[p.value for p in Pollutant])
     p_ing.add_argument("--min-coverage", type=float, default=DEFAULT_MIN_COVERAGE,
                        help="minimum bucket coverage fraction for resampled means")

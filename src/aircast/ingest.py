@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
 from .errors import EmptySeriesError, SchemaError
-from .series import Granularity, TimeSeries
+from .series import Granularity, TimeSeries, group_means
 
 
 class Pollutant(Enum):
@@ -66,12 +66,11 @@ STATION_ROSTER: tuple[Station, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RawReading:
-    station: Station
-    at: int
-    pollutant: Pollutant
-    value: float
+#: One accepted row of :func:`parse_readings`'s table. ``station`` is the name case-folded,
+#: so one comparison selects every spelling of a station; ``pollutant`` is a :class:`Pollutant`.
+READING_DTYPE = np.dtype(
+    [("station", object), ("at", np.int64), ("pollutant", object), ("value", np.float64)]
+)
 
 
 @dataclass
@@ -122,8 +121,8 @@ def _parse_pollutant(text: str) -> Pollutant:
 def parse_readings(
     stream: BinaryIO,
     mapping: ColumnMapping | None = None,
-) -> tuple[list[RawReading], IngestReport]:
-    """Parse a CSV stream into validated readings plus a quality report.
+) -> tuple[np.recarray, IngestReport]:
+    """Parse a CSV stream into a table of validated readings, in file order, plus a quality report.
 
     Rejected rows (bad timestamp, non-finite or negative value, unknown
     pollutant, missing fields) are recorded with their 1-based physical line
@@ -146,7 +145,8 @@ def parse_readings(
     columns = [header_index[col] for col in mapping.required()]
     station_col, timestamp_col, pollutant_col, value_col = columns
 
-    readings: list[RawReading] = []
+    rows: list[tuple[str, int, Pollutant, float]] = []
+    names: dict[str, None] = {}  # raw station names in order of first appearance
     report = IngestReport()
     while True:
         try:
@@ -189,16 +189,17 @@ def parse_readings(
         if value < 0:
             report.rejects.append((line_no, "negative value"))
             continue
-        station = Station(station_name)
-        readings.append(RawReading(station, at, pollutant, value))
-        report.rows_accepted += 1
-        report.stations_seen.add(station)
-    return readings, report
+        rows.append((station_name.casefold(), at, pollutant, value))
+        names[station_name] = None
+    report.rows_accepted = len(rows)
+    # a set keeps the first of equal members, so the first spelling wins
+    report.stations_seen = set(map(Station, names))
+    return np.array(rows, dtype=READING_DTYPE).view(np.recarray), report
 
 
 def parse_readings_path(
     path: str | Path, mapping: ColumnMapping | None = None
-) -> tuple[list[RawReading], IngestReport]:
+) -> tuple[np.recarray, IngestReport]:
     """Open a CSV file (gzip-compressed when the name ends ``.gz``) and parse it."""
     path = Path(path)
     opener = gzip.open if path.name.endswith(".gz") else open
@@ -207,23 +208,16 @@ def parse_readings_path(
 
 
 def build_station_series(
-    readings: Sequence[RawReading],
+    readings: np.recarray,
     station: Station,
     pollutant: Pollutant = Pollutant.PM25,
 ) -> TimeSeries:
-    """Per-station raw series: filtered, time-sorted, duplicates mean-collapsed."""
-    by_instant: dict[int, list[float]] = {}
-    for reading in readings:
-        if reading.station == station and reading.pollutant is pollutant:
-            by_instant.setdefault(reading.at, []).append(reading.value)
-    if not by_instant:
+    """Per-station raw series: filtered, time-sorted, duplicates mean-collapsed in file order."""
+    key = station.name.casefold()
+    mine = readings[(readings.station == key) & (readings.pollutant == pollutant)]
+    if not len(mine):
         raise EmptySeriesError(
             f"no {pollutant.value} readings for station {station.name!r}"
         )
-    instants = sorted(by_instant)
-    values = [float(np.mean(by_instant[t])) for t in instants]
-    return TimeSeries(
-        Granularity.RAW,
-        np.array(instants, dtype=np.int64),
-        np.array(values, dtype=np.float64),
-    )
+    instants, values, _ = group_means(mine.at, mine.value)
+    return TimeSeries(Granularity.RAW, instants, values)

@@ -154,6 +154,15 @@ def estimate_step_seconds(series: TimeSeries) -> int:
     return int(max(1, np.median(gaps)))
 
 
+def group_means(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted distinct keys, mean of ``values`` per key, count per key). Each key's values
+    are summed in their given order, as ``np.mean`` sums up to seven values."""
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    sums = np.zeros(uniq.size)
+    np.add.at(sums, inverse, values)
+    return uniq, sums / counts, counts
+
+
 def resample_mean(
     series: TimeSeries, target: Granularity, min_coverage: float = 0.75
 ) -> TimeSeries:
@@ -177,12 +186,7 @@ def resample_mean(
     source_step = estimate_step_seconds(series)
     expected = max(1, int(round(step / source_step)))
 
-    starts = _bucket_starts(series.at, step)
-    uniq, inverse, counts = np.unique(starts, return_inverse=True, return_counts=True)
-    sums = np.zeros(uniq.size)
-    np.add.at(sums, inverse, series.values)
-    means = sums / counts
-
+    uniq, means, counts = group_means(_bucket_starts(series.at, step), series.values)
     keep = counts / expected >= min_coverage if min_coverage > 0 else counts > 0
     if not np.any(keep):
         raise EmptySeriesError("no bucket met the coverage requirement")

@@ -117,6 +117,42 @@ class TestIngest:
         src.write_text("a,b\n1,2\n", encoding="utf-8")
         assert main(["ingest", "--out", str(tmp_path), "--input", str(src)]) == 2
 
+    def test_two_inputs_merge_station_spellings(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text(self.CSV, encoding="utf-8")
+        second.write_text(
+            "station,timestamp,pollutant,value\n"
+            "GITEGA,2021-06-01T05:00:00+02:00,PM25,50.0\n"
+            "GITEGA,not a time,PM25,50.0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(first),
+                     "--input", str(second)]) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["stations_seen"] == ["Gitega"]
+        files = report["files"].values()
+        assert len(files) == 2
+        for key in ("rows_read", "rows_accepted"):
+            assert report[key] == sum(f[key] for f in files)
+        assert sorted(p.name for p in (out / "series").iterdir()) == [
+            "gitega_daily.csv", "gitega_hourly.csv",
+        ]
+        _, hourly = read_csv(out / "series" / "gitega_hourly.csv")
+        # the first file holds 40.0 at 05:00 on June 1st
+        assert ["2021-06-01T05:00:00+02:00", "45.0"] in hourly
+
+    def test_pollutant_flag_is_case_insensitive(self, tmp_path):
+        src = tmp_path / "readings.csv"
+        src.write_text(self.CSV, encoding="utf-8")
+        for flag in ("PM25", "pm25"):
+            assert main(["ingest", "--out", str(tmp_path / flag), "--input", str(src),
+                         "--pollutant", flag]) == 0
+        for name in ("gitega_hourly.csv", "gitega_daily.csv"):
+            assert (tmp_path / "PM25" / "series" / name).read_bytes() == (
+                tmp_path / "pm25" / "series" / name
+            ).read_bytes()
+
     @pytest.mark.parametrize("flag", [
         "--min-coverage=1.5", "--min-coverage=-0.1", "--min-coverage=nan",
         "--station=", "--station= ",
@@ -367,6 +403,22 @@ class TestLongSeries:
     def test_gp_alone_is_no_model(self, long_out):
         assert main(["evaluate", "--out", str(long_out), "--models", "gp", *FAST_EVAL]) == 4
         assert main(["forecast", "--out", str(long_out), "--models", "gp", *FAST_EVAL]) == 4
+
+
+class TestStationFilter:
+    @pytest.mark.parametrize("command, extra, done", [
+        ("ingest", ["--input", "simulated_readings.csv"], "wrote 2 series files"),
+        ("trend", ["--workers", "1"], "wrote analyses for 1 stations"),
+        ("evaluate", ["--models", "arima", *FAST_EVAL], "wrote comparison for 1 stations"),
+    ])
+    def test_station_named_twice_runs_once(self, pipeline_out, tmp_path, capsys, monkeypatch,
+                                           command, extra, done):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        monkeypatch.chdir(out)
+        assert main([command, "--out", str(out), "--station", "Gitega",
+                     "--station", "GITEGA", *extra]) == 0
+        assert done in capsys.readouterr().out
 
 
 class TestHygiene:

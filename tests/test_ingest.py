@@ -14,7 +14,7 @@ from aircast.ingest import (
     ColumnMapping,
     IngestReport,
     Pollutant,
-    RawReading,
+    READING_DTYPE,
     STATION_ROSTER,
     Station,
     build_station_series,
@@ -79,7 +79,7 @@ class TestParseReadings:
     def test_negative_value_rejected(self):
         text = HEADER + "Gitega,2021-06-01T08:00:00+02:00,PM25,-3.0\n"
         readings, report = parse_text(text)
-        assert readings == []
+        assert len(readings) == 0
         assert report.rejects == [(2, "negative value")]
 
     def test_naive_timestamp_rejected(self):
@@ -161,30 +161,52 @@ class TestGzipInput:
         assert report.rows_accepted == 1
 
 
-class TestBuildStationSeries:
-    def _reading(self, station, at, value, pollutant=Pollutant.PM25):
-        return RawReading(Station(station), at, pollutant, value)
+def reading_table(rows):
+    """A PM2.5 reading table, as parse_readings returns, from (station, at,
+    value) rows."""
+    return np.array(
+        [(station.casefold(), at, Pollutant.PM25, value) for station, at, value in rows],
+        dtype=READING_DTYPE,
+    ).view(np.recarray)
 
+
+class TestBuildStationSeries:
     def test_filters_and_sorts(self):
-        readings = [
-            self._reading("Rebero", 200, 2.0),
-            self._reading("Gitega", 300, 3.0),
-            self._reading("Gitega", 100, 1.0),
-        ]
+        readings = reading_table([
+            ("Rebero", 200, 2.0),
+            ("Gitega", 300, 3.0),
+            ("Gitega", 100, 1.0),
+        ])
         series = build_station_series(readings, Station("gitega"))
         np.testing.assert_array_equal(series.at, [100, 300])
         np.testing.assert_array_equal(series.values, [1.0, 3.0])
 
     def test_duplicate_instants_mean_collapsed(self):
-        readings = [
-            self._reading("Gitega", 100, 10.0),
-            self._reading("Gitega", 100, 20.0),
-        ]
+        readings = reading_table([
+            ("Gitega", 100, 10.0),
+            ("Gitega", 100, 20.0),
+        ])
         series = build_station_series(readings, Station("Gitega"))
         assert len(series) == 1
         assert series.values[0] == 15.0
 
+    def test_duplicates_collapse_to_np_mean_in_file_order(self):
+        # up to seven values, np.mean sums in file order; a grouped sum in
+        # another order (np.add.reduceat's) differs from it in the last bit
+        rng = np.random.default_rng(7)
+        counts = np.repeat(np.arange(1, 8), 40)
+        at = np.repeat(100 * np.arange(counts.size), counts)
+        values = rng.uniform(0.0, 500.0, at.size) * 10.0 ** rng.integers(-3, 4, at.size)
+        order = rng.permutation(at.size)
+        at, values = at[order], values[order]
+        series = build_station_series(
+            reading_table(("Gitega", int(t), float(v)) for t, v in zip(at, values)),
+            Station("Gitega"),
+        )
+        expected = [np.mean(values[at == t]) for t in series.at]
+        assert series.values.tobytes() == np.array(expected).tobytes()
+
     def test_empty_selection(self):
-        readings = [self._reading("Gitega", 100, 1.0)]
+        readings = reading_table([("Gitega", 100, 1.0)])
         with pytest.raises(EmptySeriesError):
             build_station_series(readings, Station("Gitega"), Pollutant.SO2)

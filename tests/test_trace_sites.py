@@ -6,21 +6,26 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
-from aircast import arima, evaluation
+import pytest
+
+from aircast import arima, cli, evaluation
 
 from conftest import daily_series
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_install_spans_resolves_every_site_and_restores(monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    bench = importlib.import_module("bench")
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("bench")
+
+
+def test_install_spans_resolves_every_site_and_restores(bench):
     adapter = evaluation.ArimaAdapter(order=arima.ArimaOrder(1, 0, 0))
     series = daily_series([10.0, 12.0, 11.0, 13.0, 12.5, 11.5, 12.0, 13.5, 12.0, 11.0, 12.5, 13.0])
 
-    tracer = tracing.Tracer(run_id="sites")
+    tracer = bench.Tracer(run_id="sites")
     try:
         bench.install_spans(tracer)  # a name that no longer resolves raises here
         adapter.fit(series)
@@ -36,3 +41,25 @@ def test_install_spans_resolves_every_site_and_restores(monkeypatch):
     assert evaluation.ArimaAdapter.predict_one is evaluation.Forecaster.predict_one
     assert not hasattr(evaluation.ArimaAdapter.fit, "__wrapped__")
     assert not hasattr(arima.fit_arima, "__wrapped__")
+
+
+def test_ingest_sites_record_spans_and_row_counts(bench, tmp_path):
+    src = tmp_path / "readings.csv"
+    src.write_text(
+        "station,timestamp,pollutant,value\n"
+        + "".join(f"Gitega,2021-06-01T{h:02d}:00:00+02:00,PM25,{40 + h}.0\n" for h in range(24))
+        + "Gitega,not a time,PM25,1.0\n",
+        encoding="utf-8",
+    )
+
+    tracer = bench.Tracer(run_id="ingest-sites")
+    try:
+        bench.install_spans(tracer)
+        assert cli.main(["ingest", "--out", str(tmp_path / "out"), "--input", str(src)]) == 0
+    finally:
+        tracer.restore()
+
+    names = {span.name for span in tracer.spans}
+    assert {"ingest.parse_readings", "ingest.build_station_series"} <= names
+    assert tracer.counts["ingest.rows_read"] == 25
+    assert tracer.counts["ingest.rows_rejected"] == 1
