@@ -49,6 +49,7 @@ from .evaluation import (
     GpAdapter,
     comparison_table,
     compare_models,
+    fit_or_load,
 )
 from .ingest import (
     ColumnMapping,
@@ -185,6 +186,11 @@ def series_path(out: Path, station: str, granularity: Granularity) -> Path:
     return out / "series" / f"{station_slug(station)}_{granularity.value}.csv"
 
 
+def model_path(out: Path, station: str, model: str) -> Path:
+    """The model JSON ``forecast`` writes and both model stages may load."""
+    return out / "forecast" / f"{station_slug(station)}_{model}_model.json"
+
+
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
@@ -232,10 +238,23 @@ def _parse_coeffs(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+def _check_stations(args: argparse.Namespace) -> bool:
+    """False, after saying why, when a ``--station`` name is blank."""
+    try:
+        for name in args.station:
+            Station(name)
+    except ValueError as exc:
+        print(f"{args.command}: --station: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _parse_model_flags(args: argparse.Namespace) -> bool:
-    """Parse ``--models`` and ``--arima-grid`` in place and ``--holdout`` into
-    ``args.split`` (``args.holdout`` keeps the text the report records).
-    False, after saying why, when a flag is invalid."""
+    """Check ``--station``, parse ``--models`` and ``--arima-grid`` in place and
+    ``--holdout`` into ``args.split`` (``args.holdout`` keeps the text the
+    report records). False, after saying why, when a flag is invalid."""
+    if not _check_stations(args):
+        return False
     try:
         args.models = _parse_models(args.models)
         args.arima_grid = _parse_grid(args.arima_grid)
@@ -414,11 +433,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not 0.0 <= args.min_coverage <= 1.0:  # also refuses nan
         print("ingest: --min-coverage must lie in [0, 1]", file=sys.stderr)
         return EXIT_SCHEMA
-    try:
-        requested = list(dict.fromkeys(map(Station, args.station)))
-    except ValueError as exc:
-        print(f"ingest: --station: {exc}", file=sys.stderr)
+    if not _check_stations(args):
         return EXIT_SCHEMA
+    requested = list(dict.fromkeys(map(Station, args.station)))
     mapping = ColumnMapping(
         station=args.station_column,
         timestamp=args.timestamp_column,
@@ -534,6 +551,8 @@ def _trend_station(args: argparse.Namespace, station: str) -> dict:
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
+    if not _check_stations(args):
+        return EXIT_SCHEMA
     out = Path(args.out)
     results = _run_stations(args, _trend_station)
     if results is None:
@@ -591,17 +610,16 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
     future_at = [int(train.at[-1]) + step * (k + 1) for k in range(args.horizon)]
     actual_by_at = dict(zip(series.at.tolist(), series.values.tolist()))
 
-    forecast_dir = out / "forecast"
-    slug = station_slug(station)
     tracks: dict[str, np.ndarray] = {}
     variances: dict[str, np.ndarray] = {}
     for adapter in _build_adapters(args, station):
+        path = model_path(out, station, adapter.name)
         try:
-            adapter.fit(train)
+            key = fit_or_load(adapter, train, path)
             tracks[adapter.name], variance = adapter.forecast(train, args.horizon)
             if variance is not None:
                 variances[f"{adapter.name}_variance"] = variance
-            write_json(forecast_dir / f"{slug}_{adapter.name}_model.json", adapter.to_dict())
+            write_json(path, {**adapter.to_dict(), "fit_key": key})
         except AircastError as exc:
             result["errors"][adapter.name] = str(exc)
     if not tracks:
@@ -616,7 +634,8 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
         row.append(actual if actual is not None else "")
         row.extend(float(column[k]) for column in columns.values())
         rows.append(row)
-    result["file"] = str(write_table(forecast_dir / f"{slug}_forecast", header, rows, args.format))
+    forecast_path = out / "forecast" / f"{station_slug(station)}_forecast"
+    result["file"] = str(write_table(forecast_path, header, rows, args.format))
     result["models"] = {name: len(track) for name, track in tracks.items()}
     return result
 
@@ -648,14 +667,17 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 # evaluate
 
 def _evaluate_station(args: argparse.Namespace, station: str) -> EvalReport:
+    out = Path(args.out)
     granularity = Granularity(args.granularity)
-    series = load_series_csv(series_path(Path(args.out), station, granularity), granularity)
+    series = load_series_csv(series_path(out, station, granularity), granularity)
     report = EvalReport(station=station, split="")
     if series is None:
         report.errors["*"] = "no ingested series found"
         return report
+    adapters = _build_adapters(args, station)
+    paths = {adapter.name: model_path(out, station, adapter.name) for adapter in adapters}
     try:
-        return compare_models(series, args.split, _build_adapters(args, station), station=station)
+        return compare_models(series, args.split, adapters, station=station, model_paths=paths)
     except AircastError as exc:
         report.errors["*"] = str(exc)
         return report

@@ -1,10 +1,12 @@
 """The forecaster contract, rolling one-step evaluation and the per-station
 model comparison.
 
-Each model is one :class:`Forecaster` (``fit``, ``forecast``, ``to_dict``),
-and the CLI's ``forecast`` and ``evaluate`` stages build and drive the same
-adapters: ``forecast`` fits on the train split and asks for a horizon after
-it, ``evaluate`` asks for one step at a time.
+Each model is one :class:`Forecaster` (``fit``, ``forecast``, ``to_dict``,
+``load``), and the CLI's ``forecast`` and ``evaluate`` stages build and drive
+the same adapters: ``forecast`` fits on the train split and asks for a horizon
+after it, ``evaluate`` asks for one step at a time. Both go through
+:func:`fit_or_load`, so a fit that ``forecast`` stored under the same
+:meth:`Forecaster.fit_key` is restored instead of repeated.
 
 Protocol: each forecaster is fitted exactly once on the train split, then
 asked for one-step-ahead predictions over the holdout while true values
@@ -15,9 +17,13 @@ can leak into an earlier prediction.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cache
+from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +69,17 @@ def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
     return float(np.mean(np.abs(a - p)))
 
 
+@cache
+def _source_digest() -> bytes:
+    """SHA-256 over this package's modules, so a stored fit is trusted only
+    by the code that made it."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8"))
+        digest.update(path.read_bytes())
+    return digest.digest()
+
+
 class Forecaster(ABC):
     """One model behind the contract both model stages drive.
 
@@ -87,6 +104,23 @@ class Forecaster(ABC):
     @abstractmethod
     def to_dict(self) -> dict:
         """JSON-ready summary of the train fit."""
+
+    @abstractmethod
+    def load(self, data: dict, train: TimeSeries) -> None:
+        """Restore the fit that ``to_dict`` summarized as ``data``, made on ``train``."""
+
+    @abstractmethod
+    def settings(self) -> tuple:
+        """Everything besides the train split that decides the fit."""
+
+    def fit_key(self, train: TimeSeries) -> str:
+        """SHA-256 of what decides the fit: the fitting code, the model and
+        its settings, and the train split's instants and values."""
+        digest = hashlib.sha256(_source_digest())
+        digest.update(repr((self.name, self.settings())).encode("utf-8"))
+        digest.update(train.at.tobytes())
+        digest.update(train.values.tobytes())
+        return digest.hexdigest()
 
     def predict_one(self, history: TimeSeries) -> float:
         """The first step of ``forecast``."""
@@ -124,6 +158,12 @@ class ArimaAdapter(Forecaster):
         assert self.model is not None, "fit before summarizing"
         return self.model.to_dict()
 
+    def load(self, data: dict, train: TimeSeries) -> None:
+        self.model = arima.ArimaModel.from_dict(data)
+
+    def settings(self) -> tuple:
+        return self.order, self.p_max, self.d_max, self.q_max
+
 
 class AnnAdapter(Forecaster):
     """Window MLP (7 lags, one tanh layer of 16) trained once; predictions read
@@ -149,6 +189,12 @@ class AnnAdapter(Forecaster):
         assert self.net is not None, "fit before summarizing"
         return self.net.to_dict()
 
+    def load(self, data: dict, train: TimeSeries) -> None:
+        self.net = ann.MlpForecaster.from_dict(data)
+
+    def settings(self) -> tuple:
+        return self.config, self.WINDOW, self.HIDDEN, self.ACTIVATION
+
 
 class GpAdapter(Forecaster):
     """GP with hyperparameters frozen from the train split; each forecast
@@ -158,6 +204,7 @@ class GpAdapter(Forecaster):
     The train fit is kept, and each history that extends the points already
     conditioned on is appended to its Cholesky factor (``gp.extend_gp``), so a
     holdout step costs one triangular solve rather than a refactorization.
+    A one-step prediction computes the posterior mean only.
     """
 
     name = "gp"
@@ -181,13 +228,30 @@ class GpAdapter(Forecaster):
             default if grid is None else tuple(grid)
             for grid, default in zip(self.grids, gp.default_grids(train.values))
         ]
+        params, noise_variance = gp.fit_hyperparameters(
+            gp.day_indices(train), train.values, *grids
+        )
+        self._fit_at(train, params, noise_variance)
+
+    def load(self, data: dict, train: TimeSeries) -> None:
+        # one factorization at the stored hyperparameters, no grid search
+        params = gp.SeKernelParams(data["amplitude"], data["length_scale"])
+        self._fit_at(train, params, data["noise_variance"])
+
+    def _fit_at(
+        self, train: TimeSeries, params: gp.SeKernelParams, noise_variance: float
+    ) -> None:
         x = gp.day_indices(train)
-        params, noise_variance = gp.fit_hyperparameters(x, train.values, *grids)
         self.model = self._fitted = gp.fit_gp(x, train.values, params, noise_variance)
         self._base_at = int(train.at[0])
         self._step_seconds = estimate_step_seconds(train)
 
-    def forecast(self, history: TimeSeries, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    def settings(self) -> tuple:
+        return self.grids
+
+    def _extend(self, history: TimeSeries, horizon: int) -> tuple[gp.GpModel, np.ndarray]:
+        """The fit conditioned on ``history``, and the day indices of the next
+        ``horizon`` steps."""
         assert self.model is not None, "fit before predicting"
         assert self._base_at is not None and self._step_seconds is not None
         if horizon < 0:
@@ -195,7 +259,13 @@ class GpAdapter(Forecaster):
         x = gp.day_indices(history, base_at=self._base_at)
         self.model = gp.extend_gp(self.model, x, history.values)
         future_at = history.at[-1] + self._step_seconds * np.arange(1, horizon + 1)
-        return gp.posterior(self.model, (future_at - self._base_at) / gp.SECONDS_PER_DAY)
+        return self.model, (future_at - self._base_at) / gp.SECONDS_PER_DAY
+
+    def forecast(self, history: TimeSeries, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        return gp.posterior(*self._extend(history, horizon))
+
+    def predict_one(self, history: TimeSeries) -> float:
+        return float(gp.posterior_mean(*self._extend(history, 1))[0])
 
     def to_dict(self) -> dict:
         assert self._fitted is not None, "fit before summarizing"
@@ -255,16 +325,38 @@ def rolling_one_step(
     return predictions, test.values.copy()
 
 
+def fit_or_load(adapter: Forecaster, train: TimeSeries, path: Path) -> str:
+    """Fit ``adapter`` on ``train``, or restore it from the model JSON at
+    ``path`` when that file's ``fit_key`` is this fit's key; returns the key.
+
+    A missing or unreadable file, or one made from other data, settings or
+    code, means a fresh fit. Nothing is written here.
+    """
+    key = adapter.fit_key(train)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+        if isinstance(stored, dict) and stored.pop("fit_key", None) == key:
+            adapter.load(stored, train)
+            return key
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    adapter.fit(train)
+    return key
+
+
 def compare_models(
     series: TimeSeries,
     spec: SplitSpec,
     adapters: Sequence[Forecaster],
     station: str = "",
+    model_paths: Mapping[str, Path] | None = None,
 ) -> EvalReport:
     """Fit and evaluate every adapter on the identical split.
 
-    Per-model failures are recorded in the report instead of aborting the
-    other models.
+    An adapter named in ``model_paths`` goes through :func:`fit_or_load` with
+    that path, so a stored fit of the same split is reused. Per-model failures
+    are recorded in the report instead of aborting the other models.
     """
     if not adapters:
         raise ValueError("model set must be non-empty")
@@ -272,7 +364,11 @@ def compare_models(
     report = EvalReport(station=station, split=spec.describe())
     for adapter in adapters:
         try:
-            adapter.fit(train)
+            path = (model_paths or {}).get(adapter.name)
+            if path is None:
+                adapter.fit(train)
+            else:
+                fit_or_load(adapter, train, path)
             predictions, actuals = rolling_one_step(adapter, train, test)
             report.models[adapter.name] = ModelEval(
                 rmse=rmse(actuals, predictions),

@@ -200,6 +200,17 @@ def extend_gp(
     return _conditioned(model.params, model.noise_variance, x, y, lower, model.jitter)
 
 
+def _mean(model: GpModel, k_star: np.ndarray) -> np.ndarray:
+    return k_star.T @ model._alpha + model.offset
+
+
+def posterior_mean(model: GpModel, test_times: Sequence[float]) -> np.ndarray:
+    """Posterior means (offset restored) at the query times, without the
+    variances' solve against the whole factor."""
+    t = np.asarray(test_times, dtype=np.float64)
+    return _mean(model, _cross_kernel(model.train_inputs, t, model.params))
+
+
 def posterior(
     model: GpModel, test_times: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +223,7 @@ def posterior(
     if t.size == 0:
         return np.empty(0), np.empty(0)
     k_star = _cross_kernel(model.train_inputs, t, model.params)
-    means = k_star.T @ model._alpha + model.offset
+    means = _mean(model, k_star)
     v = cho_solve((model.chol_lower, True), k_star)
     variances = model.params.amplitude - np.einsum("ij,ij->j", k_star, v)
     return means, np.maximum(variances, 0.0)

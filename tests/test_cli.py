@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import csv
 import gzip
 import json
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from aircast import ann, arima, gp
 from aircast.cli import _openblas_thread_controls, main, single_blas_thread, station_slug
+from aircast.evaluation import AnnAdapter, ArimaAdapter, GpAdapter
 
 FAST_EVAL = ["--arima-grid", "1,0,1", "--workers", "1"]
 STAGE_DIRS = {"trend": "trend", "forecast": "forecast", "evaluate": "evaluation"}
@@ -23,6 +26,20 @@ def read_csv(path: Path):
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def fresh_out(pipeline_out: Path, dest: Path) -> Path:
+    """A copy of the ingested fixture without any model-stage output."""
+    shutil.copytree(pipeline_out / "series", dest / "series")
+    shutil.copy(pipeline_out / "ingest_report.json", dest)
+    return dest
+
+
+def stage_files(folder: Path) -> dict[Path, bytes]:
+    return {
+        path.relative_to(folder): path.read_bytes()
+        for path in sorted(folder.rglob("*")) if path.is_file()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -288,10 +305,7 @@ class TestEvaluate:
         for workers in ("1", "2"):
             shutil.rmtree(stage_dir, ignore_errors=True)
             assert main([command, "--out", str(out), *flags, "--workers", workers]) == 0
-            written.append({
-                path.relative_to(stage_dir): path.read_bytes()
-                for path in sorted(stage_dir.rglob("*")) if path.is_file()
-            })
+            written.append(stage_files(stage_dir))
         serial, pooled = written
         assert serial and serial == pooled
 
@@ -374,6 +388,123 @@ class TestForecasterContract:
             assert "need at least 10 observations to fit the GP" in capsys.readouterr().err
 
 
+MODELS = ("arima", "ann", "gp")
+REUSE_ARGS = ["--models", ",".join(MODELS), "--seed", "3", *FAST_EVAL]
+
+
+@pytest.fixture
+def fit_events(monkeypatch):
+    """(model, "fit" or "load") for each adapter fit or restore during the test."""
+    events = []
+    for adapter in (ArimaAdapter, AnnAdapter, GpAdapter):
+        for method in ("fit", "load"):
+            def spy(self, *args, _real=getattr(adapter, method), _method=method):
+                events.append((self.name, _method))
+                return _real(self, *args)
+
+            monkeypatch.setattr(adapter, method, spy)
+    return events
+
+
+class TestFitReuse:
+    """`evaluate` restores the fits `forecast` stored under the same key."""
+
+    @pytest.fixture(scope="class")
+    def gitega_alone(self, pipeline_out, tmp_path_factory):
+        """Gitega's evaluation/ files from `evaluate` with no model files present."""
+        out = fresh_out(pipeline_out, tmp_path_factory.mktemp("alone"))
+        assert main(["evaluate", "--out", str(out), "--station", "Gitega", *REUSE_ARGS]) == 0
+        return stage_files(out / "evaluation")
+
+    @pytest.fixture(scope="class")
+    def gitega_forecast(self, pipeline_out, tmp_path_factory):
+        out = fresh_out(pipeline_out, tmp_path_factory.mktemp("forecast"))
+        assert main(["forecast", "--out", str(out), "--station", "Gitega", *REUSE_ARGS]) == 0
+        return out
+
+    def test_evaluate_after_forecast_matches_evaluate_alone(self, pipeline_out, tmp_path,
+                                                           fit_events):
+        alone = fresh_out(pipeline_out, tmp_path / "alone")
+        assert main(["evaluate", "--out", str(alone), *REUSE_ARGS]) == 0
+        reused = fresh_out(pipeline_out, tmp_path / "reused")
+        assert main(["forecast", "--out", str(reused), *REUSE_ARGS]) == 0
+        fit_events.clear()
+        assert main(["evaluate", "--out", str(reused), *REUSE_ARGS]) == 0
+        assert collections.Counter(fit_events) == {(name, "load"): 2 for name in MODELS}
+        assert stage_files(reused / "evaluation") == stage_files(alone / "evaluation")
+        for name in MODELS:
+            stored = json.loads((reused / "forecast" / f"gitega_{name}_model.json").read_text())
+            assert len(stored["fit_key"]) == 64
+
+    def test_each_station_model_fits_once_across_both_stages(self, pipeline_out, tmp_path,
+                                                             monkeypatch):
+        calls = collections.Counter()
+        for module, name in ((arima, "select_order"), (ann, "train"), (gp, "fit_hyperparameters")):
+            def counting(*args, _real=getattr(module, name), _site=f"{module.__name__}.{name}"):
+                calls[_site] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        out = fresh_out(pipeline_out, tmp_path / "out")
+        for command in ("forecast", "evaluate"):
+            assert main([command, "--out", str(out), *REUSE_ARGS]) == 0
+        # two stations, each model fitted once per station
+        assert calls == {
+            "aircast.arima.select_order": 2,
+            "aircast.ann.train": 2,
+            "aircast.gp.fit_hyperparameters": 2,
+        }
+
+    @staticmethod
+    def change_one_train_value(out: Path) -> None:
+        path = out / "series" / "gitega_daily.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        stamp, value = lines[3].rstrip("\n").split(",")
+        lines[3] = f"{stamp},{float(value) + 0.5}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+    @pytest.mark.parametrize("change, flags, refitted", [
+        pytest.param("train value", [], set(MODELS), id="train-value"),
+        pytest.param("seed", ["--seed", "4"], {"ann"}, id="seed"),
+        pytest.param("arima grid", ["--arima-grid", "1,0,0"], {"arima"}, id="arima-grid"),
+        pytest.param("holdout", ["--holdout", "0.25"], set(MODELS), id="holdout"),
+    ])
+    def test_changed_input_forces_a_refit(self, gitega_forecast, tmp_path, fit_events,
+                                          change, flags, refitted):
+        out = shutil.copytree(gitega_forecast, tmp_path / "out")
+        if change == "train value":
+            self.change_one_train_value(out)
+        fit_events.clear()
+        assert main(["evaluate", "--out", str(out), "--station", "Gitega",
+                     *REUSE_ARGS, *flags]) == 0
+        assert sorted(fit_events) == sorted(
+            (name, "fit" if name in refitted else "load") for name in MODELS
+        )
+
+    @pytest.mark.parametrize("damage", ["other key", "truncated", "no key", "not an object"])
+    def test_damaged_model_file_means_a_fresh_fit(self, gitega_forecast, gitega_alone, tmp_path,
+                                                 fit_events, damage):
+        out = shutil.copytree(gitega_forecast, tmp_path / "out")
+        for name in MODELS:
+            path = out / "forecast" / f"gitega_{name}_model.json"
+            text = path.read_text(encoding="utf-8")
+            stored = json.loads(text)
+            if damage == "other key":
+                stored["fit_key"] = "0" * 64
+            elif damage == "no key":
+                del stored["fit_key"]
+            elif damage == "not an object":
+                stored = [stored]
+            path.write_text(
+                text[: len(text) // 2] if damage == "truncated" else json.dumps(stored),
+                encoding="utf-8",
+            )
+        fit_events.clear()
+        assert main(["evaluate", "--out", str(out), "--station", "Gitega", *REUSE_ARGS]) == 0
+        assert sorted(fit_events) == [(name, "fit") for name in sorted(MODELS)]
+        assert stage_files(out / "evaluation") == gitega_alone
+
+
 class TestLongSeries:
     """More points than the exact GP's 2000-point cap: GP fails, the run goes on."""
 
@@ -419,6 +550,16 @@ class TestStationFilter:
         assert main([command, "--out", str(out), "--station", "Gitega",
                      "--station", "GITEGA", *extra]) == 0
         assert done in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["", " "], ids=["empty", "blank"])
+    @pytest.mark.parametrize("command", ["trend", "forecast", "evaluate"])
+    def test_blank_station_is_schema_error_before_any_output(self, pipeline_out, tmp_path,
+                                                            capsys, command, name):
+        out = fresh_out(pipeline_out, tmp_path / "out")
+        assert main([command, "--out", str(out), "--station", "Gitega", "--station", name,
+                     "--workers", "1"]) == 2
+        assert capsys.readouterr().err == f"{command}: --station: station name must be non-empty\n"
+        assert sorted(path.name for path in out.iterdir()) == ["ingest_report.json", "series"]
 
 
 class TestHygiene:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aircast import ann, arima, gp
+from aircast import ann, arima, evaluation, gp
 from aircast.errors import (
     AircastError,
     EmptyInputError,
@@ -25,6 +25,7 @@ from aircast.evaluation import (
     ModelEval,
     comparison_table,
     compare_models,
+    fit_or_load,
     mae,
     rmse,
     rolling_one_step,
@@ -110,6 +111,12 @@ class NaiveAdapter(Forecaster):
 
     def to_dict(self):
         return {}
+
+    def load(self, data, train):
+        pass
+
+    def settings(self):
+        return ()
 
 
 class CountingAdapter:
@@ -350,6 +357,84 @@ class TestGpAdapter:
         report = compare_models(series, SplitSpec(fraction=0.2), adapters, station="S")
         assert set(report.models) == {"arima"}
         assert "capped at 2000" in report.errors["gp"]
+
+
+LOADABLE = {
+    "arima": lambda: ArimaAdapter(p_max=1, d_max=0, q_max=1),
+    "ann": lambda: AnnAdapter(config=ann.TrainConfig(seed=1, epochs=30)),
+    "gp": GpAdapter,
+}
+
+
+@pytest.fixture(scope="module")
+def ar1_split():
+    series = arima.simulate_arma(12.0, [0.7], [], 1.0, 120, seed=29)
+    return split_holdout(series, SplitSpec(fraction=0.2))
+
+
+class TestFitOrLoad:
+    @pytest.mark.parametrize("name", LOADABLE)
+    def test_loaded_adapter_predicts_bitwise_as_fitted(self, name, ar1_split):
+        train, test = ar1_split
+        fitted, loaded = LOADABLE[name](), LOADABLE[name]()
+        fitted.fit(train)
+        loaded.load(json.loads(json.dumps(fitted.to_dict())), train)
+        assert loaded.to_dict() == fitted.to_dict()
+        (fitted_means, fitted_vars), (loaded_means, loaded_vars) = (
+            adapter.forecast(train, 5) for adapter in (fitted, loaded)
+        )
+        assert np.array_equal(fitted_means, loaded_means)
+        assert (fitted_vars is None) == (loaded_vars is None)
+        if fitted_vars is not None:
+            assert np.array_equal(fitted_vars, loaded_vars)
+        assert np.array_equal(
+            rolling_one_step(fitted, train, test)[0], rolling_one_step(loaded, train, test)[0]
+        )
+
+    def test_gp_one_step_is_the_forecast_mean(self, ar1_split):
+        train, test = ar1_split
+        adapter = GpAdapter()
+        adapter.fit(train)
+        history = append_observation(train, int(test.at[0]), float(test.values[0]))
+        assert adapter.predict_one(history) == adapter.forecast(history, 1)[0][0]
+
+    def test_key_covers_data_settings_and_code(self, ar1_split, monkeypatch):
+        train, _ = ar1_split
+        key = ArimaAdapter(p_max=1, d_max=0, q_max=1).fit_key(train)
+        assert key == ArimaAdapter(p_max=1, d_max=0, q_max=1).fit_key(train)
+        values = train.values.copy()
+        values[3] += 1e-9
+        others = [
+            ArimaAdapter(p_max=1, d_max=0, q_max=1).fit_key(
+                TimeSeries(train.granularity, train.at, values)
+            ),
+            ArimaAdapter(p_max=1, d_max=0, q_max=1).fit_key(
+                TimeSeries(train.granularity, train.at + 86_400, train.values)
+            ),
+            ArimaAdapter(p_max=2, d_max=0, q_max=1).fit_key(train),
+            ArimaAdapter(order=arima.ArimaOrder(1, 0, 1)).fit_key(train),
+            AnnAdapter(config=ann.TrainConfig(seed=1)).fit_key(train),
+            AnnAdapter(config=ann.TrainConfig(seed=2)).fit_key(train),
+            AnnAdapter(config=ann.TrainConfig(seed=1, epochs=199)).fit_key(train),
+            GpAdapter().fit_key(train),
+            GpAdapter(noise_grid=[0.5]).fit_key(train),
+        ]
+        monkeypatch.setattr(evaluation, "_source_digest", lambda: b"other code")
+        others.append(ArimaAdapter(p_max=1, d_max=0, q_max=1).fit_key(train))
+        assert len({key, *others}) == 1 + len(others)
+
+    def test_matching_file_is_loaded_and_nothing_is_written(self, ar1_split, tmp_path):
+        train, _ = ar1_split
+        path = tmp_path / "gp_model.json"
+        first = GpAdapter()
+        key = fit_or_load(first, train, path)
+        assert not path.exists()
+        path.write_text(json.dumps({**first.to_dict(), "fit_key": key}), encoding="utf-8")
+        second = GpAdapter()
+        second.fit = lambda train: pytest.fail("a stored fit with the same key was repeated")
+        assert fit_or_load(second, train, path) == key
+        assert second.to_dict() == first.to_dict()
+        assert json.loads(path.read_text(encoding="utf-8"))["fit_key"] == key
 
 
 class TestComparisonTable:

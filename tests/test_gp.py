@@ -24,6 +24,7 @@ from aircast.gp import (
     gram_matrix,
     log_marginal_likelihood,
     posterior,
+    posterior_mean,
 )
 from aircast.evaluation import GpAdapter
 
@@ -253,6 +254,14 @@ class TestPosterior:
         model = fit_gp(x, y, params, noise)
         means, variances = posterior(model, [])
         assert means.size == 0 and variances.size == 0
+
+    def test_mean_alone_is_bitwise_the_posterior_mean(self, rng):
+        for size in (1, 3):
+            x, y, params, noise = random_instance(rng, 12)
+            model = fit_gp(x, y, params, noise)
+            test_x = rng.uniform(-5, 70, size)
+            assert np.array_equal(posterior_mean(model, test_x), posterior(model, test_x)[0])
+        assert posterior_mean(model, []).size == 0
 
 
 class TestLogMarginalLikelihood:
