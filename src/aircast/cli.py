@@ -58,6 +58,7 @@ from .ingest import (
     Station,
     build_station_series,
     parse_readings_path,
+    parse_timestamp,
 )
 from .series import (
     Granularity,
@@ -165,21 +166,33 @@ def write_series_csv(path: Path, series: TimeSeries) -> None:
 
 
 def load_series_csv(path: Path, granularity: Granularity) -> TimeSeries | None:
-    """Read a series file written by the ingest stage; None if absent/empty."""
+    """Read a series file written by the ingest stage; None if absent/empty.
+
+    Stamps follow ingest's rule (ISO-8601 with an explicit offset). A row that
+    does not parse, or rows that do not form a series, raise SchemaError.
+    """
     if not path.exists():
         return None
-    pairs: list[tuple[int, float]] = []
+    at: list[int] = []
+    values: list[float] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row in reader:
-            if len(row) < 2:
+            if not row:
                 continue
-            stamp = datetime.fromisoformat(row[0])
-            pairs.append((int(stamp.timestamp()), float(row[1])))
-    if not pairs:
+            try:
+                stamp, value = row
+                at.append(parse_timestamp(stamp))
+                values.append(float(value))
+            except (ValueError, OverflowError, OSError) as exc:
+                raise SchemaError(f"{path}, line {reader.line_num}: {exc}") from None
+    if not at:
         return None
-    return TimeSeries.from_pairs(granularity, pairs)
+    try:
+        return TimeSeries(granularity, np.array(at, dtype=np.int64), np.array(values))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def series_path(out: Path, station: str, granularity: Granularity) -> Path:
@@ -514,10 +527,14 @@ def _trend_station(args: argparse.Namespace, station: str) -> dict:
     out = Path(args.out)
     result: dict = {"station": station, "files": [], "error": None}
 
-    hourly, daily = (
-        load_series_csv(series_path(out, station, granularity), granularity)
-        for granularity in (Granularity.HOURLY, Granularity.DAILY)
-    )
+    try:
+        hourly, daily = (
+            load_series_csv(series_path(out, station, granularity), granularity)
+            for granularity in (Granularity.HOURLY, Granularity.DAILY)
+        )
+    except SchemaError as exc:
+        result["error"] = str(exc)
+        return result
     if hourly is None and daily is None:
         result["error"] = "no ingested series found"
         return result
@@ -596,11 +613,11 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
     granularity = Granularity(args.granularity)
     result: dict = {"station": station, "models": {}, "errors": {}}
 
-    series = load_series_csv(series_path(out, station, granularity), granularity)
-    if series is None:
-        result["errors"]["*"] = "no ingested series found"
-        return result
     try:
+        series = load_series_csv(series_path(out, station, granularity), granularity)
+        if series is None:
+            result["errors"]["*"] = "no ingested series found"
+            return result
         train, _ = split_holdout(series, args.split)
     except AircastError as exc:
         result["errors"]["*"] = str(exc)
@@ -616,7 +633,7 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
         path = model_path(out, station, adapter.name)
         try:
             key = fit_or_load(adapter, train, path)
-            tracks[adapter.name], variance = adapter.forecast(train, args.horizon)
+            tracks[adapter.name], variance = adapter.forecast(train, future_at)
             if variance is not None:
                 variances[f"{adapter.name}_variance"] = variance
             write_json(path, {**adapter.to_dict(), "fit_key": key})
@@ -669,14 +686,14 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 def _evaluate_station(args: argparse.Namespace, station: str) -> EvalReport:
     out = Path(args.out)
     granularity = Granularity(args.granularity)
-    series = load_series_csv(series_path(out, station, granularity), granularity)
     report = EvalReport(station=station, split="")
-    if series is None:
-        report.errors["*"] = "no ingested series found"
-        return report
-    adapters = _build_adapters(args, station)
-    paths = {adapter.name: model_path(out, station, adapter.name) for adapter in adapters}
     try:
+        series = load_series_csv(series_path(out, station, granularity), granularity)
+        if series is None:
+            report.errors["*"] = "no ingested series found"
+            return report
+        adapters = _build_adapters(args, station)
+        paths = {adapter.name: model_path(out, station, adapter.name) for adapter in adapters}
         return compare_models(series, args.split, adapters, station=station, model_paths=paths)
     except AircastError as exc:
         report.errors["*"] = str(exc)

@@ -3,8 +3,10 @@ model comparison.
 
 Each model is one :class:`Forecaster` (``fit``, ``forecast``, ``to_dict``,
 ``load``), and the CLI's ``forecast`` and ``evaluate`` stages build and drive
-the same adapters: ``forecast`` fits on the train split and asks for a horizon
-after it, ``evaluate`` asks for one step at a time. Both go through
+the same adapters. Callers pass the instants to predict: ``forecast`` fits on
+the train split and asks for the steps after it, ``evaluate`` asks for each
+held-out instant in turn. The GP queries exactly those instants; ARIMA and the
+ANN take them as consecutive steps. Both stages go through
 :func:`fit_or_load`, so a fit that ``forecast`` stored under the same
 :meth:`Forecaster.fit_key` is restored instead of repeated.
 
@@ -23,7 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -35,13 +37,7 @@ from .errors import (
     LengthMismatchError,
     TooShortError,
 )
-from .series import (
-    SplitSpec,
-    TimeSeries,
-    append_observation,
-    estimate_step_seconds,
-    split_holdout,
-)
+from .series import SplitSpec, TimeSeries, append_observation, split_holdout
 
 #: Comparison-table column labels per model key.
 TABLE_LABELS = {"arima": "arima", "ann": "ann", "gp": "gpr"}
@@ -83,23 +79,25 @@ def _source_digest() -> bytes:
 class Forecaster(ABC):
     """One model behind the contract both model stages drive.
 
-    ``fit`` runs once, on the train split. ``forecast`` then predicts the
-    steps after a history that starts with that split, with the fitted
-    parameters frozen: the ``forecast`` stage asks for a horizon after the
-    train split itself, the rolling evaluation for one step at a time.
+    ``fit`` runs once, on the train split. ``forecast`` then predicts at given
+    instants after a history that starts with that split, with the fitted
+    parameters frozen: the ``forecast`` stage asks for the steps after the
+    train split itself, the rolling evaluation for each held-out instant in
+    turn. Adapters are dataclasses whose init fields are their settings, so
+    ``repr`` names everything besides the train split that decides the fit.
     """
 
-    name: str
+    name: ClassVar[str]
 
     @abstractmethod
     def fit(self, train: TimeSeries) -> None: ...
 
     @abstractmethod
     def forecast(
-        self, history: TimeSeries, horizon: int
+        self, history: TimeSeries, at: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Means of the next ``horizon`` steps after ``history``, and their
-        variances where the model gives them (None otherwise)."""
+        """Means at the instants ``at`` after ``history``, and their variances
+        where the model gives them (None otherwise)."""
 
     @abstractmethod
     def to_dict(self) -> dict:
@@ -109,40 +107,32 @@ class Forecaster(ABC):
     def load(self, data: dict, train: TimeSeries) -> None:
         """Restore the fit that ``to_dict`` summarized as ``data``, made on ``train``."""
 
-    @abstractmethod
-    def settings(self) -> tuple:
-        """Everything besides the train split that decides the fit."""
-
     def fit_key(self, train: TimeSeries) -> str:
-        """SHA-256 of what decides the fit: the fitting code, the model and
+        """SHA-256 of what decides the fit: the fitting code, the adapter and
         its settings, and the train split's instants and values."""
         digest = hashlib.sha256(_source_digest())
-        digest.update(repr((self.name, self.settings())).encode("utf-8"))
+        digest.update(repr(self).encode("utf-8"))
         digest.update(train.at.tobytes())
         digest.update(train.values.tobytes())
         return digest.hexdigest()
 
-    def predict_one(self, history: TimeSeries) -> float:
-        """The first step of ``forecast``."""
-        means, _ = self.forecast(history, 1)
+    def predict_one(self, history: TimeSeries, at: int) -> float:
+        """``forecast`` at the single instant ``at``."""
+        means, _ = self.forecast(history, [at])
         return float(means[0])
 
 
+@dataclass(eq=False)
 class ArimaAdapter(Forecaster):
-    """ARIMA with AIC order selection (or a pinned order) on the train split."""
+    """ARIMA with AIC order selection (or a pinned order) on the train split;
+    the instants to predict are taken as consecutive steps after the history."""
 
-    name = "arima"
-
-    def __init__(
-        self,
-        order: arima.ArimaOrder | None = None,
-        p_max: int = 5,
-        d_max: int = 1,
-        q_max: int = 5,
-    ) -> None:
-        self.order = order
-        self.p_max, self.d_max, self.q_max = p_max, d_max, q_max
-        self.model: arima.ArimaModel | None = None
+    name: ClassVar[str] = "arima"
+    order: arima.ArimaOrder | None = None
+    p_max: int = 5
+    d_max: int = 1
+    q_max: int = 5
+    model: arima.ArimaModel | None = field(default=None, init=False, repr=False)
 
     def fit(self, train: TimeSeries) -> None:
         if self.order is not None:
@@ -150,9 +140,9 @@ class ArimaAdapter(Forecaster):
         else:
             _, self.model = arima.select_order(train, self.p_max, self.d_max, self.q_max)
 
-    def forecast(self, history: TimeSeries, horizon: int) -> tuple[np.ndarray, None]:
+    def forecast(self, history: TimeSeries, at: Sequence[int]) -> tuple[np.ndarray, None]:
         assert self.model is not None, "fit before predicting"
-        return arima.forecast(self.model, history, horizon), None
+        return arima.forecast(self.model, history, len(at)), None
 
     def to_dict(self) -> dict:
         assert self.model is not None, "fit before summarizing"
@@ -161,29 +151,26 @@ class ArimaAdapter(Forecaster):
     def load(self, data: dict, train: TimeSeries) -> None:
         self.model = arima.ArimaModel.from_dict(data)
 
-    def settings(self) -> tuple:
-        return self.order, self.p_max, self.d_max, self.q_max
 
-
+@dataclass(eq=False)
 class AnnAdapter(Forecaster):
     """Window MLP (7 lags, one tanh layer of 16) trained once; predictions read
-    the last window of history."""
+    the last window of history, and the instants to predict are taken as
+    consecutive steps after it."""
 
-    name = "ann"
-    WINDOW = 7
-    HIDDEN = (16,)
-    ACTIVATION = ann.Activation.TANH
-
-    def __init__(self, config: ann.TrainConfig | None = None) -> None:
-        self.config = config or ann.TrainConfig()
-        self.net: ann.MlpForecaster | None = None
+    name: ClassVar[str] = "ann"
+    WINDOW: ClassVar[int] = 7
+    HIDDEN: ClassVar[tuple[int, ...]] = (16,)
+    ACTIVATION: ClassVar[ann.Activation] = ann.Activation.TANH
+    config: ann.TrainConfig = field(default_factory=ann.TrainConfig)
+    net: ann.MlpForecaster | None = field(default=None, init=False, repr=False)
 
     def fit(self, train: TimeSeries) -> None:
         self.net = ann.train(train, self.WINDOW, self.HIDDEN, self.ACTIVATION, self.config)
 
-    def forecast(self, history: TimeSeries, horizon: int) -> tuple[np.ndarray, None]:
+    def forecast(self, history: TimeSeries, at: Sequence[int]) -> tuple[np.ndarray, None]:
         assert self.net is not None, "fit before predicting"
-        return ann.forecast_recursive(self.net, history, horizon), None
+        return ann.forecast_recursive(self.net, history, len(at)), None
 
     def to_dict(self) -> dict:
         assert self.net is not None, "fit before summarizing"
@@ -192,14 +179,12 @@ class AnnAdapter(Forecaster):
     def load(self, data: dict, train: TimeSeries) -> None:
         self.net = ann.MlpForecaster.from_dict(data)
 
-    def settings(self) -> tuple:
-        return self.config, self.WINDOW, self.HIDDEN, self.ACTIVATION
 
-
+@dataclass(eq=False)
 class GpAdapter(Forecaster):
     """GP with hyperparameters frozen from the train split; each forecast
-    conditions the posterior on the full history and queries the next steps
-    at the train split's cadence.
+    conditions the posterior on the full history and queries exactly the
+    instants asked for.
 
     The train fit is kept, and each history that extends the points already
     conditioned on is appended to its Cholesky factor (``gp.extend_gp``), so a
@@ -207,26 +192,21 @@ class GpAdapter(Forecaster):
     A one-step prediction computes the posterior mean only.
     """
 
-    name = "gp"
-
-    def __init__(
-        self,
-        noise_grid: Sequence[float] | None = None,
-        amplitude_grid: Sequence[float] | None = None,
-        length_scale_grid: Sequence[float] | None = None,
-    ) -> None:
-        self.grids = (noise_grid, amplitude_grid, length_scale_grid)
-        self.model: gp.GpModel | None = None
-        self._fitted: gp.GpModel | None = None
-        self._base_at: int | None = None
-        self._step_seconds: int | None = None
+    name: ClassVar[str] = "gp"
+    noise_grid: Sequence[float] | None = None
+    amplitude_grid: Sequence[float] | None = None
+    length_scale_grid: Sequence[float] | None = None
+    model: gp.GpModel | None = field(default=None, init=False, repr=False)
+    _fitted: gp.GpModel | None = field(default=None, init=False, repr=False)
+    _base_at: int | None = field(default=None, init=False, repr=False)
 
     def fit(self, train: TimeSeries) -> None:
         if len(train) < 10:
             raise TooShortError("need at least 10 observations to fit the GP")
+        given = (self.noise_grid, self.amplitude_grid, self.length_scale_grid)
         grids = [
             default if grid is None else tuple(grid)
-            for grid, default in zip(self.grids, gp.default_grids(train.values))
+            for grid, default in zip(given, gp.default_grids(train.values))
         ]
         params, noise_variance = gp.fit_hyperparameters(
             gp.day_indices(train), train.values, *grids
@@ -244,28 +224,19 @@ class GpAdapter(Forecaster):
         x = gp.day_indices(train)
         self.model = self._fitted = gp.fit_gp(x, train.values, params, noise_variance)
         self._base_at = int(train.at[0])
-        self._step_seconds = estimate_step_seconds(train)
 
-    def settings(self) -> tuple:
-        return self.grids
-
-    def _extend(self, history: TimeSeries, horizon: int) -> tuple[gp.GpModel, np.ndarray]:
-        """The fit conditioned on ``history``, and the day indices of the next
-        ``horizon`` steps."""
-        assert self.model is not None, "fit before predicting"
-        assert self._base_at is not None and self._step_seconds is not None
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
+    def _extend(self, history: TimeSeries, at: Sequence[int]) -> tuple[gp.GpModel, np.ndarray]:
+        """The fit conditioned on ``history``, and the day indices of ``at``."""
+        assert self.model is not None and self._base_at is not None, "fit before predicting"
         x = gp.day_indices(history, base_at=self._base_at)
         self.model = gp.extend_gp(self.model, x, history.values)
-        future_at = history.at[-1] + self._step_seconds * np.arange(1, horizon + 1)
-        return self.model, (future_at - self._base_at) / gp.SECONDS_PER_DAY
+        return self.model, (np.asarray(at, dtype=np.int64) - self._base_at) / gp.SECONDS_PER_DAY
 
-    def forecast(self, history: TimeSeries, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        return gp.posterior(*self._extend(history, horizon))
+    def forecast(self, history: TimeSeries, at: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        return gp.posterior(*self._extend(history, at))
 
-    def predict_one(self, history: TimeSeries) -> float:
-        return float(gp.posterior_mean(*self._extend(history, 1))[0])
+    def predict_one(self, history: TimeSeries, at: int) -> float:
+        return float(gp.posterior_mean(*self._extend(history, [at]))[0])
 
     def to_dict(self) -> dict:
         assert self._fitted is not None, "fit before summarizing"
@@ -310,13 +281,14 @@ def rolling_one_step(
     """One-step predictions over the holdout, feeding true values as they arrive.
 
     The adapter must already be fitted on ``train``; its parameters are not
-    touched here. Prediction i sees train plus test[0..i) only.
+    touched here. Prediction i sees train plus test[0..i) only, and is asked
+    for at test instant i (an instant, never a value).
     """
     history = train
     predictions = np.empty(len(test))
     for i in range(len(test)):
         try:
-            predictions[i] = adapter.predict_one(history)
+            predictions[i] = adapter.predict_one(history, int(test.at[i]))
         except AircastError as exc:
             raise EvaluationError(
                 f"model {adapter.name!r} failed at test index {i}: {exc}"
@@ -329,8 +301,8 @@ def fit_or_load(adapter: Forecaster, train: TimeSeries, path: Path) -> str:
     """Fit ``adapter`` on ``train``, or restore it from the model JSON at
     ``path`` when that file's ``fit_key`` is this fit's key; returns the key.
 
-    A missing or unreadable file, or one made from other data, settings or
-    code, means a fresh fit. Nothing is written here.
+    A missing or unreadable file, one ``load`` refuses, or one made from other
+    data, settings or code, means a fresh fit. Nothing is written here.
     """
     key = adapter.fit_key(train)
     try:
@@ -339,7 +311,7 @@ def fit_or_load(adapter: Forecaster, train: TimeSeries, path: Path) -> str:
         if isinstance(stored, dict) and stored.pop("fit_key", None) == key:
             adapter.load(stored, train)
             return key
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, AircastError):
         pass
     adapter.fit(train)
     return key

@@ -102,7 +102,7 @@ class IngestReport:
         }
 
 
-def _parse_timestamp(text: str) -> int:
+def parse_timestamp(text: str) -> int:
     """ISO-8601 with explicit offset -> epoch seconds. Raises ValueError."""
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
@@ -169,7 +169,7 @@ def parse_readings(
             report.rejects.append((line_no, "empty station"))
             continue
         try:
-            at = _parse_timestamp(row[timestamp_col])
+            at = parse_timestamp(row[timestamp_col])
         except (ValueError, OverflowError, OSError):
             report.rejects.append((line_no, "bad timestamp"))
             continue

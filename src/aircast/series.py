@@ -95,17 +95,6 @@ class TimeSeries:
     def local_dates(self) -> list[date]:
         return [dt.date() for dt in self.local_datetimes()]
 
-    @classmethod
-    def from_pairs(
-        cls, granularity: Granularity, pairs: Sequence[tuple[int, float]]
-    ) -> "TimeSeries":
-        pairs = sorted(pairs)
-        return cls(
-            granularity,
-            np.array([p[0] for p in pairs], dtype=np.int64),
-            np.array([p[1] for p in pairs], dtype=np.float64),
-        )
-
 
 @dataclass(frozen=True)
 class SplitSpec:

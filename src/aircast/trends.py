@@ -98,31 +98,18 @@ class ExceedanceReport:
     fraction: float | None  # None when there are no entries
 
 
-def five_number_summary(
-    values: Sequence[float], fence_outliers: bool = False
-) -> FiveNumberSummary:
-    """Summarize a group of values.
-
-    By default the whiskers are the true extremes. With ``fence_outliers``
-    they become the most extreme values inside the 1.5-IQR fences (quartiles
-    and count are unaffected).
-    """
+def five_number_summary(values: Sequence[float]) -> FiveNumberSummary:
+    """Summarize a group of values."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise EmptyInputError("cannot summarize an empty group")
     q1, median, q3 = np.quantile(arr, [0.25, 0.5, 0.75], method="linear")
-    if fence_outliers:
-        iqr = q3 - q1
-        inside = arr[(arr >= q1 - 1.5 * iqr) & (arr <= q3 + 1.5 * iqr)]
-        low, high = float(inside.min()), float(inside.max())
-    else:
-        low, high = float(arr.min()), float(arr.max())
     return FiveNumberSummary(
-        minimum=low,
+        minimum=float(arr.min()),
         q1=float(q1),
         median=float(median),
         q3=float(q3),
-        maximum=high,
+        maximum=float(arr.max()),
         iqr=float(q3 - q1),
         count=int(arr.size),
     )

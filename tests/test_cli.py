@@ -481,11 +481,15 @@ class TestFitReuse:
             (name, "fit" if name in refitted else "load") for name in MODELS
         )
 
-    @pytest.mark.parametrize("damage", ["other key", "truncated", "no key", "not an object"])
+    @pytest.mark.parametrize("damage, damaged", [
+        *(pytest.param(damage, MODELS, id=damage)
+          for damage in ("other key", "truncated", "no key", "not an object")),
+        pytest.param("refused by load", ("ann",), id="refused by load"),
+    ])
     def test_damaged_model_file_means_a_fresh_fit(self, gitega_forecast, gitega_alone, tmp_path,
-                                                 fit_events, damage):
+                                                 fit_events, damage, damaged):
         out = shutil.copytree(gitega_forecast, tmp_path / "out")
-        for name in MODELS:
+        for name in damaged:
             path = out / "forecast" / f"gitega_{name}_model.json"
             text = path.read_text(encoding="utf-8")
             stored = json.loads(text)
@@ -495,14 +499,48 @@ class TestFitReuse:
                 del stored["fit_key"]
             elif damage == "not an object":
                 stored = [stored]
+            elif damage == "refused by load":
+                stored["window"] = 6  # the key still matches; the layer sizes do not
             path.write_text(
                 text[: len(text) // 2] if damage == "truncated" else json.dumps(stored),
                 encoding="utf-8",
             )
         fit_events.clear()
         assert main(["evaluate", "--out", str(out), "--station", "Gitega", *REUSE_ARGS]) == 0
-        assert sorted(fit_events) == [(name, "fit") for name in sorted(MODELS)]
+        assert {name for name, event in fit_events if event == "fit"} == set(damaged)
         assert stage_files(out / "evaluation") == gitega_alone
+
+
+class TestDamagedSeriesFile:
+    """A series file that does not read fails its own station; the others go on."""
+
+    @pytest.mark.parametrize("damage, reason", [
+        pytest.param("naive stamp", "lacks a UTC offset", id="naive-stamp"),
+        pytest.param("bad value", "could not convert", id="bad-value"),
+    ])
+    @pytest.mark.parametrize("command, extra", [
+        pytest.param("trend", [], id="trend"),
+        pytest.param("forecast", ["--models", "arima", *FAST_EVAL], id="forecast"),
+        pytest.param("evaluate", ["--models", "arima", *FAST_EVAL], id="evaluate"),
+    ])
+    def test_fails_only_its_own_station(self, pipeline_out, tmp_path, capsys, command, extra,
+                                        damage, reason):
+        out = fresh_out(pipeline_out, tmp_path / "out")
+        path = out / "series" / "gitega_daily.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        stamp, value = lines[3].rstrip("\n").split(",")
+        lines[3] = f"{stamp[:-len('+02:00')]},{value}\n" if damage == "naive stamp" else f"{stamp},n/a\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+        assert main([command, "--out", str(out), *extra, "--workers", "2"]) == 0
+        err = capsys.readouterr().err
+        assert f"{path}, line 4: " in err and reason in err
+        if command == "evaluate":
+            _, rows = read_csv(out / "evaluation" / "comparison.csv")
+            assert {row[0]: row[1] != "" for row in rows} == {"Gitega": False, "Rebero": True}
+        else:
+            written = {name.name.split("_")[0] for name in (out / STAGE_DIRS[command]).iterdir()}
+            assert "rebero" in written and "gitega" not in written
 
 
 class TestLongSeries:

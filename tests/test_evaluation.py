@@ -33,7 +33,7 @@ from aircast.evaluation import (
 from aircast.reference import REPORTED_MODEL_COMPARISON
 from aircast.series import SplitSpec, TimeSeries, append_observation, split_holdout
 
-from conftest import daily_series
+from conftest import daily_series, instants_after
 
 
 def two_pass_rmse(actual, predicted):
@@ -106,17 +106,14 @@ class NaiveAdapter(Forecaster):
     def fit(self, train):
         pass
 
-    def forecast(self, history, horizon):
-        return np.full(horizon, history.values[-1]), None
+    def forecast(self, history, at):
+        return np.full(len(at), history.values[-1]), None
 
     def to_dict(self):
         return {}
 
     def load(self, data, train):
         pass
-
-    def settings(self):
-        return ()
 
 
 class CountingAdapter:
@@ -131,7 +128,7 @@ class CountingAdapter:
     def fit(self, train):
         self.fit_calls += 1
 
-    def predict_one(self, history):
+    def predict_one(self, history, at):
         self.history_lengths.append(len(history))
         return float(history.values[-1])
 
@@ -142,7 +139,7 @@ class FailingAdapter:
     def fit(self, train):
         raise arima.TooShortError("boom") if False else _raise()
 
-    def predict_one(self, history):  # pragma: no cover
+    def predict_one(self, history, at):  # pragma: no cover
         return 0.0
 
 
@@ -208,7 +205,7 @@ class TestRollingOneStep:
             def fit(self, train):
                 pass
 
-            def predict_one(self, history):
+            def predict_one(self, history, at):
                 if len(history) >= 27:
                     _raise()
                 return 0.0
@@ -272,12 +269,11 @@ class TestCompareModels:
             compare_models(daily_series(np.arange(40.0)), SplitSpec(fraction=0.2), [])
 
 
-def gp_oracle_step(model, base_at, history):
-    """A full fit_gp on the history and the posterior mean one day ahead."""
+def gp_oracle_step(model, base_at, history, at):
+    """A full fit_gp on the history and the posterior mean at the instant ``at``."""
     x = gp.day_indices(history, base_at=base_at)
     refit = gp.fit_gp(x, history.values, model.params, model.noise_variance)
-    next_x = x[-1] + 1.0
-    return float(gp.posterior(refit, [next_x])[0][0])
+    return float(gp.posterior(refit, [(at - base_at) / gp.SECONDS_PER_DAY])[0][0])
 
 
 @pytest.fixture
@@ -306,9 +302,29 @@ class TestGpAdapter:
 
         history, expected = train, []
         for i in range(len(test)):
-            expected.append(gp_oracle_step(trained, int(train.at[0]), history))
+            expected.append(gp_oracle_step(trained, int(train.at[0]), history, int(test.at[i])))
             history = append_observation(history, int(test.at[i]), float(test.values[i]))
         np.testing.assert_allclose(predictions, expected, rtol=1e-12)
+
+    def test_prediction_after_a_gap_is_at_the_held_out_instant(self):
+        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 80, seed=30)
+        kept = np.r_[0:66, 72:80]  # six days missing from the holdout
+        gapped = TimeSeries(series.granularity, series.at[kept], series.values[kept])
+        train, test = split_holdout(gapped, SplitSpec(count=14))
+        adapter = GpAdapter()
+        adapter.fit(train)
+        trained = adapter.model
+        predictions, _ = rolling_one_step(adapter, train, test)
+
+        after = 6  # test.at[6] is the first instant after the gap
+        assert test.at[after] - test.at[after - 1] == 7 * 86_400
+        history = TimeSeries(
+            gapped.granularity,
+            gapped.at[: len(train) + after],
+            gapped.values[: len(train) + after],
+        )
+        expected = gp_oracle_step(trained, int(train.at[0]), history, int(test.at[after]))
+        assert predictions[after] == pytest.approx(expected, rel=1e-12)
 
     def test_non_extending_history_refits(self, fit_gp_calls):
         series = arima.simulate_arma(12.0, [0.7], [], 1.0, 60, seed=25)
@@ -317,14 +333,15 @@ class TestGpAdapter:
         trained = adapter.model
         fit_gp_calls.clear()
         extended = append_observation(series, int(series.at[-1]) + 86_400, 15.0)
-        adapter.predict_one(extended)
+        adapter.predict_one(extended, int(extended.at[-1]) + 86_400)
         assert fit_gp_calls == []
 
         dropped = TimeSeries(series.granularity, series.at[1:], series.values[1:])
-        prediction = adapter.predict_one(dropped)
+        at = int(dropped.at[-1]) + 86_400
+        prediction = adapter.predict_one(dropped, at)
         assert fit_gp_calls == [59]
         assert prediction == pytest.approx(
-            gp_oracle_step(trained, int(series.at[0]), dropped), rel=1e-12
+            gp_oracle_step(trained, int(series.at[0]), dropped, at), rel=1e-12
         )
 
     def test_revised_values_need_no_refit(self, fit_gp_calls):
@@ -335,10 +352,11 @@ class TestGpAdapter:
         trained = adapter.model
         fit_gp_calls.clear()
         revised = TimeSeries(series.granularity, series.at, series.values[::-1].copy())
-        prediction = adapter.predict_one(revised)
+        at = int(revised.at[-1]) + 86_400
+        prediction = adapter.predict_one(revised, at)
         assert fit_gp_calls == []
         assert prediction == pytest.approx(
-            gp_oracle_step(trained, int(series.at[0]), revised), rel=1e-12
+            gp_oracle_step(trained, int(series.at[0]), revised, at), rel=1e-12
         )
 
     def test_cap_error_at_the_step_that_crosses_it(self):
@@ -381,7 +399,7 @@ class TestFitOrLoad:
         loaded.load(json.loads(json.dumps(fitted.to_dict())), train)
         assert loaded.to_dict() == fitted.to_dict()
         (fitted_means, fitted_vars), (loaded_means, loaded_vars) = (
-            adapter.forecast(train, 5) for adapter in (fitted, loaded)
+            adapter.forecast(train, instants_after(train, 5)) for adapter in (fitted, loaded)
         )
         assert np.array_equal(fitted_means, loaded_means)
         assert (fitted_vars is None) == (loaded_vars is None)
@@ -396,7 +414,8 @@ class TestFitOrLoad:
         adapter = GpAdapter()
         adapter.fit(train)
         history = append_observation(train, int(test.at[0]), float(test.values[0]))
-        assert adapter.predict_one(history) == adapter.forecast(history, 1)[0][0]
+        at = int(test.at[1])
+        assert adapter.predict_one(history, at) == adapter.forecast(history, [at])[0][0]
 
     def test_key_covers_data_settings_and_code(self, ar1_split, monkeypatch):
         train, _ = ar1_split

@@ -29,7 +29,7 @@ def test_install_spans_resolves_every_site_and_restores(bench):
     try:
         bench.install_spans(tracer)  # a name that no longer resolves raises here
         adapter.fit(series)
-        adapter.predict_one(series)
+        adapter.predict_one(series, int(series.at[-1]) + 86_400)
     finally:
         tracer.restore()
 
@@ -63,3 +63,33 @@ def test_ingest_sites_record_spans_and_row_counts(bench, tmp_path):
     assert {"ingest.parse_readings", "ingest.build_station_series"} <= names
     assert tracer.counts["ingest.rows_read"] == 25
     assert tracer.counts["ingest.rows_rejected"] == 1
+
+
+def test_every_site_records_a_span_through_the_pipeline(bench, tmp_path):
+    """A refactor that routes a stage around a wrapped name would zero that
+    layer's metrics; each site must see at least one call."""
+    tracer = bench.Tracer(run_id="pipeline-sites")
+    sites = []
+    patch = tracer.patch
+
+    def recording(owner, attr, name, observe=None):
+        sites.append(name)
+        patch(owner, attr, name, observe)
+
+    tracer.patch = recording
+    out = str(tmp_path)
+    model_flags = ["--arima-grid", "1,0,1", "--workers", "1"]
+    try:
+        bench.install_spans(tracer)
+        assert cli.main(["simulate", "--out", out, "--n-days", "120", "--station", "Gitega"]) == 0
+        assert cli.main(["ingest", "--out", out, "--input", f"{out}/simulated_readings.csv"]) == 0
+        assert cli.main(["trend", "--out", out, "--workers", "1"]) == 0
+        assert cli.main(["forecast", "--out", out, *model_flags]) == 0
+        assert cli.main(["evaluate", "--out", out, *model_flags]) == 0
+    finally:
+        tracer.restore()
+
+    # only the Nelder–Mead fallback, which this data does not need, reaches arima.minimize
+    expected = set(sites) - {"arima.minimize"}
+    assert len(expected) == len(sites) - 1
+    assert expected - {span.name for span in tracer.spans} == set()

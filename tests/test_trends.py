@@ -76,14 +76,9 @@ class TestFiveNumberSummary:
         assert after.minimum == before.minimum
         assert after.q1 >= before.q1
 
-    def test_outlier_fencing_off_by_default(self):
-        values = [1.0, 2.0, 3.0, 4.0, 100.0]
-        assert five_number_summary(values).maximum == 100.0
-        fenced = five_number_summary(values, fence_outliers=True)
-        # q3 = 4, iqr = 2 -> upper fence 7; whisker falls back to 4
-        assert fenced.maximum == 4.0
-        assert fenced.minimum == 1.0
-        assert fenced.q3 == five_number_summary(values).q3
+    def test_whiskers_are_the_true_extremes(self):
+        # 100 lies beyond the 1.5-IQR fence (q3 = 4, iqr = 2) and is still the maximum
+        assert five_number_summary([1.0, 2.0, 3.0, 4.0, 100.0]).maximum == 100.0
 
 
 class TestHourOfDayProfile:
