@@ -65,7 +65,7 @@ from .series import (
     LOCAL_TZ,
     SplitSpec,
     TimeSeries,
-    estimate_step_seconds,
+    instants_after,
     interpolate_gaps,
     resample_mean,
     split_holdout,
@@ -623,8 +623,7 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
         result["errors"]["*"] = str(exc)
         return result
 
-    step = estimate_step_seconds(train)
-    future_at = [int(train.at[-1]) + step * (k + 1) for k in range(args.horizon)]
+    future_at = instants_after(train, args.horizon).tolist()
     actual_by_at = dict(zip(series.at.tolist(), series.values.tolist()))
 
     tracks: dict[str, np.ndarray] = {}

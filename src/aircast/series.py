@@ -143,6 +143,12 @@ def estimate_step_seconds(series: TimeSeries) -> int:
     return int(max(1, np.median(gaps)))
 
 
+def instants_after(series: TimeSeries, count: int) -> np.ndarray:
+    """The ``count`` instants that follow ``series`` at its cadence."""
+    step = estimate_step_seconds(series)
+    return series.at[-1] + step * np.arange(1, count + 1, dtype=np.int64)
+
+
 def group_means(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sorted distinct keys, mean of ``values`` per key, count per key). Each key's values
     are summed in their given order, as ``np.mean`` sums up to seven values."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from aircast.series import Granularity, TimeSeries, estimate_step_seconds
+from aircast.series import Granularity, TimeSeries
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -28,12 +28,6 @@ def hourly_series(values, start=BASE_EPOCH) -> TimeSeries:
     values = np.asarray(values, dtype=np.float64)
     at = start + HOUR * np.arange(values.size, dtype=np.int64)
     return TimeSeries(Granularity.HOURLY, at, values)
-
-
-def instants_after(series: TimeSeries, count: int) -> np.ndarray:
-    """The next ``count`` instants after ``series`` at its cadence."""
-    step = estimate_step_seconds(series)
-    return series.at[-1] + step * np.arange(1, count + 1, dtype=np.int64)
 
 
 @pytest.fixture

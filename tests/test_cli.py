@@ -481,13 +481,15 @@ class TestFitReuse:
             (name, "fit" if name in refitted else "load") for name in MODELS
         )
 
-    @pytest.mark.parametrize("damage, damaged", [
-        *(pytest.param(damage, MODELS, id=damage)
+    @pytest.mark.parametrize("damage, damaged, events", [
+        *(pytest.param(damage, MODELS, [(name, "fit") for name in MODELS], id=damage)
           for damage in ("other key", "truncated", "no key", "not an object")),
-        pytest.param("refused by load", ("ann",), id="refused by load"),
+        pytest.param("refused by load", ("ann",),
+                     [("ann", "load"), ("ann", "fit"), ("arima", "load"), ("gp", "load")],
+                     id="refused by load"),
     ])
     def test_damaged_model_file_means_a_fresh_fit(self, gitega_forecast, gitega_alone, tmp_path,
-                                                 fit_events, damage, damaged):
+                                                 fit_events, damage, damaged, events):
         out = shutil.copytree(gitega_forecast, tmp_path / "out")
         for name in damaged:
             path = out / "forecast" / f"gitega_{name}_model.json"
@@ -507,7 +509,7 @@ class TestFitReuse:
             )
         fit_events.clear()
         assert main(["evaluate", "--out", str(out), "--station", "Gitega", *REUSE_ARGS]) == 0
-        assert {name for name, event in fit_events if event == "fit"} == set(damaged)
+        assert sorted(fit_events) == sorted(events)
         assert stage_files(out / "evaluation") == gitega_alone
 
 

@@ -31,9 +31,15 @@ from aircast.evaluation import (
     rolling_one_step,
 )
 from aircast.reference import REPORTED_MODEL_COMPARISON
-from aircast.series import SplitSpec, TimeSeries, append_observation, split_holdout
+from aircast.series import (
+    SplitSpec,
+    TimeSeries,
+    append_observation,
+    instants_after,
+    split_holdout,
+)
 
-from conftest import daily_series, instants_after
+from conftest import daily_series
 
 
 def two_pass_rmse(actual, predicted):

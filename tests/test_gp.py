@@ -27,8 +27,9 @@ from aircast.gp import (
     posterior_mean,
 )
 from aircast.evaluation import GpAdapter
+from aircast.series import instants_after
 
-from conftest import daily_series, instants_after
+from conftest import daily_series
 
 
 def dense_posterior_oracle(x, y, params, noise, jitter, test_x):
