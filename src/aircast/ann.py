@@ -20,44 +20,26 @@ from .series import TimeSeries
 
 
 class Activation(Enum):
-    LOGISTIC = "logistic"
+    """Hidden-layer activation. The pipeline uses ``TANH``; ``IDENTITY`` makes
+    the network an affine map, an exact linear oracle for forward, training and
+    recursive-forecast checks."""
+
     TANH = "tanh"
-    RELU = "relu"
     IDENTITY = "identity"
-
-
-def _logistic(x: np.ndarray) -> np.ndarray:
-    # split by sign so exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def activation(kind: Activation, x):
     """Evaluate the activation; accepts scalars or arrays."""
     arr = np.asarray(x, dtype=np.float64)
-    if kind is Activation.LOGISTIC:
-        result = _logistic(arr)
-    elif kind is Activation.TANH:
-        result = np.tanh(arr)
-    elif kind is Activation.RELU:
-        result = np.maximum(arr, 0.0)
-    else:
-        result = arr
+    result = np.tanh(arr) if kind is Activation.TANH else arr
     return float(result) if np.isscalar(x) or arr.ndim == 0 else result
 
 
-def _activation_deriv(kind: Activation, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    if kind is Activation.LOGISTIC:
-        return post * (1.0 - post)
+def _activation_deriv(kind: Activation, post: np.ndarray) -> np.ndarray:
+    """The derivative, written in terms of the activation's output."""
     if kind is Activation.TANH:
         return 1.0 - post**2
-    if kind is Activation.RELU:
-        return (pre > 0).astype(np.float64)  # subgradient 0 at exactly 0
-    return np.ones_like(pre)
+    return np.ones_like(post)
 
 
 @dataclass(frozen=True)
@@ -166,17 +148,14 @@ def _forward_pass(
     biases: Sequence[np.ndarray],
     act: Activation,
     inputs: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Propagate a (features x batch) matrix; returns pre-activations and activations."""
-    pres: list[np.ndarray] = []
+) -> list[np.ndarray]:
+    """Propagate a (features x batch) matrix; returns each layer's activations, inputs first."""
     acts: list[np.ndarray] = [inputs]
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, biases)):
         pre = w @ acts[-1] + b[:, None]
-        pres.append(pre)
-        post = pre if k == last else np.asarray(activation(act, pre))
-        acts.append(post)
-    return pres, acts
+        acts.append(pre if k == last else np.asarray(activation(act, pre)))
+    return acts
 
 
 def _loss_and_grads(
@@ -194,7 +173,7 @@ def _loss_and_grads(
     matrices only, never biases.
     """
     batch = t.size
-    pres, acts = _forward_pass(weights, biases, act, x)
+    acts = _forward_pass(weights, biases, act, x)
     pred = acts[-1][0]
     residual = pred - t
     loss = float(np.mean(residual**2))
@@ -209,7 +188,7 @@ def _loss_and_grads(
         d_weights[k] = delta @ acts[k].T + 2.0 * l2 * weights[k]
         d_biases[k] = delta.sum(axis=1)
         if k > 0:
-            delta = (weights[k].T @ delta) * _activation_deriv(act, pres[k - 1], acts[k])
+            delta = (weights[k].T @ delta) * _activation_deriv(act, acts[k])
     return loss, d_weights, d_biases
 
 
@@ -258,7 +237,7 @@ def forward(net: MlpForecaster, inputs: Sequence[float]) -> float:
     if not np.all(np.isfinite(arr)):
         raise ValueError("inputs must be finite")
     scaled = (arr - net.scaler.shift) / net.scaler.scale
-    _, acts = _forward_pass(net.weights, net.biases, net.hidden_activation, scaled[:, None])
+    acts = _forward_pass(net.weights, net.biases, net.hidden_activation, scaled[:, None])
     return float(acts[-1][0, 0] * net.scaler.scale + net.scaler.shift)
 
 

@@ -22,6 +22,7 @@ import contextlib
 import csv
 import ctypes
 import json
+import math
 import os
 import sys
 import zlib
@@ -55,10 +56,11 @@ from .ingest import (
     ColumnMapping,
     Pollutant,
     STATION_ROSTER,
-    Station,
     build_station_series,
+    parse_pollutant,
     parse_readings_path,
     parse_timestamp,
+    station_key,
 )
 from .series import (
     Granularity,
@@ -119,10 +121,6 @@ def derive_seed(master: int, *labels: object) -> int:
     for label in labels:
         h = zlib.crc32(str(label).lower().encode("utf-8"), h)
     return int(h)
-
-
-def station_slug(name: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in name.strip().lower())
 
 
 def _iso_local(epoch: int) -> str:
@@ -196,12 +194,12 @@ def load_series_csv(path: Path, granularity: Granularity) -> TimeSeries | None:
 
 
 def series_path(out: Path, station: str, granularity: Granularity) -> Path:
-    return out / "series" / f"{station_slug(station)}_{granularity.value}.csv"
+    return out / "series" / f"{station_key(station)}_{granularity.value}.csv"
 
 
 def model_path(out: Path, station: str, model: str) -> Path:
     """The model JSON ``forecast`` writes and both model stages may load."""
-    return out / "forecast" / f"{station_slug(station)}_{model}_model.json"
+    return out / "forecast" / f"{station_key(station)}_{model}_model.json"
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +250,16 @@ def _parse_coeffs(text: str) -> tuple[float, ...]:
 
 
 def _check_stations(args: argparse.Namespace) -> bool:
-    """False, after saying why, when a ``--station`` name is blank."""
+    """Keep the first ``--station`` spelling of each station key in place;
+    False, after saying why, when a name is blank."""
+    unique: dict[str, str] = {}
     try:
         for name in args.station:
-            Station(name)
+            unique.setdefault(station_key(name), name)
     except ValueError as exc:
         print(f"{args.command}: --station: {exc}", file=sys.stderr)
         return False
+    args.station = list(unique.values())
     return True
 
 
@@ -279,16 +280,16 @@ def _parse_model_flags(args: argparse.Namespace) -> bool:
 
 
 def _station_names(out: Path, requested: Sequence[str]) -> list[str]:
-    """Stations to process: the requested filter, or every ingested station."""
+    """Stations to process: the requested filter, spelled as ingest reported
+    each one, or every ingested station."""
     report_path = out / "ingest_report.json"
     known: list[str] = []
     if report_path.exists():
         with open(report_path, encoding="utf-8") as fh:
             known = json.load(fh).get("stations_seen", [])
     if requested:
-        known_by_key = {name.casefold(): name for name in known}
-        names = (known_by_key.setdefault(name.casefold(), name) for name in requested)
-        return list(dict.fromkeys(names))  # a station named twice, in any case, runs once
+        known_by_key = {station_key(name): name for name in known}
+        return [known_by_key.get(station_key(name), name) for name in requested]
     return sorted(known)
 
 
@@ -402,7 +403,7 @@ def _run_stations(args: argparse.Namespace, worker: Callable) -> list | None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    stations = args.station or [s.name for s in STATION_ROSTER]
+    stations = args.station or list(STATION_ROSTER)
     rows = []
     try:
         given = {
@@ -448,7 +449,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return EXIT_SCHEMA
     if not _check_stations(args):
         return EXIT_SCHEMA
-    requested = list(dict.fromkeys(map(Station, args.station)))
     mapping = ColumnMapping(
         station=args.station_column,
         timestamp=args.timestamp_column,
@@ -462,7 +462,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         path = Path(raw_path)
         try:
             table, report = parse_readings_path(path, mapping)
-        except OSError as exc:
+        except (OSError, EOFError, zlib.error) as exc:  # the last two: a damaged .gz
             print(f"ingest: cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_IO
         except SchemaError as exc:
@@ -473,13 +473,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     rows_read = sum(report.rows_read for _, report in reports)
     rows_accepted = sum(report.rows_accepted for _, report in reports)
-    # union keeps the first file's spelling of a station
-    stations_seen = set().union(*(report.stations_seen for _, report in reports))
+    # station key -> spelling; read last file first, so the first file's spelling wins
+    stations_seen = {k: name for _, r in reversed(reports) for k, name in r.stations_seen.items()}
     write_json(out / "ingest_report.json", {
         "files": {str(path): report.to_dict() for path, report in reports},
         "rows_read": rows_read,
         "rows_accepted": rows_accepted,
-        "stations_seen": sorted(s.name for s in stations_seen),
+        "stations_seen": sorted(stations_seen.values()),
     })
 
     if rows_accepted == 0:
@@ -487,30 +487,28 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return EXIT_EMPTY
 
     readings = np.concatenate(tables).view(np.recarray)
-    pollutant = Pollutant(args.pollutant)
-    wanted = requested or sorted(stations_seen, key=lambda s: s.name)
+    gaps = {Granularity.HOURLY: MAX_GAP_HOURLY, Granularity.DAILY: MAX_GAP_DAILY}
     written = 0
-    for station in wanted:
+    for station in args.station or sorted(stations_seen.values()):
+        for granularity in gaps:  # series/ keeps only what this run writes for the station
+            series_path(out, station, granularity).unlink(missing_ok=True)
         try:
-            raw = build_station_series(readings, station, pollutant)
+            raw = build_station_series(readings, station, args.pollutant)
         except EmptySeriesError:
-            print(f"ingest: no data for station {station.name!r}", file=sys.stderr)
+            print(f"ingest: no data for station {station!r}", file=sys.stderr)
             continue
-        for granularity, max_gap in (
-            (Granularity.HOURLY, MAX_GAP_HOURLY),
-            (Granularity.DAILY, MAX_GAP_DAILY),
-        ):
+        for granularity, max_gap in gaps.items():
             try:
                 cleaned = interpolate_gaps(
                     resample_mean(raw, granularity, args.min_coverage), max_gap
                 )
             except EmptySeriesError:
                 print(
-                    f"ingest: {station.name}: no {granularity.value} bucket met coverage",
+                    f"ingest: {station}: no {granularity.value} bucket met coverage",
                     file=sys.stderr,
                 )
                 continue
-            write_series_csv(series_path(out, station.name, granularity), cleaned)
+            write_series_csv(series_path(out, station, granularity), cleaned)
             written += 1
     if written == 0:
         print("ingest: no station series written", file=sys.stderr)
@@ -560,14 +558,17 @@ def _trend_station(args: argparse.Namespace, station: str) -> dict:
             peak = max(present, key=lambda i: weekday[i].median)
             result["peak_weekday"] = trends.WEEKDAY_NAMES[peak]
 
-    slug = station_slug(station)
+    key = station_key(station)
     for name, (header, rows) in tables:
-        path = write_table(out / "trend" / f"{slug}_{name}", header, rows, args.format)
+        path = write_table(out / "trend" / f"{key}_{name}", header, rows, args.format)
         result["files"].append(str(path))
     return result
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.who_threshold):
+        print("trend: --who-threshold must be finite", file=sys.stderr)
+        return EXIT_SCHEMA
     if not _check_stations(args):
         return EXIT_SCHEMA
     out = Path(args.out)
@@ -650,7 +651,7 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
         row.append(actual if actual is not None else "")
         row.extend(float(column[k]) for column in columns.values())
         rows.append(row)
-    forecast_path = out / "forecast" / f"{station_slug(station)}_forecast"
+    forecast_path = out / "forecast" / f"{station_key(station)}_forecast"
     result["file"] = str(write_table(forecast_path, header, rows, args.format))
     result["models"] = {name: len(track) for name, track in tracks.items()}
     return result
@@ -790,8 +791,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ing)
     p_ing.add_argument("--input", action="append", default=[], required=True,
                        help="input CSV path (.gz accepted); repeatable")
-    p_ing.add_argument("--pollutant", default="PM25", type=str.upper,
-                       choices=[p.value for p in Pollutant])
+    p_ing.add_argument("--pollutant", default="PM25", type=parse_pollutant,
+                       metavar="{" + ",".join(p.value for p in Pollutant) + "}",
+                       help="pollutant to write series for, in any spelling the input may "
+                            "use (pm2.5 and 'PM 2.5' are PM25)")
     p_ing.add_argument("--min-coverage", type=float, default=DEFAULT_MIN_COVERAGE,
                        help="minimum bucket coverage fraction for resampled means")
     p_ing.add_argument("--station-column", default="station")

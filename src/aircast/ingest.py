@@ -33,41 +33,36 @@ class Pollutant(Enum):
     CO = "CO"
 
 
-@dataclass(frozen=True)
-class Station:
-    """Station identity; equality and hashing are case-insensitive."""
+def station_key(name: str) -> str:
+    """The station rule: two names are one station exactly when their keys
+    match, and the key is the stem of the station's file names.
 
-    name: str
-
-    def __post_init__(self) -> None:
-        if not self.name or not self.name.strip():
-            raise ValueError("station name must be non-empty")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Station):
-            return NotImplemented
-        return self.name.casefold() == other.name.casefold()
-
-    def __hash__(self) -> int:
-        return hash(self.name.casefold())
+    The name is stripped and case-folded, and every character that is not a
+    letter or digit becomes ``_``. Raises ValueError for a blank name.
+    """
+    key = "".join(c if c.isalnum() else "_" for c in name.strip().casefold())
+    if not key:
+        raise ValueError("station name must be non-empty")
+    return key
 
 
 #: Deployment roster of the Kigali monitoring network.
-STATION_ROSTER: tuple[Station, ...] = (
-    Station("Gitega"),
-    Station("Rusororo"),
-    Station("Gacuriro"),
-    Station("Kiyovu"),
-    Station("Rebero"),
-    Station("Mount Kigali"),
-    Station("Kimihurura"),
-    Station("Gikondo Mburabuturo"),
-    Station("Gikomero"),
+STATION_ROSTER: tuple[str, ...] = (
+    "Gitega",
+    "Rusororo",
+    "Gacuriro",
+    "Kiyovu",
+    "Rebero",
+    "Mount Kigali",
+    "Kimihurura",
+    "Gikondo Mburabuturo",
+    "Gikomero",
 )
 
 
-#: One accepted row of :func:`parse_readings`'s table. ``station`` is the name case-folded,
-#: so one comparison selects every spelling of a station; ``pollutant`` is a :class:`Pollutant`.
+#: One accepted row of :func:`parse_readings`'s table. ``station`` is the name's
+#: :func:`station_key`, so one comparison selects every spelling of a station;
+#: ``pollutant`` is a :class:`Pollutant`.
 READING_DTYPE = np.dtype(
     [("station", object), ("at", np.int64), ("pollutant", object), ("value", np.float64)]
 )
@@ -91,14 +86,15 @@ class IngestReport:
     rows_read: int = 0
     rows_accepted: int = 0
     rejects: list[tuple[int, str]] = field(default_factory=list)
-    stations_seen: set[Station] = field(default_factory=set)
+    #: station key -> the first spelling seen
+    stations_seen: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "rows_read": self.rows_read,
             "rows_accepted": self.rows_accepted,
             "rejects": [{"line": line, "reason": reason} for line, reason in self.rejects],
-            "stations_seen": sorted(s.name for s in self.stations_seen),
+            "stations_seen": sorted(self.stations_seen.values()),
         }
 
 
@@ -113,7 +109,9 @@ def parse_timestamp(text: str) -> int:
     return int(math.floor(dt.timestamp()))
 
 
-def _parse_pollutant(text: str) -> Pollutant:
+def parse_pollutant(text: str) -> Pollutant:
+    """A pollutant in any spelling the data may use (``pm2.5``, ``PM 2.5``,
+    ``PM25``). Raises ValueError for an unknown one."""
     token = text.strip().upper().replace(".", "").replace(" ", "")
     return Pollutant(token)
 
@@ -146,7 +144,7 @@ def parse_readings(
     station_col, timestamp_col, pollutant_col, value_col = columns
 
     rows: list[tuple[str, int, Pollutant, float]] = []
-    names: dict[str, None] = {}  # raw station names in order of first appearance
+    keys: dict[str, str] = {}  # raw station name -> its key, in order of first appearance
     report = IngestReport()
     while True:
         try:
@@ -174,7 +172,7 @@ def parse_readings(
             report.rejects.append((line_no, "bad timestamp"))
             continue
         try:
-            pollutant = _parse_pollutant(row[pollutant_col])
+            pollutant = parse_pollutant(row[pollutant_col])
         except ValueError:
             report.rejects.append((line_no, "unknown pollutant"))
             continue
@@ -189,11 +187,13 @@ def parse_readings(
         if value < 0:
             report.rejects.append((line_no, "negative value"))
             continue
-        rows.append((station_name.casefold(), at, pollutant, value))
-        names[station_name] = None
+        key = keys.get(station_name)
+        if key is None:  # one key string per spelling, shared by its rows
+            key = keys[station_name] = station_key(station_name)
+        rows.append((key, at, pollutant, value))
     report.rows_accepted = len(rows)
-    # a set keeps the first of equal members, so the first spelling wins
-    report.stations_seen = set(map(Station, names))
+    # read last spelling first, so the first spelling of each key wins
+    report.stations_seen = {key: name for name, key in reversed(keys.items())}
     return np.array(rows, dtype=READING_DTYPE).view(np.recarray), report
 
 
@@ -209,15 +209,12 @@ def parse_readings_path(
 
 def build_station_series(
     readings: np.recarray,
-    station: Station,
+    station: str,
     pollutant: Pollutant = Pollutant.PM25,
 ) -> TimeSeries:
     """Per-station raw series: filtered, time-sorted, duplicates mean-collapsed in file order."""
-    key = station.name.casefold()
-    mine = readings[(readings.station == key) & (readings.pollutant == pollutant)]
+    mine = readings[(readings.station == station_key(station)) & (readings.pollutant == pollutant)]
     if not len(mine):
-        raise EmptySeriesError(
-            f"no {pollutant.value} readings for station {station.name!r}"
-        )
+        raise EmptySeriesError(f"no {pollutant.value} readings for station {station!r}")
     instants, values, _ = group_means(mine.at, mine.value)
     return TimeSeries(Granularity.RAW, instants, values)

@@ -85,25 +85,12 @@ def max_relative_error(analytic, numeric):
 
 
 class TestActivation:
-    def test_logistic_midpoint(self):
-        assert activation(Activation.LOGISTIC, 0.0) == 0.5
-
     def test_tanh_odd(self):
         assert activation(Activation.TANH, 0.0) == 0.0
 
-    def test_relu(self):
-        assert activation(Activation.RELU, -2.0) == 0.0
-        assert activation(Activation.RELU, 3.0) == 3.0
-
-    def test_logistic_stable_at_extremes(self):
-        assert activation(Activation.LOGISTIC, 1000.0) == 1.0
-        assert activation(Activation.LOGISTIC, -1000.0) == pytest.approx(0.0, abs=1e-300)
-
     @given(st.floats(-500, 500))
     def test_ranges(self, x):
-        assert 0.0 <= activation(Activation.LOGISTIC, x) <= 1.0
         assert -1.0 <= activation(Activation.TANH, x) <= 1.0
-        assert activation(Activation.RELU, x) >= 0.0
         assert activation(Activation.IDENTITY, x) == x
 
 
@@ -144,10 +131,6 @@ class TestForward:
         )
         assert forward(net, [3.0]) == 7.0
 
-    def test_single_logistic_unit(self):
-        net = build_net([[[0.0]], [[1.0]]], [[0.0], [0.0]], hidden=Activation.LOGISTIC)
-        assert forward(net, [123.0]) == 0.5
-
     def test_scaler_applied_and_inverted(self):
         # network that echoes its (scaled) input: output = (x-s)/sigma, then
         # de-scaled back to x
@@ -187,15 +170,6 @@ class TestGradient:
         numeric = numeric_gradient(net, batch, l2=0.01)
         assert max_relative_error(analytic[0], numeric[0]) < 1e-4
         assert max_relative_error(analytic[1], numeric[1]) < 1e-4
-
-    def test_relu_subgradient_checked_numerically(self):
-        rng = np.random.default_rng(7)
-        net = random_net(rng, activation_kind=Activation.RELU)
-        batch = [(rng.uniform(-2, 2, 4), float(rng.uniform(-2, 2))) for _ in range(6)]
-        analytic = gradient(net, batch, l2=0.0)
-        numeric = numeric_gradient(net, batch, l2=0.0)
-        # pre-activations are almost surely away from 0 for random data
-        assert max_relative_error(analytic[0], numeric[0]) < 1e-4
 
     def test_residual_doubling_scales_output_bias_gradient(self):
         rng = np.random.default_rng(9)
@@ -322,7 +296,7 @@ class TestForecastRecursive:
 class TestSerialization:
     def test_round_trip_bitwise(self, rng):
         series = daily_series(rng.uniform(10, 90, 40))
-        net = train(series, 3, (5, 4), Activation.LOGISTIC, TrainConfig(epochs=5, seed=8))
+        net = train(series, 3, (5, 4), Activation.TANH, TrainConfig(epochs=5, seed=8))
         payload = json.dumps(net.to_dict(), indent=2)
         restored = MlpForecaster.from_dict(json.loads(payload))
         assert json.dumps(restored.to_dict(), indent=2) == payload

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from aircast import ann, arima, gp
-from aircast.cli import _openblas_thread_controls, main, single_blas_thread, station_slug
+from aircast.cli import _openblas_thread_controls, main, single_blas_thread
 from aircast.evaluation import AnnAdapter, ArimaAdapter, GpAdapter
+from aircast.ingest import station_key
 
 FAST_EVAL = ["--arima-grid", "1,0,1", "--workers", "1"]
 STAGE_DIRS = {"trend": "trend", "forecast": "forecast", "evaluate": "evaluation"}
@@ -91,15 +92,18 @@ class TestSimulate:
         assert (tmp_path / "envout" / "simulated_readings.csv").exists()
 
 
-class TestIngest:
-    CSV = (
-        "station,timestamp,pollutant,value\n"
-        + "".join(
-            f"Gitega,2021-06-{d:02d}T{h:02d}:00:00+02:00,PM25,{40 + h % 5}.0\n"
-            for d in range(1, 15)
-            for h in range(24)
-        )
+def hourly_rows(station: str = "Gitega", hours: range = range(24), level: int = 40) -> str:
+    """Two weeks of hourly PM25 input rows from June 1st, 2021, valued level + hour % 5."""
+    return "".join(
+        f"{station},2021-06-{d:02d}T{h:02d}:00:00+02:00,PM25,{level + h % 5}.0\n"
+        for d in range(1, 15)
+        for h in hours
     )
+
+
+class TestIngest:
+    HEADER = "station,timestamp,pollutant,value\n"
+    CSV = HEADER + hourly_rows()
 
     def test_full_ingest(self, tmp_path):
         src = tmp_path / "readings.csv"
@@ -123,6 +127,20 @@ class TestIngest:
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["ingest", "--out", str(tmp_path), "--input", str(tmp_path / "nope.csv")]) == 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_is_io_error(self, tmp_path, capsys, damage):
+        packed = gzip.compress(self.CSV.encode("utf-8"))
+        if damage == "truncated":
+            packed = packed[: len(packed) // 2]
+        else:  # deflate block type 3 does not exist
+            packed = packed[:10] + bytes([0x07]) + packed[11:]
+        src = tmp_path / "readings.csv.gz"
+        src.write_bytes(packed)
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(src)]) == 1
+        assert capsys.readouterr().err.startswith(f"ingest: cannot read {src}: ")
+        assert not out.exists()
 
     def test_header_only_is_empty(self, tmp_path):
         src = tmp_path / "empty.csv"
@@ -158,6 +176,59 @@ class TestIngest:
         _, hourly = read_csv(out / "series" / "gitega_hourly.csv")
         # the first file holds 40.0 at 05:00 on June 1st
         assert ["2021-06-01T05:00:00+02:00", "45.0"] in hourly
+
+    def test_station_spellings_that_differ_in_punctuation_are_one_station(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text(
+            self.HEADER + hourly_rows("Mount Kigali") + hourly_rows("Mount-Kigali", level=90),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(src)]) == 0
+        assert "wrote 2 series files" in capsys.readouterr().out
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["stations_seen"] == ["Mount Kigali"]
+        assert sorted(p.name for p in (out / "series").iterdir()) == [
+            "mount_kigali_daily.csv", "mount_kigali_hourly.csv",
+        ]
+        _, hourly = read_csv(out / "series" / "mount_kigali_hourly.csv")
+        # 40.0 from one spelling and 90.0 from the other at 00:00 on June 1st
+        assert hourly[0] == ["2021-06-01T00:00:00+02:00", "65.0"]
+
+    def test_reingest_removes_the_series_it_no_longer_writes(self, tmp_path, capsys):
+        full, half = tmp_path / "full.csv", tmp_path / "half.csv"
+        full.write_text(self.CSV, encoding="utf-8")
+        # hours 0-11 only: no day meets the daily coverage
+        half.write_text(self.HEADER + hourly_rows(hours=range(12)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(full)]) == 0
+        assert (out / "series" / "gitega_daily.csv").exists()
+        assert main(["ingest", "--out", str(out), "--input", str(half)]) == 0
+        captured = capsys.readouterr()
+        assert "Gitega: no daily bucket met coverage" in captured.err
+        assert "wrote 1 series files" in captured.out
+        assert sorted(p.name for p in (out / "series").iterdir()) == ["gitega_hourly.csv"]
+        _, hourly = read_csv(out / "series" / "gitega_hourly.csv")
+        assert {row[0][11:13] for row in hourly} == {f"{h:02d}" for h in range(12)}
+
+    def test_pollutant_flag_takes_the_data_spellings(self, tmp_path):
+        src = tmp_path / "readings.csv"
+        src.write_text(self.CSV, encoding="utf-8")
+        for flag in ("PM25", "pm2.5", "PM 2.5"):
+            out = tmp_path / flag.replace(" ", "_")
+            assert main(["ingest", "--out", str(out), "--input", str(src),
+                         "--pollutant", flag]) == 0
+            assert stage_files(out / "series") == stage_files(tmp_path / "PM25" / "series")
+
+    def test_unknown_pollutant_flag_is_schema_error_before_any_output(self, tmp_path, capsys):
+        src = tmp_path / "readings.csv"
+        src.write_text(self.CSV, encoding="utf-8")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest", "--out", str(out), "--input", str(src), "--pollutant", "O3"])
+        assert exit_info.value.code == 2
+        assert "{PM25,PM10,SO2,NO2,CO}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pollutant_flag_is_case_insensitive(self, tmp_path):
         src = tmp_path / "readings.csv"
@@ -215,6 +286,16 @@ class TestTrend:
         ]) == 0
         payload = json.loads((pipeline_out / "trend" / "gitega_seasonal.json").read_text())
         assert all({"season", "mean", "count"} <= set(entry) for entry in payload)
+
+    @pytest.mark.parametrize("flag", [
+        "--who-threshold=nan", "--who-threshold=inf", "--who-threshold=-inf",
+    ])
+    def test_bad_argument_is_schema_error_before_any_output(self, pipeline_out, tmp_path,
+                                                            capsys, flag):
+        out = fresh_out(pipeline_out, tmp_path / "out")
+        assert main(["trend", "--out", str(out), "--workers", "1", flag]) == 2
+        assert capsys.readouterr().err == "trend: --who-threshold must be finite\n"
+        assert sorted(path.name for path in out.iterdir()) == ["ingest_report.json", "series"]
 
     @pytest.mark.parametrize("command", ["trend", "forecast", "evaluate"])
     def test_without_ingest_is_empty(self, tmp_path, command):
@@ -615,5 +696,5 @@ class TestHygiene:
         assert list(workdir.iterdir()) == []
 
     def test_station_slug(self):
-        assert station_slug("Mount Kigali") == "mount_kigali"
-        assert station_slug("Gikondo Mburabuturo") == "gikondo_mburabuturo"
+        assert station_key("Mount Kigali") == "mount_kigali"
+        assert station_key("Gikondo Mburabuturo") == "gikondo_mburabuturo"

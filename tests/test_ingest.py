@@ -16,10 +16,10 @@ from aircast.ingest import (
     Pollutant,
     READING_DTYPE,
     STATION_ROSTER,
-    Station,
     build_station_series,
     parse_readings,
     parse_readings_path,
+    station_key,
 )
 
 HEADER = "station,timestamp,pollutant,value\n"
@@ -30,23 +30,38 @@ def parse_text(text: str, mapping=None):
 
 
 class TestStation:
+    """A station is its key: names are one station exactly when their keys match."""
+
     def test_case_insensitive_equality(self):
-        assert Station("Kiyovu") == Station("KIYOVU")
-        assert hash(Station("Kiyovu")) == hash(Station("kiyovu"))
-        assert Station("Kiyovu") != Station("Rebero")
+        assert station_key("Kiyovu") == station_key("KIYOVU")
+        assert station_key("Kiyovu") == station_key("kiyovu")
+        assert station_key("Kiyovu") != station_key("Rebero")
 
     def test_name_preserved(self):
-        assert Station("Mount Kigali").name == "Mount Kigali"
+        text = HEADER + (
+            "Mount Kigali,2021-06-01T08:00:00+02:00,PM25,1.0\n"
+            "MOUNT KIGALI,2021-06-01T09:00:00+02:00,PM25,2.0\n"
+        )
+        _, report = parse_text(text)
+        assert report.stations_seen == {"mount_kigali": "Mount Kigali"}
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Station("  ")
+        with pytest.raises(ValueError, match="station name must be non-empty"):
+            station_key("  ")
 
     def test_roster(self):
-        names = {s.name for s in STATION_ROSTER}
+        names = set(STATION_ROSTER)
         assert len(STATION_ROSTER) == 9
         assert {"Gitega", "Rusororo", "Gacuriro", "Kiyovu", "Rebero",
                 "Mount Kigali", "Kimihurura", "Gikondo Mburabuturo", "Gikomero"} == names
+
+    @pytest.mark.parametrize("name, key", [
+        ("  Mount-Kigali ", "mount_kigali"),
+        ("Gikondo/Mburabuturo", "gikondo_mburabuturo"),
+        ("Straße 7", "strasse_7"),  # casefold, not lower: the key of "STRASSE 7" too
+    ])
+    def test_key_is_the_file_stem(self, name, key):
+        assert station_key(name) == key
 
 
 class TestParseReadings:
@@ -61,7 +76,7 @@ class TestParseReadings:
         assert report.rows_read == 3
         assert report.rows_accepted == 3
         assert report.rejects == []
-        assert report.stations_seen == {Station("Gitega"), Station("Rebero")}
+        assert report.stations_seen == {"gitega": "Gitega", "rebero": "Rebero"}
 
     def test_nan_value_rejected_with_reason(self):
         text = HEADER + (
@@ -140,7 +155,7 @@ class TestParseReadings:
             rows_read=2,
             rows_accepted=1,
             rejects=[(3, "bad timestamp")],
-            stations_seen={Station("Gitega")},
+            stations_seen={"gitega": "Gitega"},
         )
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload == {
@@ -165,7 +180,7 @@ def reading_table(rows):
     """A PM2.5 reading table, as parse_readings returns, from (station, at,
     value) rows."""
     return np.array(
-        [(station.casefold(), at, Pollutant.PM25, value) for station, at, value in rows],
+        [(station_key(station), at, Pollutant.PM25, value) for station, at, value in rows],
         dtype=READING_DTYPE,
     ).view(np.recarray)
 
@@ -177,7 +192,7 @@ class TestBuildStationSeries:
             ("Gitega", 300, 3.0),
             ("Gitega", 100, 1.0),
         ])
-        series = build_station_series(readings, Station("gitega"))
+        series = build_station_series(readings, "gitega")
         np.testing.assert_array_equal(series.at, [100, 300])
         np.testing.assert_array_equal(series.values, [1.0, 3.0])
 
@@ -186,7 +201,7 @@ class TestBuildStationSeries:
             ("Gitega", 100, 10.0),
             ("Gitega", 100, 20.0),
         ])
-        series = build_station_series(readings, Station("Gitega"))
+        series = build_station_series(readings, "Gitega")
         assert len(series) == 1
         assert series.values[0] == 15.0
 
@@ -201,7 +216,7 @@ class TestBuildStationSeries:
         at, values = at[order], values[order]
         series = build_station_series(
             reading_table(("Gitega", int(t), float(v)) for t, v in zip(at, values)),
-            Station("Gitega"),
+            "Gitega",
         )
         expected = [np.mean(values[at == t]) for t in series.at]
         assert series.values.tobytes() == np.array(expected).tobytes()
@@ -209,4 +224,4 @@ class TestBuildStationSeries:
     def test_empty_selection(self):
         readings = reading_table([("Gitega", 100, 1.0)])
         with pytest.raises(EmptySeriesError):
-            build_station_series(readings, Station("Gitega"), Pollutant.SO2)
+            build_station_series(readings, "Gitega", Pollutant.SO2)

@@ -1,5 +1,7 @@
 """The benchmark's traced run (`perfbench/run.py --trace 1`) wraps aircast's
-functions and adapter methods by name; every one of them must still resolve."""
+functions and adapter methods by name; every one of them must still resolve.
+Its output checks find each station's files by its own copy of the station
+key rule, which must still name the files aircast writes."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from aircast import arima, cli, evaluation
+from aircast.ingest import station_key
 
 from conftest import daily_series
 
@@ -93,3 +96,10 @@ def test_every_site_records_a_span_through_the_pipeline(bench, tmp_path):
     expected = set(sites) - {"arima.minimize"}
     assert len(expected) == len(sites) - 1
     assert expected - {span.name for span in tracer.spans} == set()
+
+
+def test_benchmark_file_names_are_station_keys(bench):
+    gen = importlib.import_module("gen")
+    for name in gen.STATIONS:
+        for spelling in (name, name.upper(), name.lower()):
+            assert bench.slug(spelling) == station_key(spelling)
