@@ -3,7 +3,12 @@
 pipeline (ingest -> trend -> forecast -> evaluate) and print the headline
 results.
 
-Usage: python scripts/run_pipeline.py [output_dir] [--seed N] [--n-days N]
+Usage: python scripts/run_pipeline.py [output_dir] [--seed N] [--n-days N] [--input CSV]
+
+--input CSV skips the synthesis and runs the four stages on an existing
+readings file (any file `aircast ingest --input` takes). Running it on the
+same file from two checkouts gives two output directories that `diff -r`
+compares.
 """
 
 from __future__ import annotations
@@ -22,12 +27,15 @@ def run(argv: list[str]) -> int:
     parser.add_argument("out", nargs="?", default="demo_out")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n-days", type=int, default=540)
+    parser.add_argument("--input", help="readings CSV to ingest instead of a simulated one")
     args = parser.parse_args(argv)
     out = Path(args.out)
 
-    stages = [
+    stages = [] if args.input else [
         ["simulate", "--out", str(out), "--seed", str(args.seed), "--n-days", str(args.n_days)],
-        ["ingest", "--out", str(out), "--input", str(out / "simulated_readings.csv")],
+    ]
+    stages += [
+        ["ingest", "--out", str(out), "--input", args.input or str(out / "simulated_readings.csv")],
         ["trend", "--out", str(out)],
         ["forecast", "--out", str(out), "--seed", str(args.seed), "--horizon", "14"],
         ["evaluate", "--out", str(out), "--seed", str(args.seed)],

@@ -28,10 +28,9 @@ import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from datetime import datetime
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,15 +59,16 @@ from .ingest import (
     parse_pollutant,
     parse_readings_path,
     parse_timestamp,
+    parse_timestamps,
     station_key,
 )
 from .series import (
     Granularity,
-    LOCAL_TZ,
     SplitSpec,
     TimeSeries,
     instants_after,
     interpolate_gaps,
+    iso_local,
     resample_mean,
     split_holdout,
 )
@@ -123,14 +123,6 @@ def derive_seed(master: int, *labels: object) -> int:
     return int(h)
 
 
-def _iso_local(epoch: int) -> str:
-    return datetime.fromtimestamp(int(epoch), tz=LOCAL_TZ).isoformat()
-
-
-def _local_date(epoch: int) -> str:
-    return datetime.fromtimestamp(int(epoch), tz=LOCAL_TZ).date().isoformat()
-
-
 # ---------------------------------------------------------------------------
 # File helpers (all outputs: UTF-8, comma, '.' decimals, '\n' line endings)
 
@@ -157,9 +149,7 @@ def write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence], fmt
 
 
 def write_series_csv(path: Path, series: TimeSeries) -> None:
-    rows = [
-        [_iso_local(t), v] for t, v in zip(series.at.tolist(), series.values.tolist())
-    ]
+    rows = zip(iso_local(series.at), series.values.tolist())
     write_table(path, ["timestamp", "value"], rows, "csv")
 
 
@@ -171,26 +161,45 @@ def load_series_csv(path: Path, granularity: Granularity) -> TimeSeries | None:
     """
     if not path.exists():
         return None
-    at: list[int] = []
+    stamps: list[str] = []
     values: list[float] = []
+    readable = True
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        try:
+            for row in reader:
+                if row:
+                    stamp, value = row
+                    values.append(float(value))
+                    stamps.append(stamp)
+        except ValueError:
+            readable = False
+    at, stamp_ok = parse_timestamps(stamps)
+    if not (readable and stamp_ok.all()):
+        raise next(_row_errors(path))
+    if not stamps:
+        return None
+    try:
+        return TimeSeries(granularity, at, np.array(values))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def _row_errors(path: Path) -> Iterator[SchemaError]:
+    """An error naming each row of a series file that does not read, in file
+    order, by ingest's scalar timestamp rule."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row in reader:
-            if not row:
-                continue
-            try:
-                stamp, value = row
-                at.append(parse_timestamp(stamp))
-                values.append(float(value))
-            except (ValueError, OverflowError, OSError) as exc:
-                raise SchemaError(f"{path}, line {reader.line_num}: {exc}") from None
-    if not at:
-        return None
-    try:
-        return TimeSeries(granularity, np.array(at, dtype=np.int64), np.array(values))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+            if row:
+                try:
+                    stamp, value = row
+                    parse_timestamp(stamp)
+                    float(value)
+                except (ValueError, OverflowError, OSError) as exc:
+                    yield SchemaError(f"{path}, line {reader.line_num}: {exc}")
 
 
 def series_path(out: Path, station: str, granularity: Granularity) -> Path:
@@ -424,8 +433,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 args.n_days,
                 derive_seed(args.seed, name, "sim"),
             )
-            for t, v in zip(series.at.tolist(), series.values.tolist()):
-                rows.append([name, _iso_local(t), "PM25", v])
+            rows.extend(
+                [name, stamp, "PM25", v]
+                for stamp, v in zip(iso_local(series.at), series.values.tolist())
+            )
     except (NonStationaryError, ValueError) as exc:
         print(f"simulate: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -645,8 +656,11 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
     columns = {**tracks, **variances}
     header = ["date", "actual"] + list(columns)
     rows = []
-    for k, at in enumerate(future_at):
-        row: list = [_local_date(at) if granularity is Granularity.DAILY else _iso_local(at)]
+    stamps = iso_local(future_at)
+    if granularity is Granularity.DAILY:
+        stamps = [stamp[:10] for stamp in stamps]  # the local date
+    for k, (at, stamp) in enumerate(zip(future_at, stamps)):
+        row: list = [stamp]
         actual = actual_by_at.get(at)
         row.append(actual if actual is not None else "")
         row.extend(float(column[k]) for column in columns.values())

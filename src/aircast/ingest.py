@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO
+from operator import itemgetter
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -109,11 +110,137 @@ def parse_timestamp(text: str) -> int:
     return int(math.floor(dt.timestamp()))
 
 
+#: Rows read, and stamps parsed, per chunk. Each chunk is validated as
+#: columns, and only its results outlive it.
+CHUNK_ROWS = 1024
+
+#: The canonical stamp ``YYYY-MM-DDTHH:MM:SS+HH:MM``: the positions of its nine
+#: two-digit fields (century, year, month, day, hour, minute, second, offset
+#: hours, offset minutes), and of its date and time separators.
+_FIELD_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24)
+_SEPARATORS = ((4, "-"), (7, "-"), (10, "T"), (13, ":"), (16, ":"))
+
+
+def parse_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`parse_timestamp`: (epoch seconds, ok) per text.
+
+    Stamps of the exact shapes ``YYYY-MM-DDTHH:MM:SS+HH:MM`` (or ``-HH:MM``)
+    and ``YYYY-MM-DDTHH:MM:SSZ`` with ASCII digits and in-range fields are
+    read as columns, CHUNK_ROWS at a time; every other text goes to
+    :func:`parse_timestamp`, the rule. ``ok`` is False where the rule refuses
+    a text, and its instant is 0.
+    """
+    at = np.zeros(len(texts), np.int64)
+    ok = np.zeros(len(texts), bool)
+    for start in range(0, len(texts), CHUNK_ROWS):
+        chunk = slice(start, start + CHUNK_ROWS)
+        at[chunk], ok[chunk] = _parse_timestamp_chunk(texts[chunk])
+    return at, ok
+
+
+def _parse_timestamp_chunk(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    n = len(texts)
+    sizes = np.fromiter(map(len, texts), np.intp, n)
+    # a longer text is cut to 25 characters here, and left to the rule by its size
+    chars = np.array(texts, dtype="U25").view(np.uint32).reshape(n, 25)
+    digits = chars[:, _FIELD_DIGITS].astype(np.int64) - ord("0")
+    is_digit = (digits >= 0) & (digits <= 9)
+    century, year, month, day, hour, minute, second, off_hour, off_minute = (
+        digits[:, 0::2] * 10 + digits[:, 1::2]
+    ).T
+    year += 100 * century
+    sign = chars[:, 19]
+    zulu = (sizes == 20) & (sign == ord("Z"))
+    offset = (
+        (sizes == 25) & ((sign == ord("+")) | (sign == ord("-"))) & (chars[:, 22] == ord(":"))
+        & is_digit[:, 14:].all(axis=1) & (off_hour <= 23) & (off_minute <= 59)
+    )
+    fast = (zulu | offset) & is_digit[:, :14].all(axis=1)
+    for pos, separator in _SEPARATORS:
+        fast &= chars[:, pos] == ord(separator)
+    fast &= (year >= 1) & (month >= 1) & (month <= 12)
+    fast &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    # the first day of the stamp's month and of the next one, in days since 1970-01-01
+    months = np.where(fast, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
+    first_day, next_first_day = (
+        m.astype("datetime64[D]").astype(np.int64) for m in (months, months + 1)
+    )
+    fast &= (day >= 1) & (day <= next_first_day - first_day)
+
+    utc_offset = np.where(offset, off_hour * 3600 + off_minute * 60, 0)
+    utc_offset[sign == ord("-")] *= -1
+    seconds = (first_day + day - 1) * 86400 + hour * 3600 + minute * 60 + second
+    at = np.where(fast, seconds - utc_offset, 0)
+    ok = fast
+    for i in np.flatnonzero(~fast).tolist():
+        try:
+            at[i] = parse_timestamp(texts[i])
+            ok[i] = True
+        except (ValueError, OverflowError, OSError):
+            pass
+    return at, ok
+
+
 def parse_pollutant(text: str) -> Pollutant:
     """A pollutant in any spelling the data may use (``pm2.5``, ``PM 2.5``,
     ``PM25``). Raises ValueError for an unknown one."""
     token = text.strip().upper().replace(".", "").replace(" ", "")
     return Pollutant(token)
+
+
+#: Why a row is rejected, in the order the checks apply: a row gets the first
+#: reason that holds for it.
+REJECT_REASONS = (
+    "malformed csv",
+    "missing fields",
+    "empty station",
+    "bad timestamp",
+    "unknown pollutant",
+    "unparseable value",
+    "non-finite value",
+    "negative value",
+)
+
+_POLLUTANTS = np.array(list(Pollutant), dtype=object)
+
+
+def _row_chunks(reader) -> Iterator[tuple[list[int], list[list[str]]]]:
+    """(physical line numbers, rows) of the non-blank rows of ``reader``, up
+    to CHUNK_ROWS at a time. A row csv cannot read is an empty list."""
+    lines: list[int] = []
+    rows: list[list[str]] = []
+    while True:
+        try:
+            for row in reader:
+                if not row:
+                    continue  # blank line, not a data row
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) >= CHUNK_ROWS:
+                    yield lines, rows
+                    lines, rows = [], []
+        except csv.Error:
+            rows.append([])
+            lines.append(reader.line_num)
+            continue
+        break
+    if rows:
+        yield lines, rows
+
+
+def _float_or_none(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _pollutant_index(text: str) -> int:
+    """Position of the text's pollutant in ``Pollutant``; -1 for an unknown one."""
+    try:
+        return list(Pollutant).index(parse_pollutant(text))
+    except ValueError:
+        return -1
 
 
 def parse_readings(
@@ -124,11 +251,12 @@ def parse_readings(
 
     Rejected rows (bad timestamp, non-finite or negative value, unknown
     pollutant, missing fields) are recorded with their 1-based physical line
-    number (the header is line 1). Raises SchemaError if a required column is
-    absent from the header; IO failures propagate as OSError.
+    number (the header is line 1). A UTF-8 byte-order mark is skipped. Raises
+    SchemaError if a required column is absent from the header; IO failures
+    propagate as OSError.
     """
     mapping = mapping or ColumnMapping()
-    text = io.TextIOWrapper(stream, encoding="utf-8", errors="replace", newline="")
+    text = io.TextIOWrapper(stream, encoding="utf-8-sig", errors="replace", newline="")
     reader = csv.reader(text)
     try:
         header = next(reader)
@@ -141,60 +269,61 @@ def parse_readings(
     if missing:
         raise SchemaError(f"header is missing required columns: {', '.join(missing)}")
     columns = [header_index[col] for col in mapping.required()]
-    station_col, timestamp_col, pollutant_col, value_col = columns
+    width = max(columns) + 1
+    # stands in for a short row, which is rejected before its fields are read
+    padding = [""] * width
 
-    rows: list[tuple[str, int, Pollutant, float]] = []
-    keys: dict[str, str] = {}  # raw station name -> its key, in order of first appearance
+    tables = [np.empty(0, dtype=READING_DTYPE)]
+    keys: dict[str, str] = {}  # station name -> its key, in order of first acceptance
+    pollutants: dict[str, int] = {}  # pollutant text -> _pollutant_index(text)
     report = IngestReport()
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error:
-            report.rows_read += 1
-            report.rejects.append((reader.line_num, "malformed csv"))
-            continue
-        line_no = reader.line_num
-        if not row:
-            continue  # blank line, not a data row
-        report.rows_read += 1
-        if len(row) <= max(columns):
-            report.rejects.append((line_no, "missing fields"))
-            continue
-        station_name = row[station_col].strip()
-        if not station_name:
-            report.rejects.append((line_no, "empty station"))
-            continue
-        try:
-            at = parse_timestamp(row[timestamp_col])
-        except (ValueError, OverflowError, OSError):
-            report.rejects.append((line_no, "bad timestamp"))
-            continue
-        try:
-            pollutant = parse_pollutant(row[pollutant_col])
-        except ValueError:
-            report.rejects.append((line_no, "unknown pollutant"))
-            continue
-        try:
-            value = float(row[value_col])
-        except ValueError:
-            report.rejects.append((line_no, "unparseable value"))
-            continue
-        if not math.isfinite(value):
-            report.rejects.append((line_no, "non-finite value"))
-            continue
-        if value < 0:
-            report.rejects.append((line_no, "negative value"))
-            continue
-        key = keys.get(station_name)
-        if key is None:  # one key string per spelling, shared by its rows
-            key = keys[station_name] = station_key(station_name)
-        rows.append((key, at, pollutant, value))
-    report.rows_accepted = len(rows)
+    for lines, rows in _row_chunks(reader):
+        sizes = np.fromiter(map(len, rows), np.intp, len(rows))
+        short = sizes < width
+        if short.any():
+            rows = [padding if size < width else row for row, size in zip(rows, sizes.tolist())]
+        raw_stations, stamps, raw_pollutants, raw_values = (
+            list(map(itemgetter(col), rows)) for col in columns
+        )
+        stations = np.array(list(map(str.strip, raw_stations)), dtype=object)
+        at, stamp_ok = parse_timestamps(stamps)
+        for token in set(raw_pollutants) - pollutants.keys():
+            pollutants[token] = _pollutant_index(token)
+        pollutant = np.fromiter(map(pollutants.__getitem__, raw_pollutants), np.intp, len(rows))
+        floats = list(map(_float_or_none, raw_values))
+        values = np.array(floats, dtype=np.float64)  # None, a text float() refuses, is nan
+        failed = [  # one mask per reason, in REJECT_REASONS order
+            sizes == 0,
+            short,
+            stations == "",
+            ~stamp_ok,
+            pollutant < 0,
+            np.array([v is None for v in floats]),
+            ~np.isfinite(values),
+            values < 0,
+        ]
+        reason = np.select(failed, np.arange(1, len(failed) + 1))  # 0: accepted
+        report.rows_read += len(rows)
+        report.rejects.extend(
+            (lines[i], REJECT_REASONS[reason[i] - 1]) for i in np.flatnonzero(reason).tolist()
+        )
+        accepted = reason == 0
+        names = stations[accepted].tolist()
+        for name in dict.fromkeys(names):
+            if name not in keys:  # one key string per spelling, shared by its rows
+                keys[name] = station_key(name)
+        # np.zeros, because np.empty sets the object fields one item at a time, far slower
+        table = np.zeros(len(names), dtype=READING_DTYPE)
+        table["station"] = list(map(keys.__getitem__, names))
+        table["at"] = at[accepted]
+        table["pollutant"] = _POLLUTANTS[pollutant[accepted]]
+        table["value"] = values[accepted]
+        tables.append(table)
+    readings = np.concatenate(tables).view(np.recarray)
+    report.rows_accepted = len(readings)
     # read last spelling first, so the first spelling of each key wins
     report.stations_seen = {key: name for name, key in reversed(keys.items())}
-    return np.array(rows, dtype=READING_DTYPE).view(np.recarray), report
+    return readings, report
 
 
 def parse_readings_path(

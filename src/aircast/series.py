@@ -31,6 +31,9 @@ UTC_OFFSET_SECONDS = 7200
 
 LOCAL_TZ = timezone(timedelta(seconds=UTC_OFFSET_SECONDS))
 
+#: The offset part of a local ISO-8601 stamp, ``+02:00``.
+_LOCAL_SUFFIX = datetime.fromtimestamp(0, LOCAL_TZ).isoformat()[19:]
+
 _MIN_TRAIN = 10
 
 
@@ -89,11 +92,14 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.at.size)
 
-    def local_datetimes(self) -> list[datetime]:
-        return [datetime.fromtimestamp(int(t), tz=LOCAL_TZ) for t in self.at]
-
     def local_dates(self) -> list[date]:
-        return [dt.date() for dt in self.local_datetimes()]
+        return ((self.at + UTC_OFFSET_SECONDS) // 86400).astype("datetime64[D]").tolist()
+
+
+def iso_local(at: Sequence[int] | np.ndarray) -> list[str]:
+    """Local-time ISO-8601 stamps of epoch instants, ``2021-06-01T08:00:00+02:00``."""
+    wall = (np.asarray(at, dtype=np.int64) + UTC_OFFSET_SECONDS).astype("datetime64[s]")
+    return [stamp + _LOCAL_SUFFIX for stamp in np.datetime_as_string(wall).tolist()]
 
 
 @dataclass(frozen=True)

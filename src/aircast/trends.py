@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, EmptySeriesError, GranularityError
-from .series import Granularity, TimeSeries
+from .series import UTC_OFFSET_SECONDS, Granularity, TimeSeries
 
 #: WHO-recommended 24-hour mean PM2.5 guideline, µg/m³.
 WHO_DAILY_GUIDELINE = 15.0
@@ -127,10 +127,9 @@ def _require(series: TimeSeries, granularity: Granularity, op: str) -> None:
 def hour_of_day_profile(series: TimeSeries) -> list[FiveNumberSummary | None]:
     """24 summaries indexed by local hour; None marks hours with no data."""
     _require(series, Granularity.HOURLY, "hour_of_day_profile")
-    groups: list[list[float]] = [[] for _ in range(24)]
-    for dt, value in zip(series.local_datetimes(), series.values.tolist()):
-        groups[dt.hour].append(value)
-    return [five_number_summary(g) if g else None for g in groups]
+    hours = (series.at + UTC_OFFSET_SECONDS) // 3600 % 24
+    groups = [series.values[hours == hour] for hour in range(24)]
+    return [five_number_summary(g) if g.size else None for g in groups]
 
 
 def day_of_week_profile(series: TimeSeries) -> list[FiveNumberSummary | None]:

@@ -7,12 +7,23 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aircast import ann, arima, gp
-from aircast.cli import _openblas_thread_controls, main, single_blas_thread
+from aircast.cli import (
+    _openblas_thread_controls,
+    load_series_csv,
+    main,
+    single_blas_thread,
+    write_series_csv,
+)
+from aircast.errors import SchemaError
 from aircast.evaluation import AnnAdapter, ArimaAdapter, GpAdapter
 from aircast.ingest import station_key
+from aircast.series import Granularity, TimeSeries
+
+from conftest import BASE_EPOCH
 
 FAST_EVAL = ["--arima-grid", "1,0,1", "--workers", "1"]
 STAGE_DIRS = {"trend": "trend", "forecast": "forecast", "evaluate": "evaluation"}
@@ -624,6 +635,42 @@ class TestDamagedSeriesFile:
         else:
             written = {name.name.split("_")[0] for name in (out / STAGE_DIRS[command]).iterdir()}
             assert "rebero" in written and "gitega" not in written
+
+
+class TestSeriesFile:
+    """write_series_csv and load_series_csv: a round trip, and the first row
+    that does not read names the error."""
+
+    def test_round_trip(self, tmp_path):
+        at = BASE_EPOCH + 3600 * np.array([0, 1, 2, 5, 30_000], dtype=np.int64)
+        series = TimeSeries(Granularity.HOURLY, at, np.array([1.5, 0.1 + 0.2, 1e-300, 7.0, 1e300]))
+        path = tmp_path / "s.csv"
+        write_series_csv(path, series)
+        assert path.read_text(encoding="utf-8").splitlines()[:2] == [
+            "timestamp,value", "2021-01-01T00:00:00+02:00,1.5"
+        ]
+        loaded = load_series_csv(path, Granularity.HOURLY)
+        assert loaded.at.tolist() == at.tolist()
+        assert loaded.values.tobytes() == series.values.tobytes()
+
+    @pytest.mark.parametrize("body, line, reason", [
+        ("2021-01-01T00:00:00+02:00,1\n2021-01-01T01:00:00+02:00,1,2\n", 3, "too many values"),
+        ("2021-01-01T00:00:00+02:00\n2021-01-01T01:00:00+02:00,x\n", 2, "not enough values"),
+        ("2021-01-01T00:00:00,1\n2021-01-01T01:00:00+02:00,x\n", 2, "lacks a UTC offset"),
+        ("2021-01-01T00:00:00+02:00,x\n2021-01-01T01:00:00,1\n", 2, "could not convert"),
+        ('2021-01-01T00:00:00+02:00,"1\n2"\n\n2021-01-01T01:00:00+02:00,y\n', 3, "could not convert"),
+        ('"2021-01-01T00:00:00+02:00",1\n\n2021-01-01T01:00:00Z,1\nnow,1\n', 5, "Invalid isoformat"),
+    ])
+    def test_first_bad_row_names_the_error(self, tmp_path, body, line, reason):
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,value\n" + body, encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"line {line}: .*{reason}"):
+            load_series_csv(path, Granularity.HOURLY)
+
+    def test_blank_file_is_absent(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,value\n\n", encoding="utf-8")
+        assert load_series_csv(path, Granularity.HOURLY) is None
 
 
 class TestLongSeries:

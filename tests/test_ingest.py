@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import csv
 import gzip
 import io
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from aircast import ingest
 from aircast.errors import EmptySeriesError, SchemaError
 from aircast.ingest import (
     ColumnMapping,
@@ -17,8 +20,11 @@ from aircast.ingest import (
     READING_DTYPE,
     STATION_ROSTER,
     build_station_series,
+    parse_pollutant,
     parse_readings,
     parse_readings_path,
+    parse_timestamp,
+    parse_timestamps,
     station_key,
 )
 
@@ -164,6 +170,270 @@ class TestParseReadings:
             "rejects": [{"line": 3, "reason": "bad timestamp"}],
             "stations_seen": ["Gitega"],
         }
+
+
+class TestByteOrderMark:
+    """Excel's "CSV UTF-8" export starts the file with a byte-order mark."""
+
+    def test_same_rows_with_and_without_bom(self):
+        text = HEADER + (
+            "Gitega,2021-06-01T08:00:00+02:00,PM25,42.5\n"
+            "Rebero,2021-06-01T08:00:00+02:00,PM25,12.0\n"
+        )
+        plain, plain_report = parse_text(text)
+        marked, marked_report = parse_readings(io.BytesIO(b"\xef\xbb\xbf" + text.encode("utf-8")))
+        assert marked_report.to_dict() == plain_report.to_dict()
+        assert marked_report.stations_seen == plain_report.stations_seen
+        assert marked.tolist() == plain.tolist()
+        assert len(marked) == 2
+
+
+def expected_timestamps(texts):
+    """parse_timestamp on each text: (epoch or None)."""
+    out = []
+    for text in texts:
+        try:
+            out.append(parse_timestamp(text))
+        except (ValueError, OverflowError, OSError):
+            out.append(None)
+    return out
+
+
+def assert_matches_rule(texts):
+    at, ok = parse_timestamps(texts)
+    assert at.dtype == np.int64 and ok.dtype == bool and len(at) == len(ok) == len(texts)
+    got = [int(t) if good else None for t, good in zip(at.tolist(), ok.tolist())]
+    assert got == expected_timestamps(texts)
+
+
+def two_digits(low, high):
+    return st.integers(low, high).map(lambda k: f"{k:02d}")
+
+
+#: The canonical shapes with near-range fields (month 13, day 32, hour 24,
+#: second 60, offset 24:00 ...), and with any digits at all.
+near_range_stamps = st.builds(
+    lambda year, month, day, hour, minute, second, tail: (
+        f"{year:04d}-{month}-{day}T{hour}:{minute}:{second}{tail}"
+    ),
+    st.integers(0, 9999), two_digits(0, 13), two_digits(0, 32), two_digits(0, 24),
+    two_digits(0, 60), two_digits(0, 60),
+    st.one_of(
+        st.just("Z"),
+        st.builds(lambda sign, h, m: f"{sign}{h}:{m}",
+                  st.sampled_from("+-"), two_digits(0, 24), two_digits(0, 60)),
+    ),
+)
+random_digit_stamps = st.builds(
+    lambda digits, tail: "{}{}{}{}-{}{}-{}{}T{}{}:{}{}:{}{}".format(*digits) + tail,
+    st.lists(st.sampled_from("0123456789"), min_size=14, max_size=14),
+    st.one_of(
+        st.just("Z"),
+        st.builds(lambda sign, d: f"{sign}{d[0]}{d[1]}:{d[2]}{d[3]}",
+                  st.sampled_from("+-"),
+                  st.lists(st.sampled_from("0123456789"), min_size=4, max_size=4)),
+    ),
+)
+
+ADVERSARIAL_STAMPS = [
+    "1900-02-29T00:00:00+02:00",  # not a leap year
+    "2000-02-29T00:00:00+02:00",  # a leap year
+    "2023-02-29T00:00:00+02:00",
+    "2021-04-31T00:00:00+02:00",
+    "2021-06-01T24:00:00+02:00",
+    "2021-06-01T08:00:60+02:00",
+    "2021-06-01T08:00:00+23:59",
+    "2021-06-01T08:00:00-23:59",
+    "2021-06-01T08:00:00+24:00",
+    "2021-06-01T08:00:00+02:60",
+    "2021-06-01T06:00:00z",
+    "2021-06-01t08:00:00+02:00",
+    "2021-06-01 08:00:00+02:00",
+    "2021-06-01T08:00:00.5+02:00",
+    "2021-06-01T08:00:00.123456Z",
+    " 2021-06-01T08:00:00+02:00",
+    "2021-06-01T08:00:00+02:00 ",
+    " 2021-06-01T06:00:00Z ",
+    "２０２１-06-01T08:00:00+02:00",  # full-width digits
+    "2021-06-01T08:00:00+0٢:00",  # an Arabic-Indic digit in the offset
+    "0001-01-01T00:00:00+02:00",
+    "9999-12-31T23:59:59-02:00",
+    "0000-01-01T00:00:00+00:00",
+    "2021-06-01T08:00:00",
+    "2021-06-01T08:00:00+02:00:00",
+    "2021-06-01T08:00:00+0200",
+    "2021-06-01T08:00Z",
+    "2021-06-01",
+    "2021-02-30T25:61:00+02:00",
+    "",
+    "Z",
+    "2021-06-01T08:00:00+02:00" + "0" * 40,
+]
+
+
+class TestParseTimestamps:
+    """The array rule gives parse_timestamp's answer for every text."""
+
+    def test_adversarial_stamps(self):
+        assert_matches_rule(ADVERSARIAL_STAMPS)
+
+    def test_adversarial_stamps_in_chunks_of_three(self, monkeypatch):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", 3)
+        assert_matches_rule(ADVERSARIAL_STAMPS)
+
+    @given(st.lists(st.one_of(near_range_stamps, random_digit_stamps), max_size=40))
+    @example(["2000-02-29T23:59:59-23:59", "1970-01-01T00:00:00Z", "1969-12-31T23:59:59+00:00"])
+    def test_canonical_shapes_match_the_rule(self, texts):
+        assert_matches_rule(texts)
+
+    def test_canonical_stamps_do_not_reach_the_rule(self, monkeypatch):
+        texts = ["2021-06-01T08:00:00+02:00", "2021-06-01T06:00:00Z", "2024-02-29T23:59:59-11:30"]
+        expected = expected_timestamps(texts)
+        monkeypatch.setattr(ingest, "parse_timestamp", lambda text: pytest.fail(text))
+        at, ok = parse_timestamps(texts)
+        assert ok.all() and at.tolist() == expected
+
+    def test_empty(self):
+        at, ok = parse_timestamps([])
+        assert at.shape == ok.shape == (0,)
+
+
+def oracle_parse(stream, mapping=None):
+    """parse_readings as one loop over rows: the row-at-a-time reading of the
+    same rules, kept here as the chunked parser's oracle."""
+    mapping = mapping or ColumnMapping()
+    text = io.TextIOWrapper(stream, encoding="utf-8-sig", errors="replace", newline="")
+    reader = csv.reader(text)
+    header = next(reader)
+    header_index = {name.strip(): i for i, name in enumerate(header)}
+    columns = [header_index[col] for col in mapping.required()]
+    station_col, timestamp_col, pollutant_col, value_col = columns
+
+    rows = []
+    keys = {}
+    report = IngestReport()
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error:
+            report.rows_read += 1
+            report.rejects.append((reader.line_num, "malformed csv"))
+            continue
+        line_no = reader.line_num
+        if not row:
+            continue
+        report.rows_read += 1
+        if len(row) <= max(columns):
+            report.rejects.append((line_no, "missing fields"))
+            continue
+        station_name = row[station_col].strip()
+        if not station_name:
+            report.rejects.append((line_no, "empty station"))
+            continue
+        try:
+            at = parse_timestamp(row[timestamp_col])
+        except (ValueError, OverflowError, OSError):
+            report.rejects.append((line_no, "bad timestamp"))
+            continue
+        try:
+            pollutant = parse_pollutant(row[pollutant_col])
+        except ValueError:
+            report.rejects.append((line_no, "unknown pollutant"))
+            continue
+        try:
+            value = float(row[value_col])
+        except ValueError:
+            report.rejects.append((line_no, "unparseable value"))
+            continue
+        if not math.isfinite(value):
+            report.rejects.append((line_no, "non-finite value"))
+            continue
+        if value < 0:
+            report.rejects.append((line_no, "negative value"))
+            continue
+        key = keys.get(station_name)
+        if key is None:
+            key = keys[station_name] = station_key(station_name)
+        rows.append((key, at, pollutant, value))
+    report.rows_accepted = len(rows)
+    report.stations_seen = {key: name for name, key in reversed(keys.items())}
+    return rows, report
+
+
+STAMPS = [
+    "2021-06-01T08:00:00+02:00", "2021-06-01T06:00:00Z", "2021-06-01T06:00:00+00:00",
+    "2021-06-01T09:00:00+02:00", "2021-06-01 10:00:00+02:00", "2021-06-01T08:00:00.5+02:00",
+]
+GOOD_ROWS = st.builds(
+    lambda station, stamp, pollutant, value: f"{station},{stamp},{pollutant},{value}",
+    st.sampled_from(["Gitega", "GITEGA", " gitega ", "Mount Kigali", "mount-kigali",
+                     "MOUNT KIGALI", "Rebero", '"Gi\ntega"']),
+    st.sampled_from(STAMPS),
+    st.sampled_from(["PM25", "pm2.5", "PM 2.5", "PM10"]),
+    st.sampled_from(["12.5", "0", "1e3", " 7 ", "-0.0", "3_000", '"4\n5"']),
+)
+BAD_LINES = [
+    "",  # a blank line
+    "Gitega,2021-06-01T08:00:00+02:00",  # missing fields
+    " ,2021-06-01T08:00:00+02:00,PM25,1.0",  # empty station
+    "Gitega,2021-02-30T25:61:00+02:00,PM25,1.0",  # bad timestamp
+    "Gitega,2021-06-01T08:00:00,PM25,1.0",  # naive timestamp
+    "Gitega,yesterday,PM25,1.0",
+    "Gitega,2021-06-01T08:00:00+02:00,O3,1.0",  # unknown pollutant
+    "Gitega,2021-06-01T08:00:00+02:00,PM25,n/a",  # unparseable value
+    "Gitega,2021-06-01T08:00:00+02:00,PM25,nan",  # non-finite value
+    "Gitega,2021-06-01T08:00:00+02:00,PM25,-inf",
+    "Gitega,2021-06-01T08:00:00+02:00,PM25,-3.25",  # negative value
+    "Kiyovu,2021-06-01T08:00:00+02:00,PM25," + "9" * 140_000,  # malformed csv: over csv's field limit
+    ",bad,O3,nan",  # every check fails: the first reason wins
+]
+
+
+def assert_same_parse(data: bytes) -> None:
+    readings, report = parse_readings(io.BytesIO(data))
+    rows, expected = oracle_parse(io.BytesIO(data))
+    assert report.to_dict() == expected.to_dict()
+    assert report.rejects == expected.rejects
+    assert report.stations_seen == expected.stations_seen
+    assert readings.dtype == READING_DTYPE
+    assert readings.station.tolist() == [row[0] for row in rows]
+    assert readings.at.tolist() == [row[1] for row in rows]
+    assert readings.pollutant.tolist() == [row[2] for row in rows]
+    assert readings.value.tobytes() == np.array([row[3] for row in rows], dtype=float).tobytes()
+
+
+class TestChunkedParseMatchesRowOracle:
+    """Chunks of 2 and 3 rows put every kind of row on a chunk boundary."""
+
+    @pytest.mark.parametrize("chunk_rows", [2, 3])
+    @given(
+        lines=st.lists(st.one_of(GOOD_ROWS, st.sampled_from(BAD_LINES)), max_size=14),
+        eol=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_messy_files(self, chunk_rows, lines, eol):
+        data = (HEADER.rstrip("\n") + eol + eol.join(lines) + eol).encode("utf-8")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+            assert_same_parse(data)
+
+    @pytest.mark.parametrize("chunk_rows", [2, 3, ingest.CHUNK_ROWS])
+    def test_every_reason_across_chunks(self, chunk_rows, monkeypatch):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+        lines = [
+            "Gitega,2021-06-01T08:00:00+02:00,PM25,1.0",
+            "Kiyovu,2021-06-01T08:00:00+02:00,PM25," + "9" * 140_000,
+            '"Mount\nKigali",2021-06-01T08:00:00+02:00,PM25,2.0',
+            "",
+            "GITEGA,2021-06-01T06:00:00Z,pm2.5,3.0",
+            *BAD_LINES,
+            "mount kigali,2021-06-01T09:00:00+02:00,PM10,4.0",
+        ]
+        data = (HEADER + "\r\n".join(lines) + "\r\n").encode("utf-8")
+        assert_same_parse(data)
+        _, report = parse_readings(io.BytesIO(data))
+        assert {reason for _, reason in report.rejects} == set(ingest.REJECT_REASONS)
 
 
 class TestGzipInput:

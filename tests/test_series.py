@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from datetime import datetime
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from aircast.errors import (
     SplitError,
 )
 from aircast.series import (
+    LOCAL_TZ,
     Granularity,
     SplitSpec,
     TimeSeries,
@@ -20,6 +23,7 @@ from aircast.series import (
     interpolate_gaps,
     inverse_difference,
     inverse_difference_values,
+    iso_local,
     resample_mean,
     split_holdout,
 )
@@ -56,7 +60,7 @@ class TestTimeSeriesInvariants:
         # BASE_EPOCH is midnight Kigali but 22:00 UTC the previous day
         series = daily_series([1.0, 2.0])
         assert_valid(series)
-        assert series.local_datetimes()[0].hour == 0
+        assert iso_local(series.at)[0].endswith("T00:00:00+02:00")
 
     def test_negative_values_allowed(self):
         # differenced/simulated series legitimately go negative
@@ -67,6 +71,22 @@ class TestTimeSeriesInvariants:
         series = daily_series([1.0, 2.0])
         with pytest.raises(ValueError):
             series.values[0] = 9.0
+
+
+class TestLocalTime:
+    """The array rules agree with ``datetime`` at the fixed local offset."""
+
+    @given(st.lists(st.integers(-62_135_596_800, 253_402_207_999), max_size=30))
+    def test_iso_local_is_datetime_isoformat(self, instants):
+        expected = [datetime.fromtimestamp(t, tz=LOCAL_TZ).isoformat() for t in instants]
+        assert iso_local(np.array(instants, dtype=np.int64)) == expected
+
+    @given(st.lists(st.integers(-62_135_596_800, 253_402_207_999), unique=True, max_size=30))
+    def test_local_dates_are_datetime_dates(self, instants):
+        series = TimeSeries(Granularity.RAW, np.array(sorted(instants), dtype=np.int64),
+                            np.zeros(len(instants)))
+        expected = [datetime.fromtimestamp(t, tz=LOCAL_TZ).date() for t in sorted(instants)]
+        assert series.local_dates() == expected
 
 
 class TestResampleMean:
