@@ -217,22 +217,6 @@ def ma_unconditional_moments(
     return float(mu), float(sigma**2 * (1.0 + np.sum(theta**2)))
 
 
-def css_residuals(
-    z: np.ndarray, alpha: float, beta: Sequence[float], theta: Sequence[float]
-) -> np.ndarray:
-    """One-step residuals on the (already differenced) series, conditional on
-    zero pre-sample residuals; defined for t = p .. len(z)-1."""
-    z = np.asarray(z, dtype=np.float64)
-    p = len(beta)
-    n = z.size
-    u = z[p:] - alpha
-    for i, b in enumerate(beta, start=1):
-        u = u - b * z[p - i : n - i]
-    if len(theta) == 0:
-        return u
-    return lfilter([1.0], [1.0, *theta], u)
-
-
 def _ols_start(z: np.ndarray, lags: np.ndarray, q: int) -> np.ndarray:
     """OLS fit of z_t on an intercept and its ``_lag_matrix`` columns; MA terms
     start at zero."""
@@ -438,25 +422,22 @@ def forecast(model: ArimaModel, history: TimeSeries, horizon: int) -> np.ndarray
         return np.empty(0)
 
     z = difference_values(history.values, d)
-    residuals = np.zeros(z.size)
-    residuals[p:] = css_residuals(z, model.alpha, model.beta, model.theta)
-
-    z_ext = z.tolist()
-    e_ext = residuals.tolist()
-    preds: list[float] = []
+    params = np.array([model.alpha, *model.beta, *model.theta])
+    e = _css_errors(params, z, _lag_matrix(z, p))
+    # the last p values and q residuals, zero before the history; each forecast extends both
+    recent_z = z[z.size - p :].tolist()
+    recent_e = [0.0] * max(q - e.size, 0) + e[max(e.size - q, 0) :].tolist()
     for _ in range(horizon):
-        t = len(z_ext)
         val = model.alpha
         for i, b in enumerate(model.beta, start=1):
-            val += b * z_ext[t - i]
+            val += b * recent_z[-i]
         for j, th in enumerate(model.theta, start=1):
-            val += th * e_ext[t - j]
-        z_ext.append(val)
-        e_ext.append(0.0)
-        preds.append(val)
+            val += th * recent_e[-j]
+        recent_z.append(val)
+        recent_e.append(0.0)
 
     seeds = history.values[len(history) - d :] if d else ()
-    return inverse_difference_values(np.asarray(preds), seeds, d)
+    return inverse_difference_values(np.asarray(recent_z[p:]), seeds, d)
 
 
 def aic(model: ArimaModel) -> float:

@@ -29,8 +29,9 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,6 +57,8 @@ from .ingest import (
     Pollutant,
     STATION_ROSTER,
     build_station_series,
+    first_spellings,
+    numbered_rows,
     parse_pollutant,
     parse_readings_path,
     parse_timestamp,
@@ -156,50 +159,57 @@ def write_series_csv(path: Path, series: TimeSeries) -> None:
 def load_series_csv(path: Path, granularity: Granularity) -> TimeSeries | None:
     """Read a series file written by the ingest stage; None if absent/empty.
 
-    Stamps follow ingest's rule (ISO-8601 with an explicit offset). A row that
-    does not parse, or rows that do not form a series, raise SchemaError.
+    The file is read once, by ingest's row rule (``numbered_rows``) and its
+    timestamp rule (ISO-8601 with an explicit offset). The first row that
+    does not read, or rows that do not form a series, raise SchemaError.
     """
     if not path.exists():
         return None
-    stamps: list[str] = []
-    values: list[float] = []
-    readable = True
-    with open(path, encoding="utf-8", newline="") as fh:
+    stamps, texts, lines = [], [], []  # the rows read, as columns
+    unread = []  # a row without two fields, where reading stops
+    with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        try:
-            for row in reader:
-                if row:
-                    stamp, value = row
-                    values.append(float(value))
-                    stamps.append(stamp)
-        except ValueError:
-            readable = False
+        with contextlib.suppress(csv.Error):
+            next(reader, None)  # the header
+        # row by row: csv rows kept in chunks would outlive young-generation
+        # garbage collections and be traced again by the older ones
+        for line, row in numbered_rows(reader):
+            try:
+                stamp, text = row
+            except ValueError:
+                unread.append((line, row))
+                break
+            stamps.append(stamp)
+            texts.append(text)
+            lines.append(line)
     at, stamp_ok = parse_timestamps(stamps)
-    if not (readable and stamp_ok.all()):
-        raise next(_row_errors(path))
+    try:
+        values = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        values = None
+    if unread or values is None or not stamp_ok.all():
+        rows = chain(zip(lines, zip(stamps, texts)), unread)
+        line, error = next((n, e) for n, row in rows if (e := _row_error(row)))
+        raise SchemaError(f"{path}, line {line}: {error}")
     if not stamps:
         return None
     try:
-        return TimeSeries(granularity, at, np.array(values))
+        return TimeSeries(granularity, at, values)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
 
-def _row_errors(path: Path) -> Iterator[SchemaError]:
-    """An error naming each row of a series file that does not read, in file
-    order, by ingest's scalar timestamp rule."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if row:
-                try:
-                    stamp, value = row
-                    parse_timestamp(stamp)
-                    float(value)
-                except (ValueError, OverflowError, OSError) as exc:
-                    yield SchemaError(f"{path}, line {reader.line_num}: {exc}")
+def _row_error(row: Sequence[str]) -> str | None:
+    """Why one series row does not read, by ingest's scalar rules; None if it reads."""
+    if not row:
+        return "malformed csv"
+    try:
+        stamp, value = row
+        parse_timestamp(stamp)
+        float(value)
+    except (ValueError, OverflowError, OSError) as exc:
+        return str(exc)
+    return None
 
 
 def series_path(out: Path, station: str, granularity: Granularity) -> Path:
@@ -261,14 +271,11 @@ def _parse_coeffs(text: str) -> tuple[float, ...]:
 def _check_stations(args: argparse.Namespace) -> bool:
     """Keep the first ``--station`` spelling of each station key in place;
     False, after saying why, when a name is blank."""
-    unique: dict[str, str] = {}
     try:
-        for name in args.station:
-            unique.setdefault(station_key(name), name)
+        args.station = list(first_spellings(args.station).values())
     except ValueError as exc:
         print(f"{args.command}: --station: {exc}", file=sys.stderr)
         return False
-    args.station = list(unique.values())
     return True
 
 
@@ -484,8 +491,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     rows_read = sum(report.rows_read for _, report in reports)
     rows_accepted = sum(report.rows_accepted for _, report in reports)
-    # station key -> spelling; read last file first, so the first file's spelling wins
-    stations_seen = {k: name for _, r in reversed(reports) for k, name in r.stations_seen.items()}
+    # the first file's spelling wins
+    stations_seen = first_spellings(n for _, r in reports for n in r.stations_seen.values())
     write_json(out / "ingest_report.json", {
         "files": {str(path): report.to_dict() for path, report in reports},
         "rows_read": rows_read,

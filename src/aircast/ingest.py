@@ -18,7 +18,7 @@ from datetime import datetime
 from enum import Enum
 from pathlib import Path
 from operator import itemgetter
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +45,15 @@ def station_key(name: str) -> str:
     if not key:
         raise ValueError("station name must be non-empty")
     return key
+
+
+def first_spellings(names: Iterable[str]) -> dict[str, str]:
+    """Station key -> the first of ``names`` with that key: the first spelling
+    seen names the station. Raises ValueError for a blank name."""
+    spellings: dict[str, str] = {}
+    for name in names:
+        spellings.setdefault(station_key(name), name)
+    return spellings
 
 
 #: Deployment roster of the Kigali monitoring network.
@@ -204,26 +213,29 @@ REJECT_REASONS = (
 _POLLUTANTS = np.array(list(Pollutant), dtype=object)
 
 
-def _row_chunks(reader) -> Iterator[tuple[list[int], list[list[str]]]]:
-    """(physical line numbers, rows) of the non-blank rows of ``reader``, up
-    to CHUNK_ROWS at a time. A row csv cannot read is an empty list."""
-    lines: list[int] = []
-    rows: list[list[str]] = []
+def numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
+    """(physical line number, row) of each non-blank row of ``reader``. A row
+    csv cannot read is an empty list."""
     while True:
         try:
             for row in reader:
-                if not row:
-                    continue  # blank line, not a data row
-                rows.append(row)
-                lines.append(reader.line_num)
-                if len(rows) >= CHUNK_ROWS:
-                    yield lines, rows
-                    lines, rows = [], []
+                if row:  # a blank line is not a data row
+                    yield reader.line_num, row
+            return
         except csv.Error:
-            rows.append([])
-            lines.append(reader.line_num)
-            continue
-        break
+            yield reader.line_num, []
+
+
+def _row_chunks(reader) -> Iterator[tuple[list[int], list[list[str]]]]:
+    """:func:`numbered_rows` as (line numbers, rows), up to CHUNK_ROWS at a time."""
+    lines: list[int] = []
+    rows: list[list[str]] = []
+    for line, row in numbered_rows(reader):
+        lines.append(line)
+        rows.append(row)
+        if len(rows) == CHUNK_ROWS:
+            yield lines, rows
+            lines, rows = [], []
     if rows:
         yield lines, rows
 
@@ -321,8 +333,7 @@ def parse_readings(
         tables.append(table)
     readings = np.concatenate(tables).view(np.recarray)
     report.rows_accepted = len(readings)
-    # read last spelling first, so the first spelling of each key wins
-    report.stations_seen = {key: name for name, key in reversed(keys.items())}
+    report.stations_seen = first_spellings(keys)
     return readings, report
 
 

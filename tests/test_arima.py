@@ -11,7 +11,6 @@ from aircast.arima import (
     ArimaOrder,
     aic,
     ar_is_stationary,
-    css_residuals,
     fit_arima,
     forecast,
     ma_is_invertible,
@@ -19,10 +18,27 @@ from aircast.arima import (
     select_order,
     simulate_arma,
 )
+from scipy.signal import lfilter
+
 from aircast.errors import NonStationaryError, TooShortError
 from aircast.series import Granularity, TimeSeries, difference_values
 
 from conftest import daily_series
+
+
+def css_residuals(z, alpha, beta, theta):
+    """Oracle: the CSS one-step residuals by the sequential formula, on the
+    (already differenced) series with zero pre-sample residuals, for
+    t = p .. len(z)-1."""
+    z = np.asarray(z, dtype=np.float64)
+    p = len(beta)
+    n = z.size
+    u = z[p:] - alpha
+    for i, b in enumerate(beta, start=1):
+        u = u - b * z[p - i : n - i]
+    if len(theta) == 0:
+        return u
+    return lfilter([1.0], [1.0, *theta], u)
 
 
 def manual_model(order, alpha=0.0, beta=(), theta=(), sigma2=1.0):
@@ -231,6 +247,19 @@ class TestCssEstimation:
             numeric[:, k] = (residuals(params + step) - residuals(params - step)) / (2 * h)
         np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=1e-7)
 
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", range(3))
+    def test_css_errors_match_the_sequential_oracle(self, p, q):
+        z = simulate_arma(2.0, [0.5], [0.3], 1.0, 300, seed=60 + p).values
+        rng = np.random.default_rng(10 * p + q)
+        for _ in range(20):
+            params = np.concatenate([rng.normal(0.0, 2.0, 1), rng.uniform(-0.4, 0.4, p + q)])
+            np.testing.assert_allclose(
+                arima._css_errors(params, z, arima._lag_matrix(z, p)),
+                css_residuals(z, params[0], params[1 : 1 + p], params[1 + p :]),
+                rtol=1e-12, atol=1e-12,
+            )
+
     def test_least_squares_css_not_above_nelder_mead(self):
         accepted = 0
         for seed in range(6):
@@ -318,6 +347,12 @@ class TestForecast:
         preds = forecast(model, history, 2)
         assert preds[0] == pytest.approx(0.5 * e[-1])
         assert preds[1] == pytest.approx(0.0)
+
+    def test_history_shorter_than_q_has_zero_presample_residuals(self):
+        # residuals (1, 1.5) on [1, 2]; the third lag reaches before the history
+        model = manual_model(ArimaOrder(0, 0, 3), alpha=0.0, theta=(0.5, 0.3, 0.2))
+        preds = forecast(model, daily_series([1.0, 2.0]), 2)
+        np.testing.assert_allclose(preds, [0.5 * 1.5 + 0.3 * 1.0 + 0.2 * 0.0, 0.3 * 1.5 + 0.2 * 1.0])
 
     def test_too_short(self):
         model = manual_model(ArimaOrder(2, 1, 0), beta=(0.1, 0.1))

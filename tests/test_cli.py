@@ -611,6 +611,8 @@ class TestDamagedSeriesFile:
     @pytest.mark.parametrize("damage, reason", [
         pytest.param("naive stamp", "lacks a UTC offset", id="naive-stamp"),
         pytest.param("bad value", "could not convert", id="bad-value"),
+        pytest.param("oversized field", "malformed csv", id="oversized-field"),
+        pytest.param("undecodable byte", "could not convert", id="undecodable-byte"),
     ])
     @pytest.mark.parametrize("command, extra", [
         pytest.param("trend", [], id="trend"),
@@ -623,8 +625,13 @@ class TestDamagedSeriesFile:
         path = out / "series" / "gitega_daily.csv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         stamp, value = lines[3].rstrip("\n").split(",")
-        lines[3] = f"{stamp[:-len('+02:00')]},{value}\n" if damage == "naive stamp" else f"{stamp},n/a\n"
-        path.write_text("".join(lines), encoding="utf-8")
+        lines[3] = {
+            "naive stamp": f"{stamp[:-len('+02:00')]},{value}\n",
+            "bad value": f"{stamp},n/a\n",
+            "oversized field": f'{stamp},"{"1" * 131_073}"\n',  # over csv's field size limit
+            "undecodable byte": f"{stamp},{value}\udcff\n",  # written as the byte 0xFF
+        }[damage]
+        path.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
 
         assert main([command, "--out", str(out), *extra, "--workers", "2"]) == 0
         err = capsys.readouterr().err
@@ -660,6 +667,10 @@ class TestSeriesFile:
         ("2021-01-01T00:00:00+02:00,x\n2021-01-01T01:00:00,1\n", 2, "could not convert"),
         ('2021-01-01T00:00:00+02:00,"1\n2"\n\n2021-01-01T01:00:00+02:00,y\n', 3, "could not convert"),
         ('"2021-01-01T00:00:00+02:00",1\n\n2021-01-01T01:00:00Z,1\nnow,1\n', 5, "Invalid isoformat"),
+        pytest.param(  # a field over csv's size limit
+            '2021-01-01T00:00:00+02:00,1\n2021-01-01T01:00:00+02:00,"' + "1" * 131_073 + '"\nnow,1\n',
+            3, "malformed csv", id="oversized-field",
+        ),
     ])
     def test_first_bad_row_names_the_error(self, tmp_path, body, line, reason):
         path = tmp_path / "s.csv"
