@@ -270,8 +270,11 @@ def train(
     windows = make_windows(series, w)
     sizes = (w, *hidden, 1)
 
-    std = float(np.std(series.values))
-    scaler = Scaler(shift=float(np.mean(series.values)), scale=std if std > 0 else 1.0)
+    with np.errstate(over="ignore"):
+        mean, std = float(np.mean(series.values)), float(np.std(series.values))
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise DivergenceError("the training values' mean or spread is not finite")
+    scaler = Scaler(shift=mean, scale=std if std > 0 else 1.0)
     x_all = np.stack([inp for inp, _ in windows], axis=1)
     t_all = np.array([target for _, target in windows])
     x_all = (x_all - scaler.shift) / scaler.scale

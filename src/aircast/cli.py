@@ -39,6 +39,7 @@ from . import ann, arima, trends
 from .errors import (
     AircastError,
     EmptySeriesError,
+    NonFiniteMeanError,
     NonStationaryError,
     SchemaError,
 )
@@ -459,9 +460,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    if not args.input:
-        print("ingest: at least one --input file required", file=sys.stderr)
-        return EXIT_SCHEMA
     if not 0.0 <= args.min_coverage <= 1.0:  # also refuses nan
         print("ingest: --min-coverage must lie in [0, 1]", file=sys.stderr)
         return EXIT_SCHEMA
@@ -515,6 +513,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         except EmptySeriesError:
             print(f"ingest: no data for station {station!r}", file=sys.stderr)
             continue
+        except NonFiniteMeanError as exc:  # the station's rows stay accepted
+            print(f"ingest: {station}: {exc}", file=sys.stderr)
+            continue
         for granularity, max_gap in gaps.items():
             try:
                 cleaned = interpolate_gaps(
@@ -525,6 +526,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                     f"ingest: {station}: no {granularity.value} bucket met coverage",
                     file=sys.stderr,
                 )
+                continue
+            except NonFiniteMeanError as exc:
+                print(f"ingest: {station}: {granularity.value} {exc}", file=sys.stderr)
                 continue
             write_series_csv(series_path(out, station, granularity), cleaned)
             written += 1

@@ -20,6 +20,10 @@ class EmptySeriesError(AircastError):
     """A series (or a filtered/aggregated result) ended up with no data."""
 
 
+class NonFiniteMeanError(AircastError):
+    """The mean of finite values overflowed."""
+
+
 class EmptyInputError(AircastError):
     """A statistic was requested over an empty collection of values."""
 

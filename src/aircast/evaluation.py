@@ -193,23 +193,14 @@ class GpAdapter(Forecaster):
     """
 
     name: ClassVar[str] = "gp"
-    noise_grid: Sequence[float] | None = None
-    amplitude_grid: Sequence[float] | None = None
-    length_scale_grid: Sequence[float] | None = None
     model: gp.GpModel | None = field(default=None, init=False, repr=False)
     _fitted: gp.GpModel | None = field(default=None, init=False, repr=False)
-    _base_at: int | None = field(default=None, init=False, repr=False)
 
     def fit(self, train: TimeSeries) -> None:
         if len(train) < 10:
             raise TooShortError("need at least 10 observations to fit the GP")
-        given = (self.noise_grid, self.amplitude_grid, self.length_scale_grid)
-        grids = [
-            default if grid is None else tuple(grid)
-            for grid, default in zip(given, gp.default_grids(train.values))
-        ]
         params, noise_variance = gp.fit_hyperparameters(
-            gp.day_indices(train), train.values, *grids
+            gp.day_indices(train.at, train.at[0]), train.values, *gp.default_grids(train.values)
         )
         self._fit_at(train, params, noise_variance)
 
@@ -221,16 +212,16 @@ class GpAdapter(Forecaster):
     def _fit_at(
         self, train: TimeSeries, params: gp.SeKernelParams, noise_variance: float
     ) -> None:
-        x = gp.day_indices(train)
+        x = gp.day_indices(train.at, train.at[0])
         self.model = self._fitted = gp.fit_gp(x, train.values, params, noise_variance)
-        self._base_at = int(train.at[0])
 
     def _extend(self, history: TimeSeries, at: Sequence[int]) -> tuple[gp.GpModel, np.ndarray]:
-        """The fit conditioned on ``history``, and the day indices of ``at``."""
-        assert self.model is not None and self._base_at is not None, "fit before predicting"
-        x = gp.day_indices(history, base_at=self._base_at)
-        self.model = gp.extend_gp(self.model, x, history.values)
-        return self.model, (np.asarray(at, dtype=np.int64) - self._base_at) / gp.SECONDS_PER_DAY
+        """The fit conditioned on ``history``, and the day indices of ``at``, both
+        counted from the history's first instant: the train split's, as in the fit."""
+        assert self.model is not None, "fit before predicting"
+        base_at = history.at[0]
+        self.model = gp.extend_gp(self.model, gp.day_indices(history.at, base_at), history.values)
+        return self.model, gp.day_indices(at, base_at)
 
     def forecast(self, history: TimeSeries, at: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         return gp.posterior(*self._extend(history, at))

@@ -20,11 +20,9 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import FactorizationError, NoValidFitError, TooLongError
-from .series import TimeSeries
 
 _MAX_TRAIN = 2000
-_JITTER_START = 1e-10
-_JITTER_CAP = 1e-4
+_JITTER_EXPONENTS = range(-10, -3)  # jitter is 10**k times the amplitude
 
 #: Grid defaults for hyperparameter search (variance factors and day units).
 DEFAULT_AMPLITUDE_FACTORS = (0.5, 1.0, 2.0)
@@ -136,7 +134,7 @@ def fit_gp(
 ) -> GpModel:
     """Center targets, regularize, and factorize K + noise·I (+ jitter·I).
 
-    Jitter starts at 1e-10·amplitude and escalates tenfold up to
+    Jitter runs through the seven values 1e-10·amplitude, 1e-9·amplitude, …,
     1e-4·amplitude before giving up with FactorizationError. More than 2000
     training points raise TooLongError.
     """
@@ -145,21 +143,14 @@ def fit_gp(
     _check_training(x, y, noise_variance)
 
     base = gram_matrix(x, params) + noise_variance * np.eye(x.size)
-    jitter = _JITTER_START * params.amplitude
-    cap = _JITTER_CAP * params.amplitude
-    lower = None
-    while True:
+    for exponent in _JITTER_EXPONENTS:
+        jitter = 10.0**exponent * params.amplitude
         try:
             lower = cholesky(base + jitter * np.eye(x.size), lower=True)
-            break
         except np.linalg.LinAlgError:
-            pass
-        if jitter >= cap:
-            raise FactorizationError(
-                f"kernel matrix not positive definite up to jitter {jitter:g}"
-            )
-        jitter *= 10.0
-    return _conditioned(params, noise_variance, x, y, lower, jitter)
+            continue
+        return _conditioned(params, noise_variance, x, y, lower, jitter)
+    raise FactorizationError(f"kernel matrix not positive definite up to jitter {jitter:g}")
 
 
 def extend_gp(
@@ -240,9 +231,9 @@ def log_marginal_likelihood(model: GpModel) -> float:
 def fit_hyperparameters(
     times: Sequence[float],
     values: Sequence[float],
-    noise_grid: Sequence[float],
-    amplitude_grid: Sequence[float],
-    length_scale_grid: Sequence[float],
+    noises: Sequence[float],
+    amplitudes: Sequence[float],
+    length_scales: Sequence[float],
 ) -> tuple[SeKernelParams, float]:
     """Exhaustive grid search maximizing the log marginal likelihood.
 
@@ -250,20 +241,15 @@ def fit_hyperparameters(
     amplitude. Cells whose factorization fails are skipped; if all fail,
     NoValidFitError is raised.
     """
-    for name, grid in (
-        ("noise_grid", noise_grid),
-        ("amplitude_grid", amplitude_grid),
-        ("length_scale_grid", length_scale_grid),
-    ):
-        if len(grid) == 0 or any(g <= 0 for g in grid):
-            raise ValueError(f"{name} must be non-empty with positive entries")
+    if any(len(grid) == 0 or min(grid) <= 0 for grid in (noises, amplitudes, length_scales)):
+        raise ValueError("each grid must be non-empty with positive entries")
 
     best_key: tuple[float, float, float] | None = None  # lml, l, -amplitude
     best: tuple[SeKernelParams, float] | None = None
-    for amplitude in amplitude_grid:
-        for length_scale in length_scale_grid:
+    for amplitude in amplitudes:
+        for length_scale in length_scales:
             params = SeKernelParams(float(amplitude), float(length_scale))
-            for noise in noise_grid:
+            for noise in noises:
                 try:
                     model = fit_gp(times, values, params, float(noise))
                 except FactorizationError:
@@ -280,16 +266,17 @@ def fit_hyperparameters(
 def default_grids(
     values: Sequence[float],
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """(noise, amplitude, length-scale) grids scaled to the target variance."""
-    base = float(np.var(np.asarray(values, dtype=np.float64)))
-    if base <= 0:
-        base = 1.0
+    """(noise, amplitude, length-scale) grids scaled to the target variance, which
+    must be finite: no grid can be scaled to one that overflows (NoValidFitError)."""
+    with np.errstate(over="ignore"):
+        base = float(np.var(np.asarray(values, dtype=np.float64))) or 1.0
+    if not np.isfinite(base):
+        raise NoValidFitError("the training values' variance is not finite")
     noise = tuple(f * base for f in DEFAULT_NOISE_FACTORS)
     amplitude = tuple(f * base for f in DEFAULT_AMPLITUDE_FACTORS)
     return noise, amplitude, DEFAULT_LENGTH_SCALES
 
 
-def day_indices(series: TimeSeries, base_at: int | None = None) -> np.ndarray:
-    """Observation instants as (possibly fractional) day offsets from a base."""
-    base = series.at[0] if base_at is None else base_at
-    return (series.at - base) / SECONDS_PER_DAY
+def day_indices(at: Sequence[int], base_at: int) -> np.ndarray:
+    """Epoch instants as (possibly fractional) days after the instant ``base_at``."""
+    return (np.asarray(at, dtype=np.int64) - base_at) / SECONDS_PER_DAY

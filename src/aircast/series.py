@@ -22,6 +22,7 @@ from .errors import (
     EmptySeriesError,
     GranularityError,
     LengthError,
+    NonFiniteMeanError,
     SeedError,
     SplitError,
 )
@@ -157,10 +158,14 @@ def instants_after(series: TimeSeries, count: int) -> np.ndarray:
 
 def group_means(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sorted distinct keys, mean of ``values`` per key, count per key). Each key's values
-    are summed in their given order, as ``np.mean`` sums up to seven values."""
+    are summed in their given order, as ``np.mean`` sums up to seven values; a sum that
+    overflows raises NonFiniteMeanError."""
     uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     sums = np.zeros(uniq.size)
-    np.add.at(sums, inverse, values)
+    with np.errstate(over="ignore"):
+        np.add.at(sums, inverse, values)
+    if not np.all(np.isfinite(sums)):
+        raise NonFiniteMeanError("mean is not finite (a sum of readings overflows)")
     return uniq, sums / counts, counts
 
 
@@ -188,7 +193,7 @@ def resample_mean(
     expected = max(1, int(round(step / source_step)))
 
     uniq, means, counts = group_means(_bucket_starts(series.at, step), series.values)
-    keep = counts / expected >= min_coverage if min_coverage > 0 else counts > 0
+    keep = counts / expected >= min_coverage
     if not np.any(keep):
         raise EmptySeriesError("no bucket met the coverage requirement")
     return TimeSeries(target, uniq[keep], means[keep])

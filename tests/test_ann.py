@@ -226,6 +226,11 @@ class TestTrain:
         with pytest.raises(DivergenceError):
             train(series, 3, (8,), Activation.IDENTITY, cfg)
 
+    def test_non_finite_spread_is_a_divergence(self):
+        series = daily_series([1e200] + [40.0] * 30)
+        with pytest.raises(DivergenceError, match="mean or spread is not finite"):
+            train(series, 3, (8,), Activation.TANH, TrainConfig(epochs=2, seed=5))
+
     def test_scaling_invariance_of_pipeline(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(20, 80, 70)

@@ -20,7 +20,12 @@ from aircast.arima import (
 )
 from scipy.signal import lfilter
 
-from aircast.errors import NonStationaryError, TooShortError
+from aircast.errors import (
+    NoConvergedModelError,
+    NonStationaryError,
+    OptimizerFailure,
+    TooShortError,
+)
 from aircast.series import Granularity, TimeSeries, difference_values
 
 from conftest import daily_series
@@ -300,6 +305,32 @@ class TestCssEstimation:
         assert model.converged == converged
 
 
+    def test_too_few_residuals_for_least_squares_falls_back_to_nelder_mead(self, monkeypatch):
+        # order (2,0,1) on 5 points: 3 residuals for 4 parameters, which "lm" refuses
+        series = simulate_arma(0.0, [], [], 1.0, 5, seed=101)
+        order = ArimaOrder(2, 0, 1)
+        refusals = []
+        real_least_squares = arima.least_squares
+
+        def recording(*args, **kwargs):
+            try:
+                return real_least_squares(*args, **kwargs)
+            except ValueError as exc:
+                refusals.append(exc)
+                raise
+
+        monkeypatch.setattr(arima, "least_squares", recording)
+        model = fit_arima(series, order)
+        assert len(refusals) == 1
+
+        params, css, converged = nelder_mead_fit(series, order)
+        assert model.alpha == params[0]
+        assert model.beta == tuple(params[1:3])
+        assert model.theta == tuple(params[3:])
+        assert model.css == css
+        assert model.converged == converged
+
+
 class TestForecast:
     def test_constant_model(self):
         model = manual_model(ArimaOrder(0, 0, 0), alpha=4.2)
@@ -414,6 +445,32 @@ class TestSelectOrder:
         order, model = select_order(series, 0, 0, 0)
         assert (order.p, order.d, order.q) == (0, 0, 0)
         assert model.converged
+
+
+    def test_failed_cells_are_skipped(self, monkeypatch):
+        # on 4 points the larger cells are too short; (0,0,0) is made to fail its optimizer
+        series = simulate_arma(0.0, [], [], 1.0, 4, seed=19)
+        failures = []
+        real_fit_arima = arima.fit_arima
+
+        def failing(series, order):
+            try:
+                if (order.p, order.q) == (0, 0):
+                    raise OptimizerFailure(f"no finite optimum for order {order}")
+                return real_fit_arima(series, order)
+            except (TooShortError, OptimizerFailure) as exc:
+                failures.append(type(exc))
+                raise
+
+        monkeypatch.setattr(arima, "fit_arima", failing)
+        order, model = select_order(series, 2, 0, 2)
+        assert set(failures) == {TooShortError, OptimizerFailure}
+        assert order.p + order.q + 2 <= 4 and (order.p, order.q) != (0, 0)
+        assert model.converged
+
+    def test_no_surviving_cell_raises(self):
+        with pytest.raises(NoConvergedModelError):
+            select_order(daily_series([40.0]), 2, 1, 2)
 
 
 class TestSerialization:

@@ -263,6 +263,39 @@ class TestIngest:
         assert main(["ingest", "--out", str(out), "--input", str(src), flag]) == 2
         assert not out.exists()
 
+    def test_missing_input_is_usage_error_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "--input" in capsys.readouterr().err
+        assert not out.exists()
+
+    ONE_INSTANT = [(0, "20"), (0, "1e308"), (0, "1e308")]
+
+    @pytest.mark.parametrize("readings, others, code", [
+        pytest.param(ONE_INSTANT, True, 0, id="one-instant"),
+        pytest.param(ONE_INSTANT, False, 3, id="one-instant-alone"),
+        pytest.param([(0, "1e308"), (30, "1e308")], True, 0, id="one-hour"),
+    ])
+    def test_overflowing_mean_fails_only_its_station(self, tmp_path, capsys, readings, others,
+                                                     code):
+        rows = [f"Gitega,2021-06-01T10:{minute:02d}:00+02:00,PM25,{value}\n"
+                for minute, value in readings]
+        src = tmp_path / "readings.csv"
+        src.write_text(
+            self.HEADER + "".join(rows) + (hourly_rows("Kiyovu") if others else ""),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(src)]) == code
+        err = capsys.readouterr().err
+        assert "ingest: Gitega: " in err and "mean is not finite" in err
+        written = sorted(path.name for path in (out / "series").glob("*.csv"))
+        assert written == (["kiyovu_daily.csv", "kiyovu_hourly.csv"] if others else [])
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["rows_accepted"] == len(readings) + (14 * 24 if others else 0)
+
 
 class TestTrend:
     def test_five_files_per_station(self, pipeline_out):
@@ -713,6 +746,66 @@ class TestLongSeries:
     def test_gp_alone_is_no_model(self, long_out):
         assert main(["evaluate", "--out", str(long_out), "--models", "gp", *FAST_EVAL]) == 4
         assert main(["forecast", "--out", str(long_out), "--models", "gp", *FAST_EVAL]) == 4
+
+
+class TestOverflowingSpread:
+    """A train split whose spread overflows fails the ANN and the GP of its
+    station only; ARIMA and the other station are written."""
+
+    @pytest.fixture(scope="class")
+    def spread_out(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("spread")
+        assert main([
+            "simulate", "--out", str(out), "--n-days", "120",
+            "--station", "Gitega", "--station", "Kiyovu",
+        ]) == 0
+        path = out / "simulated_readings.csv"
+        header, rows = read_csv(path)
+        rows[[row[0] for row in rows].index("Gitega")][3] = "1e200"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        assert main(["ingest", "--out", str(out), "--input", str(path)]) == 0
+        return out
+
+    ARGS = ["--models", "arima,ann,gp", "--arima-grid", "1,0,1", "--workers", "2"]
+
+    @staticmethod
+    def strict_json(path: Path):
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+    def test_forecast_records_the_ann_and_gp_errors(self, spread_out, tmp_path, capsys):
+        out = fresh_out(spread_out, tmp_path / "out")
+        assert main(["forecast", "--out", str(out), *self.ARGS]) == 0
+        err = capsys.readouterr().err
+        assert "Gitega [ann]: the training values' mean or spread is not finite" in err
+        assert "Gitega [gp]: the training values' variance is not finite" in err
+        models = sorted(path.name for path in (out / "forecast").glob("*_model.json"))
+        assert models == [
+            "gitega_arima_model.json",
+            "kiyovu_ann_model.json", "kiyovu_arima_model.json", "kiyovu_gp_model.json",
+        ]
+        for path in (out / "forecast").glob("*_model.json"):
+            self.strict_json(path)
+        header, rows = read_csv(out / "forecast" / "gitega_forecast.csv")
+        assert header == ["date", "actual", "arima"]
+        assert all(np.isfinite(float(row[2])) for row in rows)
+
+    def test_evaluate_records_the_ann_and_gp_errors(self, spread_out, tmp_path, capsys):
+        out = fresh_out(spread_out, tmp_path / "out")
+        assert main(["evaluate", "--out", str(out), *self.ARGS]) == 0
+        report = self.strict_json(out / "evaluation" / "evaluation_report.json")
+        stations = {station["station"]: station for station in report["stations"]}
+        assert set(stations["Gitega"]["models"]) == {"arima"}
+        assert set(stations["Gitega"]["errors"]) == {"ann", "gp"}
+        assert set(stations["Kiyovu"]["models"]) == {"arima", "ann", "gp"}
+        assert stations["Kiyovu"]["errors"] == {}
+        _, rows = read_csv(out / "evaluation" / "comparison.csv")
+        assert {row[0]: [cell != "" for cell in row[1:4]] for row in rows} == {
+            "Gitega": [True, False, False], "Kiyovu": [True, True, True],
+        }
 
 
 class TestStationFilter:

@@ -277,9 +277,9 @@ class TestCompareModels:
 
 def gp_oracle_step(model, base_at, history, at):
     """A full fit_gp on the history and the posterior mean at the instant ``at``."""
-    x = gp.day_indices(history, base_at=base_at)
+    x = (history.at - base_at) / 86_400.0
     refit = gp.fit_gp(x, history.values, model.params, model.noise_variance)
-    return float(gp.posterior(refit, [(at - base_at) / gp.SECONDS_PER_DAY])[0][0])
+    return float(gp.posterior(refit, [(at - base_at) / 86_400.0])[0][0])
 
 
 @pytest.fixture
@@ -369,8 +369,8 @@ class TestGpAdapter:
         series = arima.simulate_arma(12.0, [0.7], [], 1.0, 2010, seed=27)
         train, test = split_holdout(series, SplitSpec(count=10))
         assert len(train) == 2000
-        adapter = GpAdapter(noise_grid=[0.5], amplitude_grid=[2.0], length_scale_grid=[7.0])
-        adapter.fit(train)
+        adapter = GpAdapter()
+        adapter.load({"amplitude": 2.0, "length_scale": 7.0, "noise_variance": 0.5}, train)
         with pytest.raises(EvaluationError, match="test index 1") as info:
             rolling_one_step(adapter, train, test)
         assert isinstance(info.value.__cause__, TooLongError)
@@ -442,7 +442,6 @@ class TestFitOrLoad:
             AnnAdapter(config=ann.TrainConfig(seed=2)).fit_key(train),
             AnnAdapter(config=ann.TrainConfig(seed=1, epochs=199)).fit_key(train),
             GpAdapter().fit_key(train),
-            GpAdapter(noise_grid=[0.5]).fit_key(train),
         ]
         monkeypatch.setattr(evaluation, "_source_digest", lambda: b"other code")
         others.append(ArimaAdapter(p_max=1, d_max=0, q_max=1).fit_key(train))

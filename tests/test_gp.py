@@ -154,6 +154,38 @@ class TestFitGp:
         model = fit_gp(x, [1.0, 1.0, 2.0, 3.0], SeKernelParams(1.0, 5.0), 0.0)
         assert model.jitter <= 1e-4 * model.params.amplitude
 
+    @staticmethod
+    def failing_cholesky(monkeypatch, amplitude, failures):
+        """Replace gp.cholesky by a double that refuses its first ``failures``
+        matrices; returns the jitters it was given, read off a 1x1 Gram matrix."""
+        jitters = []
+        real_cholesky = gp.cholesky
+
+        def double(matrix, lower):
+            jitters.append(float(matrix[0, 0]) - amplitude)
+            if len(jitters) <= failures:
+                raise np.linalg.LinAlgError("not positive definite")
+            return real_cholesky(matrix, lower=lower)
+
+        monkeypatch.setattr(gp, "cholesky", double)
+        return jitters
+
+    @pytest.mark.parametrize("amplitude", [0.5, 1.0, 2.0, 7.3, 3.0, 10.0, 123.4])
+    def test_jitter_stops_at_1e_4_of_the_amplitude(self, monkeypatch, amplitude):
+        jitters = self.failing_cholesky(monkeypatch, amplitude, failures=math.inf)
+        with pytest.raises(FactorizationError, match=f"up to jitter {1e-4 * amplitude:g}$"):
+            fit_gp([0.0], [1.0], SeKernelParams(amplitude, 3.0), 0.0)
+        assert len(jitters) == 7
+        assert jitters[-1] == pytest.approx(1e-4 * amplitude, rel=1e-9)
+        assert jitters[0] == pytest.approx(1e-10 * amplitude, rel=1e-4)
+
+    @pytest.mark.parametrize("amplitude", [0.5, 2.0, 123.4])
+    def test_jitter_escalates_tenfold_per_failure(self, monkeypatch, amplitude):
+        jitters = self.failing_cholesky(monkeypatch, amplitude, failures=2)
+        model = fit_gp([0.0], [1.0], SeKernelParams(amplitude, 3.0), 0.0)
+        assert len(jitters) == 3
+        assert model.jitter == pytest.approx(1e-8 * amplitude, rel=1e-12)
+
 
 def assert_same_model(model, oracle):
     assert model.jitter == oracle.jitter
@@ -364,6 +396,31 @@ class TestHyperparameterFit:
         x = np.arange(12, dtype=np.float64)
         params, noise = fit_hyperparameters(x, np.sin(x), [0.2, 0.1], [2.0, 1.0, 3.0], [3.0, 30.0, 7.0])
         assert (params.length_scale, params.amplitude, noise) == (30.0, 1.0, 0.2)
+
+
+class TestDefaultGrids:
+    @pytest.mark.parametrize("values, variance", [([0.0, 4.0], 4.0), ([2.0, 2.0], 1.0)],
+                             ids=["spread", "constant"])
+    def test_scaled_to_the_variance(self, values, variance):
+        noise, amplitude, length_scale = gp.default_grids(values)
+        assert noise == tuple(f * variance for f in gp.DEFAULT_NOISE_FACTORS)
+        assert amplitude == tuple(f * variance for f in gp.DEFAULT_AMPLITUDE_FACTORS)
+        assert length_scale == gp.DEFAULT_LENGTH_SCALES
+
+    def test_non_finite_variance_is_no_valid_fit(self):
+        with pytest.raises(NoValidFitError, match="variance is not finite"):
+            gp.default_grids([1e200] + [40.0] * 20)
+
+
+class TestDayIndices:
+    def test_days_after_the_base(self):
+        base = 1_609_452_000
+        days = day_indices([base, base + 43_200, base + 3 * 86_400, base - 86_400], base)
+        assert days.tolist() == [0.0, 0.5, 3.0, -1.0]
+
+    def test_the_adapter_takes_no_settings(self):
+        assert [f.name for f in dataclasses.fields(GpAdapter) if f.init] == []
+        assert repr(GpAdapter()) == "GpAdapter()"
 
 
 class TestForecastSeries:

@@ -11,6 +11,7 @@ from aircast.errors import (
     EmptySeriesError,
     GranularityError,
     LengthError,
+    NonFiniteMeanError,
     SeedError,
     SplitError,
 )
@@ -130,6 +131,12 @@ class TestResampleMean:
         out = resample_mean(raw, Granularity.DAILY, min_coverage=0.75)
         assert len(out) == 5
         np.testing.assert_allclose(out.values, np.arange(5.0))
+
+    def test_overflowing_mean_raises(self):
+        at = BASE_EPOCH + 900 * np.arange(4, dtype=np.int64)
+        raw = TimeSeries(Granularity.RAW, at, np.array([20.0, 1e308, 1e308, 1.0]))
+        with pytest.raises(NonFiniteMeanError, match="mean is not finite"):
+            resample_mean(raw, Granularity.HOURLY, min_coverage=1.0)
 
     def test_raw_subhourly_to_hourly(self):
         # 4 readings per hour at 15-minute cadence
