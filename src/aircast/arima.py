@@ -289,23 +289,25 @@ def _css_least_squares(
         # only called at accepted iterates, whose residuals are finite
         return _css_jacobian(params, residuals(params), lags, q)
 
-    try:
-        result = least_squares(
-            residuals, _ols_start(z, lags, q), jac=jacobian, method="lm",
-            ftol=_LM_TOL, xtol=_LM_TOL, gtol=_LM_TOL,
-        )
-    except (ValueError, KeyError):
-        # ValueError: fewer residuals than parameters, which "lm" refuses;
-        # KeyError: MINPACK's "tolerance too small" codes, which scipy does not map
-        return None
-    params = result.x
-    if result.status <= 0 or not np.all(np.isfinite(params)):
-        return None
-    if _inadmissible(params, lags.shape[1]):
-        return None
-    # every accepted iterate lowers the sum of squares of a finite start,
-    # so no stand-in value survives into the solution
-    return params, float(np.dot(result.fun, result.fun))
+    # residuals too large to square make an infinite cost, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            result = least_squares(
+                residuals, _ols_start(z, lags, q), jac=jacobian, method="lm",
+                ftol=_LM_TOL, xtol=_LM_TOL, gtol=_LM_TOL,
+            )
+        except (ValueError, KeyError):
+            # ValueError: fewer residuals than parameters, which "lm" refuses;
+            # KeyError: MINPACK's "tolerance too small" codes, which scipy does not map
+            return None
+        params = result.x
+        if result.status <= 0 or not np.all(np.isfinite(params)):
+            return None
+        if _inadmissible(params, lags.shape[1]):
+            return None
+        # every accepted iterate lowers the sum of squares of a finite start,
+        # so no stand-in value survives into the solution
+        return params, float(np.dot(result.fun, result.fun))
 
 
 def _css_nelder_mead(
@@ -379,7 +381,8 @@ def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
     if q == 0:
         params = _ols_start(z, lags, 0)
         e = _css_errors(params, z, lags)
-        css, converged = float(np.dot(e, e)), True
+        with np.errstate(over="ignore", invalid="ignore"):
+            css, converged = float(np.dot(e, e)), True
     else:
         solved = _css_least_squares(z, lags, q)
         if solved is None:

@@ -54,9 +54,19 @@ def _check_pair(actual: Sequence[float], predicted: Sequence[float]) -> tuple[np
 
 
 def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """Root mean squared error over equal-length sequences."""
+    """Root mean squared error over equal-length sequences.
+
+    Where the squared errors overflow, the errors are first scaled by their
+    largest magnitude, so finite errors give a finite RMSE.
+    """
     a, p = _check_pair(actual, predicted)
-    return float(np.sqrt(np.mean((a - p) ** 2)))
+    errors = a - p
+    with np.errstate(over="ignore"):
+        value = float(np.sqrt(np.mean(errors**2)))
+    if np.isinf(value) and np.all(np.isfinite(errors)):
+        scale = float(np.max(np.abs(errors)))
+        value = scale * float(np.sqrt(np.mean((errors / scale) ** 2)))
+    return value
 
 
 def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:

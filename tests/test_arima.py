@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -471,6 +472,17 @@ class TestSelectOrder:
     def test_no_surviving_cell_raises(self):
         with pytest.raises(NoConvergedModelError):
             select_order(daily_series([40.0]), 2, 1, 2)
+
+    def test_overflowing_css_warns_nothing(self):
+        # a 1e200 reading overflows the sum of squares of the q = 0 cells and
+        # the cost inside least_squares; those cells fail or lose, silently
+        series = simulate_arma(12.0, [0.7], [], 1.0, 96, seed=5)
+        values = series.values.copy()
+        values[0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            order, model = select_order(TimeSeries(series.granularity, series.at, values), 2, 1, 2)
+        assert np.isfinite(model.css)
 
 
 class TestSerialization:

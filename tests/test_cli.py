@@ -4,12 +4,17 @@ import collections
 import csv
 import gzip
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 
+import aircast
 from aircast import ann, arima, gp
 from aircast.cli import (
     _openblas_thread_controls,
@@ -748,33 +753,39 @@ class TestLongSeries:
         assert main(["forecast", "--out", str(long_out), "--models", "gp", *FAST_EVAL]) == 4
 
 
+def ingest_with_a_huge_gitega_reading(out: Path, index: int) -> Path:
+    """Simulate 120 days of Gitega and Kiyovu, set Gitega's reading number
+    ``index`` (in its own time order) to 1e200, and ingest."""
+    assert main([
+        "simulate", "--out", str(out), "--n-days", "120",
+        "--station", "Gitega", "--station", "Kiyovu",
+    ]) == 0
+    path = out / "simulated_readings.csv"
+    header, rows = read_csv(path)
+    gitega = [row for row in rows if row[0] == "Gitega"]
+    gitega[index][3] = "1e200"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    assert main(["ingest", "--out", str(out), "--input", str(path)]) == 0
+    return out
+
+
+def strict_json(path: Path):
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
 class TestOverflowingSpread:
     """A train split whose spread overflows fails the ANN and the GP of its
     station only; ARIMA and the other station are written."""
 
     @pytest.fixture(scope="class")
     def spread_out(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("spread")
-        assert main([
-            "simulate", "--out", str(out), "--n-days", "120",
-            "--station", "Gitega", "--station", "Kiyovu",
-        ]) == 0
-        path = out / "simulated_readings.csv"
-        header, rows = read_csv(path)
-        rows[[row[0] for row in rows].index("Gitega")][3] = "1e200"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows([header, *rows])
-        assert main(["ingest", "--out", str(out), "--input", str(path)]) == 0
-        return out
+        return ingest_with_a_huge_gitega_reading(tmp_path_factory.mktemp("spread"), 0)
 
     ARGS = ["--models", "arima,ann,gp", "--arima-grid", "1,0,1", "--workers", "2"]
-
-    @staticmethod
-    def strict_json(path: Path):
-        def refuse(token):
-            raise ValueError(f"not JSON: {token}")
-
-        return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
 
     def test_forecast_records_the_ann_and_gp_errors(self, spread_out, tmp_path, capsys):
         out = fresh_out(spread_out, tmp_path / "out")
@@ -788,7 +799,7 @@ class TestOverflowingSpread:
             "kiyovu_ann_model.json", "kiyovu_arima_model.json", "kiyovu_gp_model.json",
         ]
         for path in (out / "forecast").glob("*_model.json"):
-            self.strict_json(path)
+            strict_json(path)
         header, rows = read_csv(out / "forecast" / "gitega_forecast.csv")
         assert header == ["date", "actual", "arima"]
         assert all(np.isfinite(float(row[2])) for row in rows)
@@ -796,7 +807,7 @@ class TestOverflowingSpread:
     def test_evaluate_records_the_ann_and_gp_errors(self, spread_out, tmp_path, capsys):
         out = fresh_out(spread_out, tmp_path / "out")
         assert main(["evaluate", "--out", str(out), *self.ARGS]) == 0
-        report = self.strict_json(out / "evaluation" / "evaluation_report.json")
+        report = strict_json(out / "evaluation" / "evaluation_report.json")
         stations = {station["station"]: station for station in report["stations"]}
         assert set(stations["Gitega"]["models"]) == {"arima"}
         assert set(stations["Gitega"]["errors"]) == {"ann", "gp"}
@@ -806,6 +817,84 @@ class TestOverflowingSpread:
         assert {row[0]: [cell != "" for cell in row[1:4]] for row in rows} == {
             "Gitega": [True, False, False], "Kiyovu": [True, True, True],
         }
+
+
+class TestOverflowingHoldout:
+    def test_evaluate_writes_finite_errors_and_strict_json(self, tmp_path):
+        """A held-out reading whose squared error overflows still gives each
+        model a finite RMSE, of the order of that reading."""
+        out = ingest_with_a_huge_gitega_reading(tmp_path, -5)
+        assert main(["evaluate", "--out", str(out), "--models", "arima,ann,gp",
+                     "--arima-grid", "1,0,1", "--workers", "1"]) == 0
+        report = strict_json(out / "evaluation" / "evaluation_report.json")
+        gitega = next(station for station in report["stations"] if station["station"] == "Gitega")
+        assert set(gitega["models"]) == {"arima", "ann", "gp"}
+        header, rows = read_csv(out / "evaluation" / "comparison.csv")
+        (row,) = [row for row in rows if row[0] == "Gitega"]
+        for column in ("rmse_arima", "rmse_ann", "rmse_gpr"):
+            assert 1e198 < float(row[header.index(column)]) < 1e200
+
+
+SRC = Path(aircast.__file__).resolve().parent.parent
+LOADED_SCIPY = "sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy')"
+
+
+def run_fresh(code: str, *argv: str, path: Sequence[Path] = ()) -> str:
+    """stdout of ``code`` run by a fresh interpreter that finds this aircast,
+    with no BLAS thread count set in its environment."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(map(str, [SRC, *path]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestStageImports:
+    """Each stage loads only the layers it runs: scipy comes with the model stages."""
+
+    def test_import_loads_no_scipy(self):
+        out = run_fresh(f"import sys, aircast.cli; print({LOADED_SCIPY})")
+        assert out == "[]\n"
+
+    def test_ingest_and_trend_load_no_scipy(self, tmp_path):
+        assert main(["simulate", "--out", str(tmp_path), "--n-days", "30",
+                     "--station", "Gitega", "--station", "Kiyovu"]) == 0
+        code = (
+            "import sys\n"
+            "from aircast.cli import main\n"
+            "out = sys.argv[1]\n"
+            "assert main(['ingest', '--out', out, '--input', out + '/simulated_readings.csv']) == 0\n"
+            "assert main(['trend', '--out', out, '--workers', '2']) == 0\n"
+            f"print({LOADED_SCIPY})\n"
+        )
+        assert run_fresh(code, str(tmp_path)).splitlines()[-1] == "[]"
+
+    def test_spawned_model_stage_workers_pin_every_blas(self, tmp_path):
+        """A worker that does not fork loads the parent's model layers before
+        it pins, so scipy's BLAS, which loads with them, runs on one thread too."""
+        (tmp_path / "blas_probe.py").write_text(
+            "from aircast.cli import _openblas_thread_controls\n"
+            "\n"
+            "def thread_counts(task):\n"
+            "    from aircast import evaluation  # as the model stages' station workers do\n"
+            "    return [get() for get, _ in _openblas_thread_controls()]\n",
+            encoding="utf-8",
+        )
+        code = (
+            "import json, multiprocessing, sys\n"
+            "from aircast import cli\n"
+            "import blas_probe\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "args = cli.build_parser().parse_args(['evaluate', '--out', sys.argv[1]])\n"
+            "assert cli._parse_model_flags(args)\n"
+            "loaded = len(cli._openblas_thread_controls())\n"
+            "print(json.dumps([loaded, cli._run_pool(blas_probe.thread_counts, [0, 1], 2)]))\n"
+        )
+        loaded, counts = json.loads(run_fresh(code, str(tmp_path), path=[tmp_path]))
+        assert loaded >= 1
+        assert counts == [[1] * loaded] * 2
 
 
 class TestStationFilter:

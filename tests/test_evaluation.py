@@ -88,6 +88,9 @@ class TestMetrics:
         with pytest.raises(EmptyInputError):
             mae([], [])
 
+    def test_rmse_of_errors_whose_squares_overflow_is_finite(self):
+        assert rmse([1e200, 0.0], [0.0, 0.0]) == pytest.approx(1e200 / math.sqrt(2), rel=1e-15)
+
     @given(pair_strategy)
     def test_rmse_at_least_mae(self, pair):
         actual, predicted = pair
