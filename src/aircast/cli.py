@@ -17,10 +17,13 @@ data, 4 no model succeeded.
 Importing this module loads only the numpy layers (``errors``, ``ingest``,
 ``series``, ``trends``), so ``ingest`` and ``trend`` never load scipy. The
 stages that run models import the model layers (``ann``, ``arima``,
-``evaluation``, which bring in ``gp`` and scipy) when they start:
-``simulate`` in :func:`cmd_simulate`, ``forecast`` and ``evaluate`` in
-:func:`_parse_model_flags`, in the parent process, before :func:`_run_pool`
-pins every loaded BLAS and starts its workers.
+``evaluation``, which bring in ``gp`` and scipy) when they start, in
+:func:`cmd_simulate`, :func:`cmd_forecast` and :func:`cmd_evaluate`: in the
+parent process, before :func:`_run_pool` pins every loaded BLAS and starts
+its workers.
+
+Every flag is parsed and checked once, by argparse: a rejected flag exits 2
+before anything is read or written.
 """
 
 from __future__ import annotations
@@ -227,6 +230,37 @@ def model_path(out: Path, station: str, model: str) -> Path:
 # ---------------------------------------------------------------------------
 # Argument plumbing
 
+def _flag_type(
+    convert: Callable[[str], object],
+    check: Callable[[object], bool] | None = None,
+    reason: str = "",
+) -> Callable[[str], object]:
+    """An argparse ``type``: ``convert`` the text, then refuse a value that
+    fails ``check``, saying ``reason``. A ValueError keeps its own reason."""
+    def parse(text: str) -> object:
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if check is not None and not check(value):
+            raise argparse.ArgumentTypeError(reason)
+        return value
+    return parse
+
+
+class _Stations(argparse.Action):
+    """``--station``, repeatable: a blank name is an error, and the first
+    spelling of each station key wins."""
+
+    def __call__(self, parser, namespace, name, option_string=None) -> None:
+        try:
+            spellings = first_spellings([*getattr(namespace, self.dest), name])
+        except ValueError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
+        setattr(namespace, self.dest, list(spellings.values()))
+
+
+@_flag_type
 def _parse_holdout(text: str) -> SplitSpec:
     """An integer is a count of trailing observations, anything else a fraction."""
     try:
@@ -242,8 +276,10 @@ def _parse_holdout(text: str) -> SplitSpec:
     return SplitSpec(count=count)
 
 
+@_flag_type
 def _parse_models(text: str) -> list[str]:
-    models = [m.strip().lower() for m in text.split(",") if m.strip()]
+    """Known model names, each once, in the order first given."""
+    models = list(dict.fromkeys(m.strip().lower() for m in text.split(",") if m.strip()))
     unknown = [m for m in models if m not in DEFAULT_MODELS]
     if unknown:
         raise ValueError(f"unknown models: {', '.join(unknown)} (choose from {DEFAULT_MODELS})")
@@ -252,6 +288,7 @@ def _parse_models(text: str) -> list[str]:
     return models
 
 
+@_flag_type
 def _parse_grid(text: str) -> tuple[int, int, int]:
     """'p_max,d_max,q_max', each within the bounds of an ARIMA order."""
     from .arima import ArimaOrder
@@ -266,45 +303,12 @@ def _parse_grid(text: str) -> tuple[int, int, int]:
     return p, d, q
 
 
+@_flag_type
 def _parse_coeffs(text: str) -> tuple[float, ...]:
     text = text.strip()
     if not text:
         return ()
     return tuple(float(p) for p in text.split(","))
-
-
-def _check_stations(args: argparse.Namespace) -> bool:
-    """Keep the first ``--station`` spelling of each station key in place;
-    False, after saying why, when a name is blank."""
-    try:
-        args.station = list(first_spellings(args.station).values())
-    except ValueError as exc:
-        print(f"{args.command}: --station: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
-def _parse_model_flags(args: argparse.Namespace) -> bool:
-    """Check ``--station``, parse ``--models`` and ``--arima-grid`` in place and
-    ``--holdout`` into ``args.split`` (``args.holdout`` keeps the text the
-    report records). False, after saying why, when a flag is invalid.
-
-    The model layers load here, in the parent process: ``_run_pool`` pins
-    only the BLAS libraries loaded when it starts (scipy's own loads with
-    scipy.linalg, which ``arima`` and ``gp`` bring in), and forked workers
-    inherit both the modules and the pin."""
-    from . import evaluation  # noqa: F401  (and ann, arima, gp, scipy)
-
-    if not _check_stations(args):
-        return False
-    try:
-        args.models = _parse_models(args.models)
-        args.arima_grid = _parse_grid(args.arima_grid)
-        args.split = _parse_holdout(args.holdout)
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return False
-    return True
 
 
 def _station_names(out: Path, requested: Sequence[str]) -> list[str]:
@@ -448,18 +452,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     stations = args.station or list(STATION_ROSTER)
+    given = {
+        field: getattr(args, field)
+        for field in ("alpha", "beta", "theta", "sigma")
+        if getattr(args, field) is not None
+    }
+    override = replace(_FALLBACK_SIM, **given) if given else None
+    roster = {station_key(name): params for name, params in STATION_SIM_PARAMS.items()}
     rows = []
     try:
-        given = {
-            "alpha": args.alpha,
-            "beta": None if args.beta is None else _parse_coeffs(args.beta),
-            "theta": None if args.theta is None else _parse_coeffs(args.theta),
-            "sigma": args.sigma,
-        }
-        given = {field: value for field, value in given.items() if value is not None}
-        override = replace(_FALLBACK_SIM, **given) if given else None
         for name in stations:
-            params = override or STATION_SIM_PARAMS.get(name, _FALLBACK_SIM)
+            params = override or roster.get(station_key(name), _FALLBACK_SIM)
             series = simulate_arma(
                 params.alpha,
                 params.beta,
@@ -487,11 +490,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    if not 0.0 <= args.min_coverage <= 1.0:  # also refuses nan
-        print("ingest: --min-coverage must lie in [0, 1]", file=sys.stderr)
-        return EXIT_SCHEMA
-    if not _check_stations(args):
-        return EXIT_SCHEMA
     mapping = ColumnMapping(
         station=args.station_column,
         timestamp=args.timestamp_column,
@@ -615,11 +613,6 @@ def _trend_station(args: argparse.Namespace, station: str) -> dict:
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.who_threshold):
-        print("trend: --who-threshold must be finite", file=sys.stderr)
-        return EXIT_SCHEMA
-    if not _check_stations(args):
-        return EXIT_SCHEMA
     out = Path(args.out)
     results = _run_stations(args, _trend_station)
     if results is None:
@@ -670,7 +663,7 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
         if series is None:
             result["errors"]["*"] = "no ingested series found"
             return result
-        train, _ = split_holdout(series, args.split)
+        train, _ = split_holdout(series, args.holdout)
     except AircastError as exc:
         result["errors"]["*"] = str(exc)
         return result
@@ -712,11 +705,8 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
-    if args.horizon < 1:
-        print("forecast: horizon must be >= 1", file=sys.stderr)
-        return EXIT_SCHEMA
-    if not _parse_model_flags(args):
-        return EXIT_SCHEMA
+    from . import evaluation  # noqa: F401  (the model layers, before _run_pool pins BLAS)
+
     results = _run_stations(args, _forecast_station)
     if results is None:
         return EXIT_EMPTY
@@ -762,16 +752,14 @@ def _evaluate_station(args: argparse.Namespace, station: str) -> EvalReport:
             return report
         adapters = _build_adapters(args, station)
         paths = {adapter.name: model_path(out, station, adapter.name) for adapter in adapters}
-        return compare_models(series, args.split, adapters, station=station, model_paths=paths)
+        return compare_models(series, args.holdout, adapters, station=station, model_paths=paths)
     except AircastError as exc:
         report.errors["*"] = str(exc)
         return report
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if not _parse_model_flags(args):
-        return EXIT_SCHEMA
-    from .evaluation import comparison_table
+    from .evaluation import comparison_table  # and the model layers, before _run_pool pins BLAS
 
     reports = _run_stations(args, _evaluate_station)
     if reports is None:
@@ -792,7 +780,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         {
             "seed": args.seed,
             "models": args.models,
-            "holdout": args.holdout,
+            "holdout": str(args.holdout.count or args.holdout.fraction),
             "protocol": "rolling one-step, parameters frozen after one fit on train",
             "stations": [report.to_dict() for report in reports],
         },
@@ -812,7 +800,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--station",
-        action="append",
+        action=_Stations,
         default=[],
         help="station filter; repeatable (default: all stations)",
     )
@@ -829,14 +817,15 @@ def _add_station_stage_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     _add_station_stage_flags(parser)
-    parser.add_argument("--models", default=",".join(DEFAULT_MODELS),
+    parser.add_argument("--models", type=_parse_models, default=",".join(DEFAULT_MODELS),
                         help="comma-separated subset of arima,ann,gp")
-    parser.add_argument("--holdout", default="0.2",
+    parser.add_argument("--holdout", type=_parse_holdout, default="0.2",
                         help="trailing holdout: fraction in (0,1) or integer count")
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument("--granularity", choices=["hourly", "daily"], default="daily",
                         help="which cleaned series to model")
-    parser.add_argument("--arima-grid", default=",".join(map(str, DEFAULT_ARIMA_GRID)),
+    parser.add_argument("--arima-grid", type=_parse_grid,
+                        default=",".join(map(str, DEFAULT_ARIMA_GRID)),
                         help="ARIMA order-selection bounds 'p_max,d_max,q_max'")
 
 
@@ -852,8 +841,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--n-days", type=int, default=DEFAULT_SIM_DAYS)
     p_sim.add_argument("--alpha", type=float, default=None, help="override intercept for all stations")
-    p_sim.add_argument("--beta", default=None, help="override AR coefficients, comma-separated")
-    p_sim.add_argument("--theta", default=None, help="override MA coefficients, comma-separated")
+    p_sim.add_argument("--beta", type=_parse_coeffs, default=None,
+                       help="override AR coefficients, comma-separated")
+    p_sim.add_argument("--theta", type=_parse_coeffs, default=None,
+                       help="override MA coefficients, comma-separated")
     p_sim.add_argument("--sigma", type=float, default=None, help="override innovation std dev")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -861,11 +852,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ing)
     p_ing.add_argument("--input", action="append", default=[], required=True,
                        help="input CSV path (.gz accepted); repeatable")
-    p_ing.add_argument("--pollutant", default="PM25", type=parse_pollutant,
+    p_ing.add_argument("--pollutant", default="PM25", type=_flag_type(parse_pollutant),
                        metavar="{" + ",".join(p.value for p in Pollutant) + "}",
                        help="pollutant to write series for, in any spelling the input may "
                             "use (pm2.5 and 'PM 2.5' are PM25)")
-    p_ing.add_argument("--min-coverage", type=float, default=DEFAULT_MIN_COVERAGE,
+    p_ing.add_argument("--min-coverage", default=DEFAULT_MIN_COVERAGE,
+                       type=_flag_type(float, lambda c: 0.0 <= c <= 1.0, "must lie in [0, 1]"),
                        help="minimum bucket coverage fraction for resampled means")
     p_ing.add_argument("--station-column", default="station")
     p_ing.add_argument("--timestamp-column", default="timestamp")
@@ -875,7 +867,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trend = sub.add_parser("trend", help="descriptive statistics per station")
     _add_common(p_trend)
-    p_trend.add_argument("--who-threshold", type=float, default=trends.WHO_DAILY_GUIDELINE,
+    p_trend.add_argument("--who-threshold", default=trends.WHO_DAILY_GUIDELINE,
+                         type=_flag_type(float, math.isfinite, "must be finite"),
                          help="daily-mean exceedance threshold, µg/m³")
     _add_station_stage_flags(p_trend)
     p_trend.set_defaults(func=cmd_trend)
@@ -883,7 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc = sub.add_parser("forecast", help="fit models on the train split and forecast ahead")
     _add_common(p_fc)
     _add_model_flags(p_fc)
-    p_fc.add_argument("--horizon", type=int, default=14, help="steps to forecast")
+    p_fc.add_argument("--horizon", type=_flag_type(int, lambda n: n >= 1, "horizon must be >= 1"),
+                      default=14, help="steps to forecast")
     p_fc.set_defaults(func=cmd_forecast)
 
     p_eval = sub.add_parser("evaluate", help="rolling one-step comparison on the holdout")
@@ -895,7 +889,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has said why (or printed the help)
+        return exc.code
     try:
         return args.func(args)
     except OSError as exc:

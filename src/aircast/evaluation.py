@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -53,26 +53,27 @@ def _check_pair(actual: Sequence[float], predicted: Sequence[float]) -> tuple[np
     return a, p
 
 
-def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """Root mean squared error over equal-length sequences.
-
-    Where the squared errors overflow, the errors are first scaled by their
-    largest magnitude, so finite errors give a finite RMSE.
-    """
-    a, p = _check_pair(actual, predicted)
-    errors = a - p
+def _scaled_where_overflowing(metric: Callable[[np.ndarray], float], errors: np.ndarray) -> float:
+    """``metric(errors)``; where that overflows, the errors are first scaled by
+    their largest magnitude, so finite errors give a finite metric."""
     with np.errstate(over="ignore"):
-        value = float(np.sqrt(np.mean(errors**2)))
+        value = metric(errors)
     if np.isinf(value) and np.all(np.isfinite(errors)):
         scale = float(np.max(np.abs(errors)))
-        value = scale * float(np.sqrt(np.mean((errors / scale) ** 2)))
+        value = scale * metric(errors / scale)
     return value
 
 
-def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """Mean absolute error over equal-length sequences."""
+def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
+    """Root mean squared error over equal-length sequences, finite for finite errors."""
     a, p = _check_pair(actual, predicted)
-    return float(np.mean(np.abs(a - p)))
+    return _scaled_where_overflowing(lambda e: float(np.sqrt(np.mean(e**2))), a - p)
+
+
+def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
+    """Mean absolute error over equal-length sequences, finite for finite errors."""
+    a, p = _check_pair(actual, predicted)
+    return _scaled_where_overflowing(lambda e: float(np.mean(np.abs(e))), a - p)
 
 
 @cache

@@ -52,6 +52,22 @@ def fresh_out(pipeline_out: Path, dest: Path) -> Path:
     return dest
 
 
+def assert_refused(capsys, out: Path, command: str, *flags: str, reason: str) -> str:
+    """``command`` with ``flags`` exits 2 with argparse's usage line and an
+    error ending in ``reason``, and nothing exists under ``out``; returns stderr."""
+    assert main([command, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: aircast {command} ")
+    assert err.endswith(f"aircast {command}: error: {reason}\n")
+    assert not out.exists()
+    return err
+
+
+def refused(*cases: tuple[str, str]) -> list:
+    """(bad flag, argparse's reason) cases, each with the flag as its test id."""
+    return [pytest.param(flag, reason, id=flag) for flag, reason in cases]
+
+
 def stage_files(folder: Path) -> dict[Path, bytes]:
     return {
         path.relative_to(folder): path.read_bytes()
@@ -96,11 +112,22 @@ class TestSimulate:
     def test_nonstationary_override_rejected(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), "--beta", "1.1"]) == 2
 
-    @pytest.mark.parametrize("flag", ["--beta=0.5,x", "--theta=abc"])
-    def test_unparseable_override_rejected(self, tmp_path, capsys, flag):
-        assert main(["simulate", "--out", str(tmp_path), flag]) == 2
-        assert "simulate: invalid parameters" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
+    @pytest.mark.parametrize("flag, reason", refused(
+        ("--beta=0.5,x", "argument --beta: could not convert string to float: 'x'"),
+        ("--theta=abc", "argument --theta: could not convert string to float: 'abc'"),
+    ))
+    def test_unparseable_override_rejected(self, tmp_path, capsys, flag, reason):
+        assert_refused(capsys, tmp_path / "out", "simulate", flag, reason=reason)
+
+    def test_roster_parameters_found_by_station_key(self, tmp_path):
+        values = {}
+        for name in ("Gitega", "gitega"):
+            assert main(["simulate", "--out", str(tmp_path / name), "--n-days", "80",
+                         "--station", name]) == 0
+            _, rows = read_csv(tmp_path / name / "simulated_readings.csv")
+            assert {row[0] for row in rows} == {name}
+            values[name] = [row[1:] for row in rows]
+        assert values["gitega"] == values["Gitega"]
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AIRCAST_OUT", str(tmp_path / "envout"))
@@ -239,12 +266,10 @@ class TestIngest:
     def test_unknown_pollutant_flag_is_schema_error_before_any_output(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
         src.write_text(self.CSV, encoding="utf-8")
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exit_info:
-            main(["ingest", "--out", str(out), "--input", str(src), "--pollutant", "O3"])
-        assert exit_info.value.code == 2
-        assert "{PM25,PM10,SO2,NO2,CO}" in capsys.readouterr().err
-        assert not out.exists()
+        err = assert_refused(capsys, tmp_path / "out", "ingest", "--input", str(src),
+                             "--pollutant", "O3",
+                             reason="argument --pollutant: 'O3' is not a valid Pollutant")
+        assert "{PM25,PM10,SO2,NO2,CO}" in err
 
     def test_pollutant_flag_is_case_insensitive(self, tmp_path):
         src = tmp_path / "readings.csv"
@@ -257,24 +282,22 @@ class TestIngest:
                 tmp_path / "pm25" / "series" / name
             ).read_bytes()
 
-    @pytest.mark.parametrize("flag", [
-        "--min-coverage=1.5", "--min-coverage=-0.1", "--min-coverage=nan",
-        "--station=", "--station= ",
-    ])
-    def test_bad_argument_is_schema_error_before_any_output(self, tmp_path, flag):
+    @pytest.mark.parametrize("flag, reason", refused(
+        ("--min-coverage=1.5", "argument --min-coverage: must lie in [0, 1]"),
+        ("--min-coverage=-0.1", "argument --min-coverage: must lie in [0, 1]"),
+        ("--min-coverage=nan", "argument --min-coverage: must lie in [0, 1]"),
+        ("--station=", "argument --station: station name must be non-empty"),
+        ("--station= ", "argument --station: station name must be non-empty"),
+    ))
+    def test_bad_argument_is_schema_error_before_any_output(self, tmp_path, capsys, flag, reason):
         src = tmp_path / "readings.csv"
         src.write_text(self.CSV, encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["ingest", "--out", str(out), "--input", str(src), flag]) == 2
-        assert not out.exists()
+        assert_refused(capsys, tmp_path / "out", "ingest", "--input", str(src), flag,
+                       reason=reason)
 
     def test_missing_input_is_usage_error_before_any_output(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exit_info:
-            main(["ingest", "--out", str(out)])
-        assert exit_info.value.code == 2
-        assert "--input" in capsys.readouterr().err
-        assert not out.exists()
+        assert_refused(capsys, tmp_path / "out", "ingest",
+                       reason="the following arguments are required: --input")
 
     ONE_INSTANT = [(0, "20"), (0, "1e308"), (0, "1e308")]
 
@@ -336,15 +359,15 @@ class TestTrend:
         payload = json.loads((pipeline_out / "trend" / "gitega_seasonal.json").read_text())
         assert all({"season", "mean", "count"} <= set(entry) for entry in payload)
 
-    @pytest.mark.parametrize("flag", [
-        "--who-threshold=nan", "--who-threshold=inf", "--who-threshold=-inf",
-    ])
-    def test_bad_argument_is_schema_error_before_any_output(self, pipeline_out, tmp_path,
-                                                            capsys, flag):
-        out = fresh_out(pipeline_out, tmp_path / "out")
-        assert main(["trend", "--out", str(out), "--workers", "1", flag]) == 2
-        assert capsys.readouterr().err == "trend: --who-threshold must be finite\n"
-        assert sorted(path.name for path in out.iterdir()) == ["ingest_report.json", "series"]
+    @pytest.mark.parametrize("flag, reason", refused(
+        ("--who-threshold=nan", "argument --who-threshold: must be finite"),
+        ("--who-threshold=inf", "argument --who-threshold: must be finite"),
+        ("--who-threshold=-inf", "argument --who-threshold: must be finite"),
+    ))
+    def test_bad_argument_is_schema_error_before_any_output(self, tmp_path, capsys, flag,
+                                                            reason):
+        # an empty --out would exit 3 at the station lookup: 2 means it came first
+        assert_refused(capsys, tmp_path / "out", "trend", "--workers", "1", flag, reason=reason)
 
     @pytest.mark.parametrize("command", ["trend", "forecast", "evaluate"])
     def test_without_ingest_is_empty(self, tmp_path, command):
@@ -375,15 +398,14 @@ class TestForecast:
         for name in ("arima", "ann", "gp"):
             assert (pipeline_out / "forecast" / f"gitega_{name}_model.json").exists()
 
-    def test_horizon_zero_rejected(self, pipeline_out):
-        assert main([
-            "forecast", "--out", str(pipeline_out), "--horizon", "0", *FAST_EVAL,
-        ]) == 2
+    def test_horizon_zero_rejected(self, tmp_path, capsys):
+        assert_refused(capsys, tmp_path / "out", "forecast", "--horizon", "0", *FAST_EVAL,
+                       reason="argument --horizon: horizon must be >= 1")
 
-    def test_unknown_model_rejected(self, pipeline_out):
-        assert main([
-            "forecast", "--out", str(pipeline_out), "--models", "prophet", *FAST_EVAL,
-        ]) == 2
+    def test_unknown_model_rejected(self, tmp_path, capsys):
+        assert_refused(capsys, tmp_path / "out", "forecast", "--models", "prophet", *FAST_EVAL,
+                       reason="argument --models: unknown models: prophet "
+                              "(choose from ('arima', 'ann', 'gp'))")
 
 
 class TestEvaluate:
@@ -415,6 +437,16 @@ class TestEvaluate:
         header, rows = read_csv(pipeline_out / "evaluation" / "comparison.csv")
         assert header == ["station", "rmse_arima", "mae_arima"]
         assert len(rows) == 1
+
+    def test_model_named_twice_runs_once(self, pipeline_out):
+        assert main([
+            "evaluate", "--out", str(pipeline_out), "--models", "arima,ARIMA",
+            "--station", "Gitega", *FAST_EVAL,
+        ]) == 0
+        header, _ = read_csv(pipeline_out / "evaluation" / "comparison.csv")
+        assert header == ["station", "rmse_arima", "mae_arima"]
+        report = json.loads((pipeline_out / "evaluation" / "evaluation_report.json").read_text())
+        assert report["models"] == ["arima"]
 
     def test_rerun_bitwise_identical(self, pipeline_out):
         args = [
@@ -466,8 +498,25 @@ class TestEvaluate:
         assert blas_thread_counts() == before
 
 
-BAD_ARIMA_GRIDS = ["1,2", "1,0,1,1", "a,0,0", "1.5,0,0", "11,0,0", "1,3,1", "1,0,11", "-1,0,1"]
-BAD_OTHER_MODEL_FLAGS = ["--holdout=abc", "--holdout=0", "--holdout=1.5", "--models=prophet"]
+def grid_reason(grid: str) -> str:
+    return f"argument --arima-grid: arima grid must be 'p_max,d_max,q_max' integers, got '{grid}'"
+
+
+#: (bad model flag, argparse's reason, test id): each refused by forecast and evaluate
+BAD_MODEL_FLAGS = [
+    *[(f"--arima-grid={grid}", grid_reason(grid), grid)
+      for grid in ("1,2", "1,0,1,1", "a,0,0", "1.5,0,0")],
+    ("--arima-grid=11,0,0", "argument --arima-grid: p must be in 0..10", "11,0,0"),
+    ("--arima-grid=1,3,1", "argument --arima-grid: d must be in 0..2", "1,3,1"),
+    ("--arima-grid=1,0,11", "argument --arima-grid: q must be in 0..10", "1,0,11"),
+    ("--arima-grid=-1,0,1", "argument --arima-grid: p must be in 0..10", "-1,0,1"),
+    ("--holdout=abc", "argument --holdout: --holdout must be a fraction in (0, 1) or an "
+                      "integer count, got 'abc'", "holdout=abc"),
+    ("--holdout=0", "argument --holdout: count must be >= 1", "holdout=0"),
+    ("--holdout=1.5", "argument --holdout: fraction must lie in (0, 1)", "holdout=1.5"),
+    ("--models=prophet", "argument --models: unknown models: prophet "
+                         "(choose from ('arima', 'ann', 'gp'))", "models=prophet"),
+]
 
 
 class TestForecasterContract:
@@ -475,14 +524,12 @@ class TestForecasterContract:
 
     @pytest.mark.parametrize("command", ["forecast", "evaluate"])
     @pytest.mark.parametrize(
-        "flag",
-        [f"--arima-grid={grid}" for grid in BAD_ARIMA_GRIDS] + BAD_OTHER_MODEL_FLAGS,
-        ids=BAD_ARIMA_GRIDS + [flag.lstrip("-") for flag in BAD_OTHER_MODEL_FLAGS],
+        "flag, reason", [pytest.param(flag, reason, id=id) for flag, reason, id in BAD_MODEL_FLAGS]
     )
-    def test_bad_arima_grid_is_schema_error(self, tmp_path, command, flag):
+    def test_bad_arima_grid_is_schema_error(self, tmp_path, capsys, command, flag, reason):
         """Any bad model flag, the ARIMA grid among them, exits 2."""
         # an empty --out would exit 3 at the station lookup: 2 means it came first
-        assert main([command, "--out", str(tmp_path), flag]) == 2
+        assert_refused(capsys, tmp_path / "out", command, flag, reason=reason)
 
     @pytest.mark.parametrize(
         "holdout, message",
@@ -494,8 +541,8 @@ class TestForecasterContract:
         ],
     )
     def test_holdout_error_names_the_reading(self, tmp_path, capsys, holdout, message):
-        assert main(["evaluate", "--out", str(tmp_path), f"--holdout={holdout}"]) == 2
-        assert capsys.readouterr().err == f"evaluate: {message}\n"
+        assert_refused(capsys, tmp_path / "out", "evaluate", f"--holdout={holdout}",
+                       reason=f"argument --holdout: {message}")
 
     def test_first_forecast_step_is_first_evaluation_prediction(self, pipeline_out):
         args = ["--out", str(pipeline_out), "--models", "arima,ann,gp", "--station", "Gitega",
@@ -888,7 +935,6 @@ class TestStageImports:
             "import blas_probe\n"
             "multiprocessing.set_start_method('spawn')\n"
             "args = cli.build_parser().parse_args(['evaluate', '--out', sys.argv[1]])\n"
-            "assert cli._parse_model_flags(args)\n"
             "loaded = len(cli._openblas_thread_controls())\n"
             "print(json.dumps([loaded, cli._run_pool(blas_probe.thread_counts, [0, 1], 2)]))\n"
         )
@@ -902,6 +948,8 @@ class TestStationFilter:
         ("ingest", ["--input", "simulated_readings.csv"], "wrote 2 series files"),
         ("trend", ["--workers", "1"], "wrote analyses for 1 stations"),
         ("evaluate", ["--models", "arima", *FAST_EVAL], "wrote comparison for 1 stations"),
+        ("simulate", ["--n-days", "80"], "(80 rows, 1 stations)"),
+        ("forecast", ["--models", "arima", *FAST_EVAL], "wrote forecasts for 1 stations"),
     ])
     def test_station_named_twice_runs_once(self, pipeline_out, tmp_path, capsys, monkeypatch,
                                            command, extra, done):
@@ -913,14 +961,11 @@ class TestStationFilter:
         assert done in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", ["", " "], ids=["empty", "blank"])
-    @pytest.mark.parametrize("command", ["trend", "forecast", "evaluate"])
-    def test_blank_station_is_schema_error_before_any_output(self, pipeline_out, tmp_path,
-                                                            capsys, command, name):
-        out = fresh_out(pipeline_out, tmp_path / "out")
-        assert main([command, "--out", str(out), "--station", "Gitega", "--station", name,
-                     "--workers", "1"]) == 2
-        assert capsys.readouterr().err == f"{command}: --station: station name must be non-empty\n"
-        assert sorted(path.name for path in out.iterdir()) == ["ingest_report.json", "series"]
+    @pytest.mark.parametrize("command", ["trend", "forecast", "evaluate", "simulate"])
+    def test_blank_station_is_schema_error_before_any_output(self, tmp_path, capsys, command,
+                                                            name):
+        assert_refused(capsys, tmp_path / "out", command, "--station", "Gitega", "--station", name,
+                       reason="argument --station: station name must be non-empty")
 
 
 class TestHygiene:

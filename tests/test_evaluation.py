@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,11 @@ class TestMetrics:
 
     def test_rmse_of_errors_whose_squares_overflow_is_finite(self):
         assert rmse([1e200, 0.0], [0.0, 0.0]) == pytest.approx(1e200 / math.sqrt(2), rel=1e-15)
+
+    def test_mae_of_errors_whose_sum_overflows_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mae([1e308, 1e308], [0.0, 0.0]) == 1e308
 
     @given(pair_strategy)
     def test_rmse_at_least_mae(self, pair):
