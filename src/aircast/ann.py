@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DivergenceError, TooShortError
 from .series import TimeSeries
@@ -28,18 +29,9 @@ class Activation(Enum):
     IDENTITY = "identity"
 
 
-def activation(kind: Activation, x):
-    """Evaluate the activation; accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=np.float64)
-    result = np.tanh(arr) if kind is Activation.TANH else arr
-    return float(result) if np.isscalar(x) or arr.ndim == 0 else result
-
-
-def _activation_deriv(kind: Activation, post: np.ndarray) -> np.ndarray:
-    """The derivative, written in terms of the activation's output."""
-    if kind is Activation.TANH:
-        return 1.0 - post**2
-    return np.ones_like(post)
+def activation(kind: Activation, x: np.ndarray) -> np.ndarray:
+    """Evaluate the activation elementwise."""
+    return np.tanh(x) if kind is Activation.TANH else x
 
 
 @dataclass(frozen=True)
@@ -130,17 +122,16 @@ class MlpForecaster:
         )
 
 
-def make_windows(series: TimeSeries, w: int) -> list[tuple[np.ndarray, float]]:
-    """All (last w values -> next value) pairs, inputs oldest-to-newest."""
+def make_windows(series: TimeSeries, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (last w values -> next value) pair: a read-only (n - w, w) view
+    whose row i is ``values[i:i+w]``, oldest first, and the targets
+    ``values[w:]``."""
     if w < 1:
         raise ValueError("window must be >= 1")
     values = series.values
     if values.size < w + 1:
         raise TooShortError(f"need at least {w + 1} observations, got {values.size}")
-    return [
-        (values[i : i + w].copy(), float(values[i + w]))
-        for i in range(values.size - w)
-    ]
+    return sliding_window_view(values[:-1], w), values[w:]
 
 
 def _forward_pass(
@@ -154,42 +145,47 @@ def _forward_pass(
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, biases)):
         pre = w @ acts[-1] + b[:, None]
-        acts.append(pre if k == last else np.asarray(activation(act, pre)))
+        acts.append(pre if k == last else activation(act, pre))
     return acts
 
 
-def _loss_and_grads(
+def _loss(
     weights: Sequence[np.ndarray],
     biases: Sequence[np.ndarray],
     act: Activation,
     x: np.ndarray,
     t: np.ndarray,
     l2: float,
-    want_grads: bool = True,
-) -> tuple[float, list[np.ndarray] | None, list[np.ndarray] | None]:
-    """MSE + l2 * sum(weights^2) and its exact gradient on scaled data.
+) -> float:
+    """MSE + l2 * sum(weights^2) on scaled data.
 
     ``x`` is (features x batch), ``t`` is (batch,). The penalty covers weight
     matrices only, never biases.
     """
-    batch = t.size
-    acts = _forward_pass(weights, biases, act, x)
-    pred = acts[-1][0]
-    residual = pred - t
-    loss = float(np.mean(residual**2))
-    loss += l2 * float(sum(np.sum(w**2) for w in weights))
-    if not want_grads:
-        return loss, None, None
+    residual = _forward_pass(weights, biases, act, x)[-1][0] - t
+    return float(np.mean(residual**2)) + l2 * float(sum(np.sum(w**2) for w in weights))
 
-    d_weights = [np.zeros_like(w) for w in weights]
-    d_biases = [np.zeros_like(b) for b in biases]
-    delta = (2.0 * residual / batch)[None, :]
+
+def _grads(
+    weights: Sequence[np.ndarray],
+    biases: Sequence[np.ndarray],
+    act: Activation,
+    x: np.ndarray,
+    t: np.ndarray,
+    l2: float,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The exact gradient of :func:`_loss` w.r.t. weights and biases."""
+    acts = _forward_pass(weights, biases, act, x)
+    delta = (2.0 * (acts[-1][0] - t) / t.size)[None, :]
+    d_weights, d_biases = [], []
     for k in range(len(weights) - 1, -1, -1):
-        d_weights[k] = delta @ acts[k].T + 2.0 * l2 * weights[k]
-        d_biases[k] = delta.sum(axis=1)
+        d_weights.append(delta @ acts[k].T + 2.0 * l2 * weights[k])
+        d_biases.append(delta.sum(axis=1))
         if k > 0:
-            delta = (weights[k].T @ delta) * _activation_deriv(act, acts[k])
-    return loss, d_weights, d_biases
+            delta = weights[k].T @ delta
+            if act is Activation.TANH:  # tanh' written in terms of tanh's output
+                delta *= 1.0 - acts[k] ** 2
+    return d_weights[::-1], d_biases[::-1]
 
 
 def _scale_batch(
@@ -211,10 +207,7 @@ def batch_loss(
 ) -> float:
     """Training objective on a batch (standardized space)."""
     x, t = _scale_batch(net, batch)
-    loss, _, _ = _loss_and_grads(
-        net.weights, net.biases, net.hidden_activation, x, t, l2, want_grads=False
-    )
-    return loss
+    return _loss(net.weights, net.biases, net.hidden_activation, x, t, l2)
 
 
 def gradient(
@@ -222,11 +215,7 @@ def gradient(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact gradient of :func:`batch_loss` w.r.t. weights and biases."""
     x, t = _scale_batch(net, batch)
-    _, d_weights, d_biases = _loss_and_grads(
-        net.weights, net.biases, net.hidden_activation, x, t, l2
-    )
-    assert d_weights is not None and d_biases is not None
-    return d_weights, d_biases
+    return _grads(net.weights, net.biases, net.hidden_activation, x, t, l2)
 
 
 def forward(net: MlpForecaster, inputs: Sequence[float]) -> float:
@@ -267,7 +256,7 @@ def train(
     """
     if not hidden or any(h < 1 for h in hidden):
         raise ValueError("hidden must be a non-empty sequence of positive sizes")
-    windows = make_windows(series, w)
+    inputs, targets = make_windows(series, w)
     sizes = (w, *hidden, 1)
 
     with np.errstate(over="ignore"):
@@ -275,22 +264,14 @@ def train(
     if not (np.isfinite(mean) and np.isfinite(std)):
         raise DivergenceError("the training values' mean or spread is not finite")
     scaler = Scaler(shift=mean, scale=std if std > 0 else 1.0)
-    x_all = np.stack([inp for inp, _ in windows], axis=1)
-    t_all = np.array([target for _, target in windows])
-    x_all = (x_all - scaler.shift) / scaler.scale
-    t_all = (t_all - scaler.shift) / scaler.scale
+    x_all = (inputs.T - scaler.shift) / scaler.scale
+    t_all = (targets - scaler.shift) / scaler.scale
     n = t_all.size
 
     rng = np.random.default_rng(cfg.seed)
     weights, biases = _init_params(sizes, rng)
 
-    def full_loss() -> float:
-        loss, _, _ = _loss_and_grads(
-            weights, biases, hidden_activation, x_all, t_all, cfg.l2, want_grads=False
-        )
-        return loss
-
-    best_loss = full_loss()
+    best_loss = _loss(weights, biases, hidden_activation, x_all, t_all, cfg.l2)
     best_weights = [w_.copy() for w_ in weights]
     best_biases = [b.copy() for b in biases]
 
@@ -299,14 +280,13 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                _, d_w, d_b = _loss_and_grads(
+                d_w, d_b = _grads(
                     weights, biases, hidden_activation, x_all[:, idx], t_all[idx], cfg.l2
                 )
-                assert d_w is not None and d_b is not None
                 for k in range(len(weights)):
                     weights[k] -= cfg.learning_rate * d_w[k]
                     biases[k] -= cfg.learning_rate * d_b[k]
-            loss = full_loss()
+            loss = _loss(weights, biases, hidden_activation, x_all, t_all, cfg.l2)
         if not np.isfinite(loss):
             raise DivergenceError("training loss became non-finite")
         if loss < best_loss:

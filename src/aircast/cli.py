@@ -313,12 +313,21 @@ def _parse_coeffs(text: str) -> tuple[float, ...]:
 
 def _station_names(out: Path, requested: Sequence[str]) -> list[str]:
     """Stations to process: the requested filter, spelled as ingest reported
-    each one, or every ingested station."""
+    each one, or every ingested station. An ingest report that is not a JSON
+    object whose ``stations_seen`` is a list of non-blank names raises
+    SchemaError naming the file."""
     report_path = out / "ingest_report.json"
-    known: list[str] = []
+    known: object = []
     if report_path.exists():
-        with open(report_path, encoding="utf-8") as fh:
-            known = json.load(fh).get("stations_seen", [])
+        try:
+            with open(report_path, encoding="utf-8") as fh:
+                report = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise SchemaError(f"{report_path}: {exc}") from None
+        known = report.get("stations_seen") if isinstance(report, dict) else None
+    if not isinstance(known, list) or not all(isinstance(n, str) and n.strip() for n in known):
+        raise SchemaError(f"{report_path}: expected a JSON object whose stations_seen "
+                          "is a list of non-blank names")
     if requested:
         known_by_key = {station_key(name): name for name in known}
         return [known_by_key.get(station_key(name), name) for name in requested]
@@ -898,6 +907,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"aircast: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except SchemaError as exc:  # a damaged ingest report, before any stage output
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

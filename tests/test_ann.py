@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aircast import ann
 from aircast.ann import (
     Activation,
     MlpForecaster,
@@ -86,33 +87,43 @@ def max_relative_error(analytic, numeric):
 
 class TestActivation:
     def test_tanh_odd(self):
-        assert activation(Activation.TANH, 0.0) == 0.0
+        assert activation(Activation.TANH, np.array([0.0]))[0] == 0.0
 
     @given(st.floats(-500, 500))
     def test_ranges(self, x):
-        assert -1.0 <= activation(Activation.TANH, x) <= 1.0
-        assert activation(Activation.IDENTITY, x) == x
+        arr = np.array([x])
+        assert -1.0 <= activation(Activation.TANH, arr)[0] <= 1.0
+        assert activation(Activation.IDENTITY, arr)[0] == x
 
 
 class TestMakeWindows:
     def test_enumeration(self):
         series = daily_series([1.0, 2.0, 3.0, 4.0])
-        windows = make_windows(series, 2)
-        assert len(windows) == 2
-        np.testing.assert_array_equal(windows[0][0], [1.0, 2.0])
-        assert windows[0][1] == 3.0
-        np.testing.assert_array_equal(windows[1][0], [2.0, 3.0])
-        assert windows[1][1] == 4.0
+        inputs, targets = make_windows(series, 2)
+        assert len(inputs) == len(targets) == 2
+        np.testing.assert_array_equal(inputs[0], [1.0, 2.0])
+        assert targets[0] == 3.0
+        np.testing.assert_array_equal(inputs[1], [2.0, 3.0])
+        assert targets[1] == 4.0
 
     def test_boundary_single_pair(self):
-        windows = make_windows(daily_series([1.0, 2.0, 3.0]), 2)
-        assert len(windows) == 1
+        inputs, targets = make_windows(daily_series([1.0, 2.0, 3.0]), 2)
+        assert len(inputs) == len(targets) == 1
 
     def test_window_one(self):
-        windows = make_windows(daily_series([5.0, 6.0]), 1)
-        assert len(windows) == 1
-        np.testing.assert_array_equal(windows[0][0], [5.0])
-        assert windows[0][1] == 6.0
+        inputs, targets = make_windows(daily_series([5.0, 6.0]), 1)
+        assert len(inputs) == len(targets) == 1
+        np.testing.assert_array_equal(inputs[0], [5.0])
+        assert targets[0] == 6.0
+
+    @pytest.mark.parametrize("n, w", [(2, 1), (9, 1), (9, 3), (9, 8), (40, 7), (41, 16)])
+    def test_rows_match_per_window_oracle(self, n, w):
+        values = np.random.default_rng(n * 100 + w).uniform(0.0, 90.0, n)
+        inputs, targets = make_windows(daily_series(values), w)
+        assert inputs.shape == (n - w, w) and targets.shape == (n - w,)
+        for i in range(n - w):
+            np.testing.assert_array_equal(inputs[i], values[i : i + w])
+            assert targets[i] == values[i + w]
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
@@ -188,8 +199,9 @@ class TestTrain:
     def test_constant_series(self):
         series = daily_series([42.0] * 60)
         net = train(series, 7, (16,), Activation.TANH, TrainConfig(epochs=60, seed=1))
-        for inputs, _ in make_windows(series, 7):
-            assert abs(forward(net, inputs) - 42.0) / 42.0 < 0.01
+        inputs, _ = make_windows(series, 7)
+        for row in inputs:
+            assert abs(forward(net, row) - 42.0) / 42.0 < 0.01
 
     def test_linear_ramp_with_identity(self):
         values = np.linspace(10.0, 60.0, 80)
@@ -197,8 +209,8 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.05, epochs=400, seed=2)
         net = train(series, 2, (4,), Activation.IDENTITY, cfg)
         rng_span = values.max() - values.min()
-        for inputs, target in make_windows(series, 2):
-            assert abs(forward(net, inputs) - target) < 0.02 * rng_span
+        for row, target in zip(*make_windows(series, 2)):
+            assert abs(forward(net, row) - target) < 0.02 * rng_span
 
     def test_deterministic_given_seed(self):
         series = daily_series(np.sin(np.arange(50) / 3.0) * 10 + 40)
@@ -218,6 +230,20 @@ class TestTrain:
         # epochs=1 with ~zero learning rate reports (almost) the initial loss
         assert net.train_loss is not None and init.train_loss is not None
         assert net.train_loss <= init.train_loss + 1e-9
+
+    def test_loss_evaluated_once_per_epoch_never_per_batch(self, monkeypatch):
+        calls = []
+        real_loss = ann._loss
+
+        def counting_loss(*args):
+            calls.append(args[-2].size)
+            return real_loss(*args)
+
+        monkeypatch.setattr(ann, "_loss", counting_loss)
+        series = daily_series(np.sin(np.arange(80) / 3.0) * 10 + 40)
+        train(series, 4, (8,), Activation.TANH, TrainConfig(epochs=7, batch_size=8, seed=3))
+        # the initial loss, then one full-set loss per epoch: all 76 windows each time
+        assert calls == [76] * (7 + 1)
 
     def test_divergence_detected(self):
         values = np.linspace(0.0, 100.0, 60)
@@ -241,9 +267,10 @@ class TestTrain:
         shift, scale = float(values.mean()), float(values.std())
         scaled = daily_series((values - shift) / scale)
         net_scaled = train(scaled, 4, (8,), Activation.TANH, cfg)
-        for inputs, _ in make_windows(series, 4)[:10]:
-            direct = forward(net_raw, inputs)
-            via_scaled = forward(net_scaled, (np.asarray(inputs) - shift) / scale)
+        inputs, _ = make_windows(series, 4)
+        for row in inputs[:10]:
+            direct = forward(net_raw, row)
+            via_scaled = forward(net_scaled, (row - shift) / scale)
             assert abs(direct - (via_scaled * scale + shift)) < 1e-6
 
     def test_config_validation(self):

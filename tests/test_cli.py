@@ -729,6 +729,36 @@ class TestDamagedSeriesFile:
             assert "rebero" in written and "gitega" not in written
 
 
+class TestDamagedIngestReport:
+    """An ingest report that is not an object listing non-blank station names
+    ends the stage with exit 2, naming the file, before any output."""
+
+    @pytest.mark.parametrize("damage", ["truncated", "list", "blank name", "number"])
+    @pytest.mark.parametrize("command, extra", [
+        pytest.param("trend", [], id="trend"),
+        pytest.param("forecast", ["--models", "arima", *FAST_EVAL], id="forecast"),
+        pytest.param("evaluate", ["--models", "arima", *FAST_EVAL], id="evaluate"),
+    ])
+    def test_exits_2_naming_the_report(self, pipeline_out, tmp_path, capsys, command, extra,
+                                       damage):
+        out = fresh_out(pipeline_out, tmp_path / "out")
+        path = out / "ingest_report.json"
+        text = path.read_text(encoding="utf-8")
+        report = json.loads(text)
+        path.write_text({
+            "truncated": text[: len(text) // 2],
+            "list": "[1, 2]",
+            "blank name": json.dumps({**report, "stations_seen": ["Gitega", " "]}),
+            "number": json.dumps({**report, "stations_seen": ["Gitega", 7]}),
+        }[damage], encoding="utf-8")
+
+        assert main([command, "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: {path}: ")
+        assert "Traceback" not in err
+        assert not (out / STAGE_DIRS[command]).exists()
+
+
 class TestSeriesFile:
     """write_series_csv and load_series_csv: a round trip, and the first row
     that does not read names the error."""
