@@ -4,20 +4,23 @@ kernel.
 Kernel convention used throughout: k(x, x') = amplitude * exp(-(x-x')^2 / l^2)
 — the amplitude multiplies unsquared and the exponent carries no 1/2 factor,
 so k(x, x) equals the amplitude exactly. Observation noise enters the Gram
-matrix as noise_variance * I. Posteriors and the log marginal likelihood are
-computed through a cached Cholesky factorization with bounded jitter
+matrix as noise_variance * I. A fit's posteriors and log marginal likelihood
+are computed through a cached Cholesky factorization with bounded jitter
 escalation; the kernel matrix is never inverted explicitly. Conditioning on
 further points extends that factor by one row per point instead of
-refactorizing.
+refactorizing. The hyperparameter search factorizes nothing: it scores every
+grid cell from one eigendecomposition of the unit-amplitude kernel matrix per
+length scale, and only the chosen cell is fitted.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
 
 from .errors import FactorizationError, NoValidFitError, TooLongError
 
@@ -228,6 +231,36 @@ def log_marginal_likelihood(model: GpModel) -> float:
     return -0.5 * quad - logdet_half - 0.5 * n * np.log(2.0 * np.pi)
 
 
+def _lml_surface(
+    sq_dist: np.ndarray,
+    centered: np.ndarray,
+    length_scale: float,
+    amplitudes: np.ndarray,
+    noises: np.ndarray,
+) -> np.ndarray:
+    """Log marginal likelihood of every (amplitude, noise) cell at one length
+    scale, NaN where no jitter leaves the matrix positive definite.
+
+    One eigendecomposition R = Q diag(lam) Q^T of R = exp(-d^2 / l^2) serves
+    every cell: a*R + (noise + jitter)*I has the eigenvectors Q and the
+    eigenvalues a*lam + noise + jitter (Rasmussen & Williams 2006, §2.2, §5.4),
+    so a cell's quadratic form and log-determinant cost O(n). Each cell takes
+    the first of ``fit_gp``'s jitters that leaves every eigenvalue positive.
+    """
+    lam, vectors = eigh(np.exp(-sq_dist / length_scale**2), overwrite_a=True, driver="evd")
+    projected_sq = (vectors.T @ centered) ** 2
+    constant = centered.size * np.log(2.0 * np.pi)
+    surface = np.full((amplitudes.size, noises.size), np.nan)
+    for (i, amplitude), (j, noise) in itertools.product(enumerate(amplitudes), enumerate(noises)):
+        for exponent in _JITTER_EXPONENTS:
+            spectrum = amplitude * lam + noise + 10.0**exponent * amplitude
+            if spectrum.min() > 0.0:
+                quad = np.sum(projected_sq / spectrum)
+                surface[i, j] = -0.5 * (quad + np.sum(np.log(spectrum)) + constant)
+                break
+    return surface
+
+
 def fit_hyperparameters(
     times: Sequence[float],
     values: Sequence[float],
@@ -237,27 +270,35 @@ def fit_hyperparameters(
 ) -> tuple[SeKernelParams, float]:
     """Exhaustive grid search maximizing the log marginal likelihood.
 
-    Ties prefer the larger length scale (smoother fit), then the smaller
-    amplitude. Cells whose factorization fails are skipped; if all fail,
-    NoValidFitError is raised.
+    Cells are scored from one eigendecomposition per length scale
+    (``_lml_surface``), not factorized; the caller fits the chosen cell with
+    ``fit_gp``. Ties prefer the larger length scale (smoother fit), then the
+    smaller amplitude, then the earlier noise. Cells that no jitter makes
+    positive definite are skipped; if all are, NoValidFitError is raised.
+    ``fit_gp``'s input checks, the 2000-point cap among them, run before any
+    n x n matrix is built.
     """
-    if any(len(grid) == 0 or min(grid) <= 0 for grid in (noises, amplitudes, length_scales)):
-        raise ValueError("each grid must be non-empty with positive entries")
+    grids = [np.asarray(grid, dtype=np.float64) for grid in (noises, amplitudes, length_scales)]
+    if any(grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)) for grid in grids):
+        raise ValueError("each grid must be non-empty with finite positive entries")
+    noise_grid, amplitude_grid, length_grid = grids
+    x = np.asarray(times, dtype=np.float64)
+    y = np.asarray(values, dtype=np.float64)
+    _check_training(x, y, float(noise_grid.min()))
+    # centred as _conditioned centres; refused where fit_gp's cho_solve refuses
+    centered = np.asarray_chkfinite(y - np.mean(y))
+    sq_dist = np.subtract.outer(x, x) ** 2
 
     best_key: tuple[float, float, float] | None = None  # lml, l, -amplitude
     best: tuple[SeKernelParams, float] | None = None
-    for amplitude in amplitudes:
-        for length_scale in length_scales:
-            params = SeKernelParams(float(amplitude), float(length_scale))
-            for noise in noises:
-                try:
-                    model = fit_gp(times, values, params, float(noise))
-                except FactorizationError:
-                    continue
-                key = (log_marginal_likelihood(model), params.length_scale, -params.amplitude)
-                # strict, so a full tie keeps the earlier cell
-                if best_key is None or key > best_key:
-                    best_key, best = key, (params, float(noise))
+    for length_scale in length_grid:
+        surface = _lml_surface(sq_dist, centered, length_scale, amplitude_grid, noise_grid)
+        for (i, j), lml in np.ndenumerate(surface):
+            key = (float(lml), float(length_scale), -float(amplitude_grid[i]))
+            # strict, so a full tie keeps the earlier noise; a skipped cell never wins
+            if not np.isnan(lml) and (best_key is None or key > best_key):
+                params = SeKernelParams(float(amplitude_grid[i]), float(length_scale))
+                best_key, best = key, (params, float(noise_grid[j]))
     if best is None:
         raise NoValidFitError("every hyperparameter grid cell failed factorization")
     return best

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from aircast import gp
 from aircast.errors import (
@@ -59,6 +60,43 @@ def dense_lml_oracle(y, A):
         - 0.5 * logdet
         - 0.5 * n * np.log(2 * np.pi)
     )
+
+
+def grid_search_oracle(x, y, noises, amplitudes, length_scales):
+    """The per-cell search: one fit_gp and its Cholesky LML per grid cell, the
+    key (LML, l, -amplitude), strict, and cells that fail factorization skipped."""
+    best_key, best = None, None
+    for amplitude in amplitudes:
+        for length_scale in length_scales:
+            params = SeKernelParams(float(amplitude), float(length_scale))
+            for noise in noises:
+                try:
+                    model = fit_gp(x, y, params, float(noise))
+                except FactorizationError:
+                    continue
+                key = (log_marginal_likelihood(model), params.length_scale, -params.amplitude)
+                if best_key is None or key > best_key:
+                    best_key, best = key, (params, float(noise))
+    if best is None:
+        raise NoValidFitError("every cell failed")
+    return best
+
+
+def seeded_series(kind, n, seed):
+    """An AR(1) (phi 0.8) or white-noise daily series around 30."""
+    e = np.random.default_rng(seed).standard_normal(n)
+    if kind == "ar1":
+        e = scipy.signal.lfilter([1.0], [1.0, -0.8], e)
+    return np.arange(n, dtype=np.float64), 30.0 + 5.0 * e
+
+
+#: the fixed grids the other hyperparameter tests search (noise, amplitude, l)
+FIXED_GRIDS = [
+    ([0.01], [1.0], [1.0, 10.0, 100.0]),
+    ([0.05, 0.25, 0.5], [0.5, 1.0], [3.0, 10.0]),
+    ([0.1], [1.0, 2.0], [3.0, 30.0]),
+    ([0.2, 0.1], [2.0, 1.0, 3.0], [3.0, 30.0, 7.0]),
+]
 
 
 def random_instance(rng, n):
@@ -370,14 +408,12 @@ class TestHyperparameterFit:
         assert hits >= 16
 
     def test_all_cells_failing(self, monkeypatch):
-        import aircast.gp as gp_mod
-
-        def always_fail(*args, **kwargs):
-            raise FactorizationError("forced")
-
-        monkeypatch.setattr(gp_mod, "fit_gp", always_fail)
+        # the scoring seam marks every cell as one no jitter can factorize
+        monkeypatch.setattr(
+            gp, "_lml_surface", lambda sq, y, l, amps, noises: np.full((amps.size, noises.size), np.nan)
+        )
         with pytest.raises(NoValidFitError):
-            gp_mod.fit_hyperparameters([0.0, 1.0], [1.0, 2.0], [0.1], [1.0], [5.0])
+            fit_hyperparameters([0.0, 1.0], [1.0, 2.0], [0.1], [1.0], [5.0])
 
     def test_tie_breaking_prefers_smoother(self):
         # constant data: every cell interpolates equally well at zero
@@ -392,10 +428,108 @@ class TestHyperparameterFit:
     def test_exact_ties_follow_the_stated_order(self, monkeypatch):
         # every cell scores the same: the larger length scale wins, then the
         # smaller amplitude, then the earlier noise in grid order
-        monkeypatch.setattr(gp, "log_marginal_likelihood", lambda model: -1.0)
+        monkeypatch.setattr(
+            gp, "_lml_surface", lambda sq, y, l, amps, noises: np.full((amps.size, noises.size), -1.0)
+        )
         x = np.arange(12, dtype=np.float64)
         params, noise = fit_hyperparameters(x, np.sin(x), [0.2, 0.1], [2.0, 1.0, 3.0], [3.0, 30.0, 7.0])
         assert (params.length_scale, params.amplitude, noise) == (30.0, 1.0, 0.2)
+
+    @pytest.mark.parametrize("n", [40, 150, 432, 600])
+    @pytest.mark.parametrize("kind", ["ar1", "white"])
+    def test_chooses_the_per_cell_oracles_cell(self, kind, n):
+        x, y = seeded_series(kind, n, seed=n)
+        for grids in [gp.default_grids(y)] + FIXED_GRIDS:
+            assert fit_hyperparameters(x, y, *grids) == grid_search_oracle(x, y, *grids)
+
+    @pytest.mark.parametrize("kind, n", [("ar1", 40), ("white", 150), ("ar1", 432)])
+    def test_every_cell_scores_its_cholesky_likelihood(self, kind, n):
+        x, y = seeded_series(kind, n, seed=7)
+        noises, amplitudes, length_scales = (np.asarray(g) for g in gp.default_grids(y))
+        sq_dist = np.subtract.outer(x, x) ** 2
+        for length_scale in length_scales:
+            surface = gp._lml_surface(sq_dist, y - y.mean(), length_scale, amplitudes, noises)
+            for (i, j), lml in np.ndenumerate(surface):
+                model = fit_gp(x, y, SeKernelParams(amplitudes[i], length_scale), noises[j])
+                assert lml == pytest.approx(log_marginal_likelihood(model), rel=1e-9)
+
+    def test_numerically_singular_kernel_matrix(self):
+        # at l = 60 days over 432 daily points R has eigenvalues just below
+        # zero; the noise keeps every cell positive definite at the first jitter
+        x, y = seeded_series("ar1", 432, seed=3)
+        sq_dist = np.subtract.outer(x, x) ** 2
+        assert np.linalg.eigvalsh(np.exp(-sq_dist / 60.0**2)).min() < 0.0
+        noises, amplitudes = np.array([0.05 * y.var()]), np.array([0.5 * y.var(), 2.0 * y.var()])
+        surface = gp._lml_surface(sq_dist, y - y.mean(), 60.0, amplitudes, noises)
+        for (i, j), lml in np.ndenumerate(surface):
+            model = fit_gp(x, y, SeKernelParams(amplitudes[i], 60.0), noises[j])
+            assert model.jitter == 1e-10 * amplitudes[i]
+            assert lml == pytest.approx(log_marginal_likelihood(model), rel=1e-9)
+
+    @staticmethod
+    def shifted_eigh(monkeypatch, lowest):
+        """Replace gp.eigh by a double whose smallest eigenvalue is ``lowest``."""
+        real_eigh = gp.eigh
+
+        def double(matrix, **kwargs):
+            lam, vectors = real_eigh(matrix, **kwargs)
+            lam[0] = lowest
+            return lam, vectors
+
+        monkeypatch.setattr(gp, "eigh", double)
+
+    @pytest.mark.parametrize("shortfall, jitter", [(5e-6, 1e-5), (5e-5, 1e-4)])
+    def test_jitter_escalates_in_eigen_space(self, monkeypatch, shortfall, jitter):
+        # a*lam_0 + noise = -shortfall*a: the smaller jitters leave that
+        # eigenvalue negative, and jitter*a is the first that does not
+        x, y = seeded_series("white", 12, seed=1)
+        amplitude, noise, length_scale = 2.0, 0.1, 3.0
+        self.shifted_eigh(monkeypatch, (-shortfall * amplitude - noise) / amplitude)
+        sq_dist = np.subtract.outer(x, x) ** 2
+        surface = gp._lml_surface(sq_dist, y - y.mean(), length_scale, np.array([amplitude]), np.array([noise]))
+        lam, vectors = gp.eigh(np.exp(-sq_dist / length_scale**2))
+        spectrum = amplitude * lam + noise + jitter * amplitude
+        A = vectors @ np.diag(spectrum) @ vectors.T
+        assert surface[0, 0] == pytest.approx(dense_lml_oracle(y, A), rel=1e-9)
+
+    def test_no_jitter_clears_a_negative_eigenvalue(self, monkeypatch):
+        # a*lam_0 + noise = -5e-4*a stays negative past the largest jitter, 1e-4*a
+        self.shifted_eigh(monkeypatch, (-5e-4 * 2.0 - 0.1) / 2.0)
+        x, y = seeded_series("white", 12, seed=1)
+        with pytest.raises(NoValidFitError):
+            fit_hyperparameters(x, y, [0.1], [2.0], [3.0, 7.0])
+
+    def test_a_skipped_cell_never_wins(self, monkeypatch):
+        # the first cell in search order has no likelihood; any scored cell beats it
+        def surface(sq, y, l, amps, noises):
+            scores = np.full((amps.size, noises.size), -50.0)
+            scores[0, 0] = np.nan
+            return scores
+
+        monkeypatch.setattr(gp, "_lml_surface", surface)
+        x = np.arange(12, dtype=np.float64)
+        params, noise = fit_hyperparameters(x, np.sin(x), [0.1, 0.2], [1.0], [3.0])
+        assert (params.length_scale, params.amplitude, noise) == (3.0, 1.0, 0.2)
+
+    def test_cap_checked_before_any_decomposition(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gp, "eigh", lambda *args, **kwargs: calls.append(1))
+        x = np.arange(2001, dtype=np.float64)
+        with pytest.raises(TooLongError):
+            fit_hyperparameters(x, np.sin(x), *gp.default_grids(np.sin(x)))
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308], ids=["nan", "inf", "mean-overflow"])
+    def test_non_finite_targets_are_a_value_error(self, bad):
+        # as fit_gp's cho_solve refuses them; a NaN likelihood never gets to win
+        x = np.arange(12, dtype=np.float64)
+        y = np.sin(x)
+        y[3] = bad
+        if bad == 1e308:
+            y[4] = bad
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as info:
+            fit_hyperparameters(x, y, [0.1], [1.0], [3.0])
+        assert not isinstance(info.value, AircastError)
 
 
 class TestDefaultGrids:
