@@ -596,14 +596,14 @@ def _trend_station(args: argparse.Namespace, station: str) -> dict:
     tables: list[tuple[str, tuple[list[str], list[list]]]] = []
     if hourly is not None:
         profile = trends.hour_of_day_profile(hourly)
-        tables.append(("hour_profile", trends.hour_profile_rows(profile)))
+        tables.append(("hour_profile", trends.profile_rows("hour", range(24), profile)))
         result["median_hourly"] = float(np.median(hourly.values))
     if daily is not None:
         weekday = trends.day_of_week_profile(daily)
         grid = trends.calendar_daily_means(daily)
         exceedance = trends.who_exceedance(grid, args.who_threshold)
         tables += [
-            ("weekday_profile", trends.weekday_profile_rows(weekday)),
+            ("weekday_profile", trends.profile_rows("weekday", trends.WEEKDAY_NAMES, weekday)),
             ("calendar", trends.calendar_rows(grid)),
             ("seasonal", trends.seasonal_rows(trends.seasonal_means(daily))),
             ("who_exceedance", trends.exceedance_rows(exceedance)),
@@ -817,7 +817,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_station_stage_flags(parser: argparse.ArgumentParser) -> None:
     """Flags of the stages that run per station: trend, forecast, evaluate."""
-    parser.add_argument("--workers", type=int, default=_default_workers(),
+    parser.add_argument("--workers", default=_default_workers(),
+                        type=_flag_type(int, lambda n: n >= 1, "workers must be >= 1"),
                         help="station worker pool size (default: %(default)s, the CPUs "
                              "this process may run on)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv",

@@ -12,7 +12,7 @@ All operations are pure: they validate, never mutate, and return new series.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Sequence
 
@@ -92,9 +92,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return int(self.at.size)
-
-    def local_dates(self) -> list[date]:
-        return ((self.at + UTC_OFFSET_SECONDS) // 86400).astype("datetime64[D]").tolist()
 
 
 def iso_local(at: Sequence[int] | np.ndarray) -> list[str]:

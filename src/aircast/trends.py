@@ -2,7 +2,14 @@
 
 Covers the boxplot-style five-number summaries grouped by hour-of-day and
 day-of-week, calendar daily means, the four Rwandan climatic seasons, and
-daily-guideline exceedance. Grouping keys use Kigali local time (UTC+2).
+daily-guideline exceedance.
+
+Every grouping reads integer keys of Kigali local time (UTC+2), derived from
+the epoch instants by one rule. The local instant ``at + UTC_OFFSET_SECONDS``
+floor-divides into the local hour (``// 3600 % 24``) and the local day number
+(``// 86400``, days since 1970-01-01), so instants before 1970 fall on their
+local day too. The weekday is ``(day + 3) % 7``, Monday 0 (1970-01-01 was a
+Thursday), and the month is the day's ``datetime64[M]``.
 """
 
 from __future__ import annotations
@@ -55,46 +62,29 @@ class Season(Enum):
     LONG_RAINY = "long_rainy"  # March-May
 
 
-_SEASON_BY_MONTH: dict[int, Season] = {
-    1: Season.SHORT_DRY,
-    2: Season.SHORT_DRY,
-    3: Season.LONG_RAINY,
-    4: Season.LONG_RAINY,
-    5: Season.LONG_RAINY,
-    6: Season.LONG_DRY,
-    7: Season.LONG_DRY,
-    8: Season.LONG_DRY,
-    9: Season.SHORT_RAINY,
-    10: Season.SHORT_RAINY,
-    11: Season.SHORT_RAINY,
-    12: Season.SHORT_DRY,
-}
+_SEASONS = tuple(Season)
+
+#: Each month's season as its position in ``Season``, indexed by month - 1.
+_SEASON_BY_MONTH = np.array([2, 2, 3, 3, 3, 0, 0, 0, 1, 1, 1, 2])
 
 
 @dataclass(frozen=True)
 class CalendarGrid:
-    """Daily means keyed by local calendar date."""
+    """Daily means by ascending local day number (days since 1970-01-01)."""
 
-    entries: Mapping[date, float]
+    days: np.ndarray
+    means: np.ndarray
 
     def sorted_items(self) -> list[tuple[date, float]]:
-        return sorted(self.entries.items())
+        return list(zip(self.days.astype("datetime64[D]").tolist(), self.means.tolist()))
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class ExceedanceEntry:
-    day: date
-    value: float
-    exceeds: bool
+        return len(self.days)
 
 
 @dataclass(frozen=True)
 class ExceedanceReport:
-    threshold: float
-    entries: tuple[ExceedanceEntry, ...]
+    entries: tuple[tuple[str, float, bool], ...]  # (ISO date, daily mean, exceeds)
     fraction: float | None  # None when there are no entries
 
 
@@ -124,95 +114,100 @@ def _require(series: TimeSeries, granularity: Granularity, op: str) -> None:
         raise EmptySeriesError(f"{op} requires a non-empty series")
 
 
+def _local_hours(at: np.ndarray) -> np.ndarray:
+    return (at + UTC_OFFSET_SECONDS) // 3600 % 24
+
+
+def _local_days(at: np.ndarray) -> np.ndarray:
+    return (at + UTC_OFFSET_SECONDS) // 86400
+
+
+def _weekdays(days: np.ndarray) -> np.ndarray:
+    return (days + 3) % 7
+
+
+def _seasons(days: np.ndarray) -> np.ndarray:
+    """Each local day's season, as its position in ``Season``."""
+    months = days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) % 12
+    return _SEASON_BY_MONTH[months]
+
+
+def _groups(keys: np.ndarray, values: np.ndarray, count: int) -> list[np.ndarray]:
+    """``values`` split by integer key ``0..count-1``, each group in series order."""
+    return [values[keys == key] for key in range(count)]
+
+
+def _profile(keys: np.ndarray, values: np.ndarray, count: int) -> list[FiveNumberSummary | None]:
+    return [five_number_summary(g) if g.size else None for g in _groups(keys, values, count)]
+
+
 def hour_of_day_profile(series: TimeSeries) -> list[FiveNumberSummary | None]:
     """24 summaries indexed by local hour; None marks hours with no data."""
     _require(series, Granularity.HOURLY, "hour_of_day_profile")
-    hours = (series.at + UTC_OFFSET_SECONDS) // 3600 % 24
-    groups = [series.values[hours == hour] for hour in range(24)]
-    return [five_number_summary(g) if g.size else None for g in groups]
+    return _profile(_local_hours(series.at), series.values, 24)
 
 
 def day_of_week_profile(series: TimeSeries) -> list[FiveNumberSummary | None]:
     """7 summaries Monday..Sunday (local dates); None marks absent days."""
     _require(series, Granularity.DAILY, "day_of_week_profile")
-    groups: list[list[float]] = [[] for _ in range(7)]
-    for day, value in zip(series.local_dates(), series.values.tolist()):
-        groups[day.weekday()].append(value)
-    return [five_number_summary(g) if g else None for g in groups]
+    return _profile(_weekdays(_local_days(series.at)), series.values, 7)
 
 
 def calendar_daily_means(series: TimeSeries) -> CalendarGrid:
     """One entry per observed local date (daily series are already unique per day)."""
     _require(series, Granularity.DAILY, "calendar_daily_means")
-    return CalendarGrid(dict(zip(series.local_dates(), series.values.tolist())))
+    return CalendarGrid(_local_days(series.at), series.values)
 
 
 def season_of(month: int) -> Season:
     """Climatic season for a calendar month (Rwandan four-season partition)."""
     if not 1 <= month <= 12:
         raise ValueError(f"month must be in 1..12, got {month}")
-    return _SEASON_BY_MONTH[month]
+    return _SEASONS[_SEASON_BY_MONTH[month - 1]]
 
 
 def seasonal_means(series: TimeSeries) -> dict[Season, tuple[float, int]]:
     """Mean daily value and observation count per season; absent seasons omitted."""
     _require(series, Granularity.DAILY, "seasonal_means")
-    groups: dict[Season, list[float]] = {}
-    for day, value in zip(series.local_dates(), series.values.tolist()):
-        groups.setdefault(season_of(day.month), []).append(value)
+    groups = _groups(_seasons(_local_days(series.at)), series.values, len(_SEASONS))
     return {
-        season: (float(np.mean(vals)), len(vals)) for season, vals in groups.items()
+        season: (float(np.mean(g)), g.size) for season, g in zip(_SEASONS, groups) if g.size
     }
+
+
+def _iso_dates(days: np.ndarray) -> list[str]:
+    return np.datetime_as_string(days.astype("datetime64[D]")).tolist()
 
 
 def who_exceedance(
     grid: CalendarGrid, threshold: float = WHO_DAILY_GUIDELINE
 ) -> ExceedanceReport:
     """Flag days whose mean strictly exceeds the guideline threshold."""
-    entries = tuple(
-        ExceedanceEntry(day, value, value > threshold) for day, value in grid.sorted_items()
-    )
-    fraction = (
-        sum(1 for e in entries if e.exceeds) / len(entries) if entries else None
-    )
-    return ExceedanceReport(threshold=threshold, entries=entries, fraction=fraction)
+    exceeds = grid.means > threshold
+    entries = tuple(zip(_iso_dates(grid.days), grid.means.tolist(), exceeds.tolist()))
+    fraction = np.count_nonzero(exceeds) / len(grid) if len(grid) else None
+    return ExceedanceReport(entries=entries, fraction=fraction)
 
 
 # ---------------------------------------------------------------------------
 # Plot-data serialization (one row per group; consumed by the CLI writers)
 
-_SUMMARY_FIELDS = ("count", "min", "q1", "median", "q3", "max", "iqr")
-
-
-def _summary_cells(summary: FiveNumberSummary | None) -> list:
-    if summary is None:
-        return [0, "", "", "", "", "", ""]
-    return [
-        summary.count,
-        summary.minimum,
-        summary.q1,
-        summary.median,
-        summary.q3,
-        summary.maximum,
-        summary.iqr,
+def profile_rows(
+    key: str, labels: Sequence, profile: Sequence[FiveNumberSummary | None]
+) -> tuple[list[str], list[list]]:
+    """One row per labelled group; a group with no data is ``label,0`` and six blanks."""
+    header = [key, "count", "min", "q1", "median", "q3", "max", "iqr"]
+    rows = [
+        [label, 0, "", "", "", "", "", ""] if s is None
+        else [label, s.count, s.minimum, s.q1, s.median, s.q3, s.maximum, s.iqr]
+        for label, s in zip(labels, profile)
     ]
-
-
-def hour_profile_rows(profile: Sequence[FiveNumberSummary | None]) -> tuple[list[str], list[list]]:
-    header = ["hour"] + list(_SUMMARY_FIELDS)
-    rows = [[hour] + _summary_cells(s) for hour, s in enumerate(profile)]
-    return header, rows
-
-
-def weekday_profile_rows(profile: Sequence[FiveNumberSummary | None]) -> tuple[list[str], list[list]]:
-    header = ["weekday"] + list(_SUMMARY_FIELDS)
-    rows = [[WEEKDAY_NAMES[i]] + _summary_cells(s) for i, s in enumerate(profile)]
     return header, rows
 
 
 def calendar_rows(grid: CalendarGrid) -> tuple[list[str], list[list]]:
     header = ["date", "mean"]
-    rows = [[day.isoformat(), value] for day, value in grid.sorted_items()]
+    rows = [[day, mean] for day, mean in zip(_iso_dates(grid.days), grid.means.tolist())]
     return header, rows
 
 
@@ -228,7 +223,5 @@ def seasonal_rows(means: Mapping[Season, tuple[float, int]]) -> tuple[list[str],
 
 def exceedance_rows(report: ExceedanceReport) -> tuple[list[str], list[list]]:
     header = ["date", "value", "exceeds"]
-    rows = [
-        [e.day.isoformat(), e.value, str(e.exceeds).lower()] for e in report.entries
-    ]
+    rows = [[day, value, str(exceeds).lower()] for day, value, exceeds in report.entries]
     return header, rows

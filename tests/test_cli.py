@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
@@ -26,9 +27,11 @@ from aircast.cli import (
 from aircast.errors import SchemaError
 from aircast.evaluation import AnnAdapter, ArimaAdapter, GpAdapter
 from aircast.ingest import station_key
-from aircast.series import Granularity, TimeSeries
+from aircast.series import LOCAL_TZ, Granularity, TimeSeries
+from aircast.trends import Season
 
 from conftest import BASE_EPOCH
+from test_trends import SEASON_OF_MONTH, quantile_oracle
 
 FAST_EVAL = ["--arima-grid", "1,0,1", "--workers", "1"]
 STAGE_DIRS = {"trend": "trend", "forecast": "forecast", "evaluate": "evaluation"}
@@ -359,10 +362,86 @@ class TestTrend:
         payload = json.loads((pipeline_out / "trend" / "gitega_seasonal.json").read_text())
         assert all({"season", "mean", "count"} <= set(entry) for entry in payload)
 
+    def test_tables_match_datetime_grouping(self, tmp_path):
+        """Each trend CSV equals the table built by grouping the readings with ``datetime``."""
+        rng = np.random.default_rng(19)
+        present_hours = [*range(9, 24), 0, 1]  # local 02:00-08:59 never reports
+        start = int(datetime(2021, 5, 17, tzinfo=LOCAL_TZ).timestamp())  # a Monday
+        readings = []
+        for day in range(28):  # 17 May to 13 June: long rainy, then long dry
+            base = int(rng.integers(12, 19))  # the daily mean, either side of 15
+            half = rng.integers(0, 6, 8)
+            # hourly means that average to the base; four readings that average to each
+            offsets = rng.permutation([*half, *-half, 0])
+            for hour, offset in zip(present_hours, offsets):
+                hour_start = start + day * 86400 + hour * 3600
+                for quarter, jitter in enumerate((-1, 1, -2, 2)):
+                    readings.append((hour_start + quarter * 900, base + int(offset) + jitter))
+        source = tmp_path / "readings.csv"
+        with open(source, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["station", "timestamp", "pollutant", "value"])
+            for t, value in readings:
+                stamp = datetime.fromtimestamp(t, timezone.utc).isoformat()
+                writer.writerow(["Gitega", stamp, "PM25", value])
+        out = tmp_path / "out"
+        # 17 of 24 hours is 0.71 of a day
+        assert main(["ingest", "--out", str(out), "--input", str(source),
+                     "--min-coverage", "0.7"]) == 0
+        assert main(["trend", "--out", str(out), "--workers", "1"]) == 0
+
+        by_hour, by_date = collections.defaultdict(list), collections.defaultdict(list)
+        for t, value in readings:
+            local = datetime.fromtimestamp(t, LOCAL_TZ)
+            by_hour[local.date(), local.hour].append(value)
+            by_date[local.date()].append(value)
+        hourly = {key: sum(v) / len(v) for key, v in by_hour.items()}
+        daily = {day: sum(v) / len(v) for day, v in sorted(by_date.items())}
+
+        def summary_row(label, values) -> list[str]:
+            if not values:
+                return [str(label), "0", "", "", "", "", "", ""]
+            q1, median, q3 = (quantile_oracle(values, p) for p in (0.25, 0.5, 0.75))
+            return [str(v) for v in (label, len(values), min(values), q1, median, q3,
+                                     max(values), q3 - q1)]
+
+        summary_header = ["count", "min", "q1", "median", "q3", "max", "iqr"]
+        names = ["Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday"]
+        by_season = collections.defaultdict(list)
+        for day, mean in daily.items():
+            by_season[SEASON_OF_MONTH[day.month]].append(mean)
+        expected = {
+            "hour_profile": (["hour", *summary_header], [
+                summary_row(hour, [m for (_, h), m in hourly.items() if h == hour])
+                for hour in range(24)
+            ]),
+            "weekday_profile": (["weekday", *summary_header], [
+                summary_row(name, [m for day, m in daily.items() if day.weekday() == i])
+                for i, name in enumerate(names)
+            ]),
+            "calendar": (["date", "mean"], [[day.isoformat(), str(m)] for day, m in daily.items()]),
+            "seasonal": (["season", "mean", "count"], [
+                [season.value, str(sum(v) / len(v)), str(len(v))]
+                for season in Season if (v := by_season[season])
+            ]),
+            "who_exceedance": (["date", "value", "exceeds"], [
+                [day.isoformat(), str(m), "true" if m > 15 else "false"]
+                for day, m in daily.items()
+            ]),
+        }
+        for name, (header, rows) in expected.items():
+            assert read_csv(out / "trend" / f"gitega_{name}.csv") == (header, rows), name
+        # the fixture reaches each written form
+        assert expected["hour_profile"][1][2] == ["2", "0", "", "", "", "", "", ""]
+        assert [row[0] for row in expected["seasonal"][1]] == ["long_dry", "long_rainy"]
+        assert {row[2] for row in expected["who_exceedance"][1]} == {"true", "false"}
+
     @pytest.mark.parametrize("flag, reason", refused(
         ("--who-threshold=nan", "argument --who-threshold: must be finite"),
         ("--who-threshold=inf", "argument --who-threshold: must be finite"),
         ("--who-threshold=-inf", "argument --who-threshold: must be finite"),
+        ("--workers=0", "argument --workers: workers must be >= 1"),
+        ("--workers=-1", "argument --workers: workers must be >= 1"),
     ))
     def test_bad_argument_is_schema_error_before_any_output(self, tmp_path, capsys, flag,
                                                             reason):
@@ -513,6 +592,7 @@ BAD_MODEL_FLAGS = [
     ("--holdout=abc", "argument --holdout: --holdout must be a fraction in (0, 1) or an "
                       "integer count, got 'abc'", "holdout=abc"),
     ("--holdout=0", "argument --holdout: count must be >= 1", "holdout=0"),
+    ("--workers=0", "argument --workers: workers must be >= 1", "workers=0"),
     ("--holdout=1.5", "argument --holdout: fraction must lie in (0, 1)", "holdout=1.5"),
     ("--models=prophet", "argument --models: unknown models: prophet "
                          "(choose from ('arima', 'ann', 'gp'))", "models=prophet"),

@@ -82,13 +82,6 @@ class TestLocalTime:
         expected = [datetime.fromtimestamp(t, tz=LOCAL_TZ).isoformat() for t in instants]
         assert iso_local(np.array(instants, dtype=np.int64)) == expected
 
-    @given(st.lists(st.integers(-62_135_596_800, 253_402_207_999), unique=True, max_size=30))
-    def test_local_dates_are_datetime_dates(self, instants):
-        series = TimeSeries(Granularity.RAW, np.array(sorted(instants), dtype=np.int64),
-                            np.zeros(len(instants)))
-        expected = [datetime.fromtimestamp(t, tz=LOCAL_TZ).date() for t in sorted(instants)]
-        assert series.local_dates() == expected
-
 
 class TestResampleMean:
     def test_two_hourly_values_to_daily_mean(self):

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import math
-from datetime import datetime, timedelta
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aircast.errors import EmptyInputError, EmptySeriesError, GranularityError
 from aircast.series import LOCAL_TZ, Granularity, TimeSeries
 from aircast.trends import (
     CalendarGrid,
+    _local_days,
+    _local_hours,
+    _seasons,
+    _weekdays,
     Season,
     calendar_daily_means,
     day_of_week_profile,
@@ -32,6 +36,56 @@ def quantile_oracle(values, p):
     lo = math.floor(h)
     hi = math.ceil(h)
     return ordered[lo] + (h - lo) * (ordered[hi] - ordered[lo])
+
+
+def utc(*fields: int) -> int:
+    """Epoch seconds of a UTC wall time (year, month, day[, hour, minute, second])."""
+    return int(datetime(*fields, tzinfo=timezone.utc).timestamp())
+
+
+#: UTC days of leap days and year ends, before and after 1970
+EDGE_DAYS = [(date(*ymd) - date(1970, 1, 1)).days for ymd in (
+    (1, 1, 1), (1600, 2, 29), (1900, 2, 28), (1900, 3, 1), (1969, 12, 31), (1970, 1, 1),
+    (1972, 2, 28), (1972, 2, 29), (2000, 2, 29), (2020, 12, 31), (2024, 2, 29),
+    (9999, 12, 30),
+)]
+
+#: The last second of a local day and the first of the next (Kigali is UTC+2)
+MIDNIGHT_SECONDS = [21 * 3600 + 3599, 22 * 3600]
+
+instants = st.builds(
+    lambda day, second: day * 86400 + second,
+    st.one_of(st.integers(-719_162, 2_932_895), st.sampled_from(EDGE_DAYS)),
+    st.one_of(st.integers(0, 86_399), st.sampled_from(MIDNIGHT_SECONDS)),
+)
+
+SEASON_OF_MONTH = {
+    12: Season.SHORT_DRY, 1: Season.SHORT_DRY, 2: Season.SHORT_DRY,
+    3: Season.LONG_RAINY, 4: Season.LONG_RAINY, 5: Season.LONG_RAINY,
+    6: Season.LONG_DRY, 7: Season.LONG_DRY, 8: Season.LONG_DRY,
+    9: Season.SHORT_RAINY, 10: Season.SHORT_RAINY, 11: Season.SHORT_RAINY,
+}
+
+
+class TestLocalKeys:
+    """The grouping keys agree with ``datetime`` at the fixed local offset."""
+
+    @given(st.lists(instants, max_size=30))
+    @example([
+        utc(1972, 2, 28, 21, 59, 59), utc(1972, 2, 28, 22),  # into a leap day
+        utc(1969, 12, 31, 21, 59, 59), utc(1969, 12, 31, 22),  # into 1970, local
+        -1, 0, utc(1900, 2, 28, 22), utc(2020, 12, 31, 21, 59, 59), utc(2020, 12, 31, 22),
+    ])
+    def test_keys_are_datetime_fields(self, instants):
+        at = np.array(instants, dtype=np.int64)
+        local = [datetime.fromtimestamp(t, tz=LOCAL_TZ) for t in instants]
+        days = _local_days(at)
+        assert _local_hours(at).tolist() == [d.hour for d in local]
+        assert days.astype("datetime64[D]").tolist() == [d.date() for d in local]
+        assert _weekdays(days).tolist() == [d.weekday() for d in local]
+        assert [list(Season)[i] for i in _seasons(days)] == [
+            SEASON_OF_MONTH[d.month] for d in local
+        ]
 
 
 class TestFiveNumberSummary:
@@ -226,24 +280,24 @@ class TestWhoExceedance:
     def test_strict_inequality_boundary(self):
         series = daily_series([14.9, 15.0, 15.1])
         report = who_exceedance(calendar_daily_means(series))
-        assert [e.exceeds for e in report.entries] == [False, False, True]
+        assert [exceeds for _, _, exceeds in report.entries] == [False, False, True]
         assert report.fraction == pytest.approx(1 / 3)
 
     def test_empty_grid(self):
-        report = who_exceedance(CalendarGrid({}))
+        report = who_exceedance(CalendarGrid(np.array([], dtype=np.int64), np.array([])))
         assert report.entries == ()
         assert report.fraction is None
 
     def test_reported_mean_always_exceeds(self):
         series = daily_series([42.6] * 10)
         report = who_exceedance(calendar_daily_means(series))
-        assert all(e.exceeds for e in report.entries)
+        assert all(exceeds for _, _, exceeds in report.entries)
         assert report.fraction == 1.0
 
     def test_threshold_override(self):
         series = daily_series([20.0, 30.0])
         report = who_exceedance(calendar_daily_means(series), threshold=25.0)
-        assert [e.exceeds for e in report.entries] == [False, True]
+        assert [exceeds for _, _, exceeds in report.entries] == [False, True]
 
 
 def test_profiles_match_regrouping_oracle(rng):
