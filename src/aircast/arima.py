@@ -17,6 +17,7 @@ falls back to Nelder-Mead restarted from (i) all zeros and (ii) the OLS start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -90,63 +91,139 @@ class ArimaModel:
         })
 
 
+# The root rules below run inside the CSS objective on a handful of Python
+# floats, so they use float arithmetic, not numpy calls. They reproduce
+# numpy's arithmetic bit for bit, so every comparison with a threshold (and
+# every fit) comes out as numpy's versions of these rules gave it: the closed
+# forms keep numpy's operation order, sums keep numpy's summation order, and
+# complex moduli follow numpy's vectorized complex absolute.
+
+_HALF_ULP_OF_ONE = 2.0**-53
+_VELTKAMP_SPLIT = 2.0**27 + 1.0
+
+
+def _one_plus_square(r: float) -> float:
+    """1 + r*r rounded once, as a fused multiply-add gives it, for 0 <= r <= 1."""
+    p = r * r
+    y = 1.0 + p
+    t = p - (y - 1.0)  # exact: the rounding error of 1 + p
+    if abs(t) != _HALF_ULP_OF_ONE:
+        return y  # 1 + p is no tie, so the product's error cannot move it
+    # 1 + p is halfway between two floats: the sign of r*r - p decides
+    # (Dekker's exact product error, from Veltkamp's split of r)
+    hi = _VELTKAMP_SPLIT * r
+    hi -= hi - r
+    lo = r - hi
+    err = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+    if err == 0.0:
+        return y
+    return y + (t + math.copysign(_HALF_ULP_OF_ONE, err))
+
+
+def _modulus(z: float | complex) -> float:
+    """|z|. A complex z goes through numpy's vectorized complex absolute:
+    larger * sqrt(1 + (smaller/larger)**2) with the square-and-add fused,
+    an infinite part giving inf before a NaN part gives NaN (the loop numpy
+    runs where its SIMD code fuses multiply-adds: x86 with FMA, and Arm)."""
+    if isinstance(z, float):
+        return abs(z)
+    re, im = abs(z.real), abs(z.imag)
+    if re == math.inf or im == math.inf:
+        return math.inf
+    if re != re or im != im:
+        return math.nan
+    larger, smaller = (re, im) if re >= im else (im, re)
+    if larger == 0.0:
+        return 0.0
+    return math.sqrt(_one_plus_square(smaller / larger)) * larger
+
+
+def _abs_sum(values: Sequence[float]) -> float:
+    """sum(|v|) in np.sum's order: left to right below eight terms, else
+    pairwise over the first eight and then left to right (orders stop at 10)."""
+    a = [abs(v) for v in values]
+    if len(a) < 8:
+        total = 0.0
+        rest = a
+    else:
+        total = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+        rest = a[8:]
+    for v in rest:
+        total += v
+    return total
+
+
 def _min_root_modulus(ascending: Sequence[float]) -> float:
     """Smallest root modulus of a polynomial given ascending coefficients with
-    constant 1; +inf when it has no roots (degree 0)."""
-    roots = _roots_ascending(np.asarray(ascending, dtype=np.float64))
-    return float(np.min(np.abs(roots))) if roots.size else np.inf
+    constant 1; +inf when it has no roots (degree 0), NaN when a modulus is."""
+    moduli = [_modulus(root) for root in _roots_ascending(ascending)]
+    if not moduli:
+        return math.inf
+    return math.nan if any(m != m for m in moduli) else min(moduli)
 
 
 def ar_is_stationary(beta: Sequence[float]) -> bool:
     """Stationarity of 1 - beta_1 x - ... - beta_p x^p."""
-    return _min_root_modulus([1.0, *(-b for b in beta)]) > 1.0
+    return _min_root_modulus([1.0, *(-float(b) for b in beta)]) > 1.0
 
 
 def ma_is_invertible(theta: Sequence[float]) -> bool:
     """Invertibility of 1 + theta_1 x + ... + theta_q x^q."""
-    return _min_root_modulus([1.0, *theta]) > 1.0
+    return _min_root_modulus([1.0, *(float(t) for t in theta)]) > 1.0
 
 
-def _ma_strictly_noninvertible(theta: np.ndarray, tol: float = 1e-9) -> bool:
+def _ma_strictly_noninvertible(theta: Sequence[float], tol: float = 1e-9) -> bool:
     """True when an MA root lies strictly inside the unit circle.
 
     Roots on (or within ``tol`` of) the circle are tolerated: those are
     legitimate boundary optima (e.g. over-differenced data) and stay flagged
     through ``ma_invertible`` instead of being pushed away.
     """
-    if np.sum(np.abs(theta)) < 1.0:  # sufficient for all roots outside
+    if _abs_sum(theta) < 1.0:  # sufficient for all roots outside
         return False
-    return _min_root_modulus(np.concatenate([[1.0], theta])) < 1.0 - tol
+    return _min_root_modulus([1.0, *theta]) < 1.0 - tol
 
 
-def _roots_ascending(ascending: np.ndarray) -> np.ndarray:
+def _roots_ascending(coeffs: Sequence[float]) -> list[float | complex]:
     """Roots of a polynomial given ascending coefficients with constant 1.
 
     Hot path inside the CSS objective: degrees 1-2 use closed forms, higher
-    degrees one companion-matrix eigendecomposition.
+    degrees one companion-matrix eigendecomposition. Real roots are floats;
+    a complex pair (or a complex eigenvalue set) is complex throughout.
     """
-    coeffs = ascending
-    deg = coeffs.size - 1
+    deg = len(coeffs) - 1
     while deg > 0 and coeffs[deg] == 0.0:
         deg -= 1
     if deg == 0:
-        return np.empty(0)
+        return []
     if deg == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
+        return [-coeffs[0] / coeffs[1]]
     if deg == 2:
         a, b, c = coeffs[2], coeffs[1], coeffs[0]
-        disc = np.emath.sqrt(b * b - 4.0 * a * c)
-        return np.array([(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)])
+        radicand = b * b - 4.0 * a * c
+        if not radicand < 0.0:  # NaN stays real, as in np.emath.sqrt
+            disc = math.sqrt(radicand)
+            return [(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)]
+        # (-b +- i*s) / (2a), dividing as numpy divides a complex by a real:
+        # Smith's rule with rat = 0/d and scl = 1/(d + 0*rat)
+        s = math.sqrt(-radicand)
+        d = 2.0 * a
+        rat = 0.0 / d
+        scl = 1.0 / (d + 0.0 * rat)
+        return [
+            complex((-b + s * rat) * scl, (s + b * rat) * scl),
+            complex((-b - s * rat) * scl, (-s + b * rat) * scl),
+        ]
     companion = np.zeros((deg, deg))
-    companion[0, :] = -coeffs[deg - 1 :: -1] / coeffs[deg]
+    companion[0, :] = [-c / coeffs[deg] for c in coeffs[deg - 1 :: -1]]
     companion[1:, :-1] = np.eye(deg - 1)
-    return np.linalg.eigvals(companion)
+    return np.linalg.eigvals(companion).tolist()
 
 
 _REDUNDANCY_TOL = 0.2
 
 
-def _arma_redundant(beta: np.ndarray, theta: np.ndarray) -> bool:
+def _arma_redundant(beta: Sequence[float], theta: Sequence[float]) -> bool:
     """True when an AR root nearly coincides with an MA root.
 
     Near-common factors make the parameterization redundant: the pair
@@ -155,22 +232,22 @@ def _arma_redundant(beta: np.ndarray, theta: np.ndarray) -> bool:
     Distances are relative to the root magnitude (floored at 1).
     """
     # redundancy only bites when both sides carry sizable coefficients
-    if np.sum(np.abs(beta)) < 0.3 or np.sum(np.abs(theta)) < 0.3:
+    if _abs_sum(beta) < 0.3 or _abs_sum(theta) < 0.3:
         return False
-    ar_roots = _roots_ascending(np.concatenate([[1.0], -beta]))
-    ma_roots = _roots_ascending(np.concatenate([[1.0], theta]))
-    if ar_roots.size == 0 or ma_roots.size == 0:
-        return False
-    dist = np.abs(ar_roots[:, None] - ma_roots[None, :])
-    scale = np.maximum(1.0, np.abs(ma_roots))[None, :]
-    return bool(np.any(dist / scale < _REDUNDANCY_TOL))
+    ar_roots = _roots_ascending([1.0, *(-b for b in beta)])
+    for ma_root in _roots_ascending([1.0, *theta]):
+        # a NaN modulus leaves NaN distances, which never fall below the tolerance
+        scale = max(1.0, _modulus(ma_root))
+        if any(_modulus(ar_root - ma_root) / scale < _REDUNDANCY_TOL for ar_root in ar_roots):
+            return True
+    return False
 
 
-def _inadmissible(params: np.ndarray, p: int) -> bool:
+def _inadmissible(params: Sequence[float], p: int) -> bool:
     """True in the region both CSS solvers exclude: an MA root strictly inside
     the unit circle, or near-cancelling AR/MA roots. Both shrink the in-sample
     residuals without predictive content, so they would corrupt AIC
-    comparisons."""
+    comparisons. ``params`` is (alpha, beta, theta) as Python floats."""
     theta = params[1 + p :]
     return _ma_strictly_noninvertible(theta) or (
         p > 0 and _arma_redundant(params[1 : 1 + p], theta)
@@ -239,13 +316,15 @@ def _lag_matrix(z: np.ndarray, p: int) -> np.ndarray:
 
 def _css_errors(params: np.ndarray, z: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """CSS residuals at ``params`` (alpha, beta, theta), for t = p .. len(z)-1;
-    non-finite where the MA filter blows up."""
+    non-finite where the MA filter blows up. Callers hold
+    ``np.errstate(over="ignore", invalid="ignore")``, so a blow-up is a value
+    here, not a warning, and the Nelder-Mead objective enters no context per
+    call."""
     p = lags.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = z[p:] - params[0]
-        if p:
-            u = u - lags @ params[1 : 1 + p]
-        return lfilter([1.0], [1.0, *params[1 + p :]], u)
+    u = z[p:] - params[0]
+    if p:
+        u = u - lags @ params[1 : 1 + p]
+    return lfilter([1.0], [1.0, *params[1 + p :]], u)
 
 
 def _css_jacobian(
@@ -303,7 +382,7 @@ def _css_least_squares(
         params = result.x
         if result.status <= 0 or not np.all(np.isfinite(params)):
             return None
-        if _inadmissible(params, lags.shape[1]):
+        if _inadmissible(params.tolist(), lags.shape[1]):
             return None
         # every accepted iterate lowers the sum of squares of a finite start,
         # so no stand-in value survives into the solution
@@ -322,29 +401,31 @@ def _css_nelder_mead(
     p = lags.shape[1]
 
     def objective(params: np.ndarray) -> float:
-        if not np.all(np.isfinite(params)) or _inadmissible(params, p):
-            return np.inf
+        values = params.tolist()
+        if not all(map(math.isfinite, values)) or _inadmissible(values, p):
+            return math.inf
         e = _css_errors(params, z, lags)
-        with np.errstate(over="ignore", invalid="ignore"):
-            css = float(np.dot(e, e))
-        return css if np.isfinite(css) else np.inf
+        css = float(np.dot(e, e))
+        return css if math.isfinite(css) else math.inf
 
     starts = [np.zeros(1 + p + q), _ols_start(z, lags, q)]
     best = None
-    for x0 in starts:
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": _MAX_ITER,
-                "maxfev": 2 * _MAX_ITER,
-                "xatol": _SIMPLEX_TOL,
-                "fatol": _SIMPLEX_TOL,
-            },
-        )
-        if best is None or result.fun < best.fun:
-            best = result
+    # a blown-up filter or an overflowing sum of squares is an inf, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x0 in starts:
+            result = minimize(
+                objective,
+                x0,
+                method="Nelder-Mead",
+                options={
+                    "maxiter": _MAX_ITER,
+                    "maxfev": 2 * _MAX_ITER,
+                    "xatol": _SIMPLEX_TOL,
+                    "fatol": _SIMPLEX_TOL,
+                },
+            )
+            if best is None or result.fun < best.fun:
+                best = result
     assert best is not None
     return best.x, float(best.fun), bool(best.success)
 
@@ -380,8 +461,8 @@ def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
     lags = _lag_matrix(z, p)
     if q == 0:
         params = _ols_start(z, lags, 0)
-        e = _css_errors(params, z, lags)
         with np.errstate(over="ignore", invalid="ignore"):
+            e = _css_errors(params, z, lags)
             css, converged = float(np.dot(e, e)), True
     else:
         solved = _css_least_squares(z, lags, q)
@@ -426,7 +507,8 @@ def forecast(model: ArimaModel, history: TimeSeries, horizon: int) -> np.ndarray
 
     z = difference_values(history.values, d)
     params = np.array([model.alpha, *model.beta, *model.theta])
-    e = _css_errors(params, z, _lag_matrix(z, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _css_errors(params, z, _lag_matrix(z, p))
     # the last p values and q residuals, zero before the history; each forecast extends both
     recent_z = z[z.size - p :].tolist()
     recent_e = [0.0] * max(q - e.size, 0) + e[max(e.size - q, 0) :].tolist()

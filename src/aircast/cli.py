@@ -143,8 +143,14 @@ def write_json(path: Path, payload: object) -> None:
 
 
 def write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence], fmt: str) -> Path:
-    """Write rows as CSV or as a JSON list of row objects; returns the path used."""
+    """Write rows as CSV or as a JSON list of row objects; returns the path used.
+
+    The same table in the other format is removed, so a rerun with another
+    ``--format`` leaves one current copy. No table stem is the stem of a file
+    ``write_json`` writes (summary, evaluation_report, *_model, ingest_report).
+    """
     path = path.with_suffix(".json" if fmt == "json" else ".csv")
+    path.with_suffix(".csv" if fmt == "json" else ".json").unlink(missing_ok=True)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]

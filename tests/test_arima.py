@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from aircast import arima
 from aircast.arima import (
@@ -91,6 +95,112 @@ def polynomial_with_roots(rng):
     return coeffs / coeffs[0]
 
 
+# Oracle: the root and admissibility rules written with numpy calls, as the
+# module had them before they moved to Python floats. The float versions must
+# give the same answer (or raise the same error) on every input.
+
+def numpy_roots(coeffs):
+    deg = coeffs.size - 1
+    while deg > 0 and coeffs[deg] == 0.0:
+        deg -= 1
+    if deg == 0:
+        return np.empty(0)
+    if deg == 1:
+        return np.array([-coeffs[0] / coeffs[1]])
+    if deg == 2:
+        a, b, c = coeffs[2], coeffs[1], coeffs[0]
+        disc = np.emath.sqrt(b * b - 4.0 * a * c)
+        return np.array([(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)])
+    companion = np.zeros((deg, deg))
+    companion[0, :] = -coeffs[deg - 1 :: -1] / coeffs[deg]
+    companion[1:, :-1] = np.eye(deg - 1)
+    return np.linalg.eigvals(companion)
+
+
+def numpy_min_root_modulus(ascending):
+    roots = numpy_roots(np.asarray(ascending, dtype=np.float64))
+    return float(np.min(np.abs(roots))) if roots.size else np.inf
+
+
+def numpy_ar_is_stationary(beta):
+    return numpy_min_root_modulus([1.0, *(-b for b in beta)]) > 1.0
+
+
+def numpy_ma_is_invertible(theta):
+    return numpy_min_root_modulus([1.0, *theta]) > 1.0
+
+
+def numpy_ma_strictly_noninvertible(theta, tol=1e-9):
+    if np.sum(np.abs(theta)) < 1.0:
+        return False
+    return numpy_min_root_modulus(np.concatenate([[1.0], theta])) < 1.0 - tol
+
+
+def numpy_arma_redundant(beta, theta):
+    if np.sum(np.abs(beta)) < 0.3 or np.sum(np.abs(theta)) < 0.3:
+        return False
+    ar_roots = numpy_roots(np.concatenate([[1.0], -beta]))
+    ma_roots = numpy_roots(np.concatenate([[1.0], theta]))
+    if ar_roots.size == 0 or ma_roots.size == 0:
+        return False
+    dist = np.abs(ar_roots[:, None] - ma_roots[None, :])
+    scale = np.maximum(1.0, np.abs(ma_roots))[None, :]
+    return bool(np.any(dist / scale < 0.2))
+
+
+def numpy_inadmissible(params, p):
+    theta = params[1 + p :]
+    return numpy_ma_strictly_noninvertible(theta) or (
+        p > 0 and numpy_arma_redundant(params[1 : 1 + p], theta)
+    )
+
+
+def outcome(rule, *args):
+    """The rule's answer, or the type of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return rule(*args)
+    except Exception as exc:  # noqa: BLE001 (both sides must fail alike)
+        return type(exc)
+
+
+# MA-side coefficients (theta_1..theta_k of 1 + theta_1 x + ...): degrees 0-4
+coefficient = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 0.3, -0.3, 0.5, 1.0, -1.0, 2.0, 1e-300, 1e155, 1e300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+EDGE_POLYNOMIALS = [
+    (1.0,), (-1.0,),                 # a real root on the unit circle
+    (2.0, 1.0), (-2.0, 1.0),         # a double root on it
+    (0.0, 1.0), (0.0, -1.0),         # +-i, and +-1
+    (1.0, 1.0, 1.0),                 # -1 and +-i, by eigenvalues
+    (0.0, 0.0, 0.0, 1.0),            # four roots on the circle
+    (-1.0, 0.25),                    # double root 2: discriminant exactly 0
+    (0.5, 0.5), (0.25, -0.75), (1.0, 0.0),  # sum |theta| exactly 1.0
+    (0.3,), (-0.3, 0.0), (0.15, 0.15),      # sum exactly 0.3
+    (0.1, 0.2), (0.2, 0.1),                 # one ulp above 0.3
+    (0.5, 0.0, 0.0, 0.0), (0.0, 0.0),       # zero leading coefficients
+    (math.inf,), (math.nan, 0.5), (0.5, -math.inf, 0.2), (0.1, 0.2, math.nan, 1.0),
+]
+polynomial = st.one_of(
+    st.lists(coefficient, max_size=4).map(tuple),
+    st.sampled_from(EDGE_POLYNOMIALS),
+    # (1 - kx)^2 with k dyadic: a double root, discriminant exactly 0
+    st.integers(-24, 24).map(lambda m: (-2.0 * (m / 8), (m / 8) ** 2)),
+    # roots exp(+-i phi), on the unit circle up to rounding
+    st.floats(0.0, math.pi).map(lambda phi: (-2.0 * math.cos(phi), 1.0)),
+    # zero leading coefficients after a random polynomial
+    st.tuples(st.lists(coefficient, min_size=1, max_size=2), st.integers(1, 2)).map(
+        lambda t: (*t[0], *[0.0] * t[1])
+    ),
+)
+
+
+def negated(coeffs):
+    return tuple(-c for c in coeffs)
+
+
 class TestRootFlags:
     """Stationarity and invertibility against numpy's own root finder."""
 
@@ -100,6 +210,56 @@ class TestRootFlags:
             expected = bool(np.all(np.abs(np.roots(ascending[::-1])) > 1.0))
             assert ar_is_stationary(-ascending[1:]) == expected
             assert ma_is_invertible(ascending[1:]) == expected
+
+    # The three pieces the float rules rebuild from numpy's arithmetic, bit for
+    # bit, so that no threshold comparison can come out differently.
+
+    @settings(max_examples=1000)
+    @given(st.one_of(
+        st.complex_numbers(allow_nan=True, allow_infinity=True),
+        st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        st.floats(0.0, math.pi).map(lambda phi: complex(math.cos(phi), math.sin(phi))),
+    ))
+    def test_modulus_is_numpys_complex_absolute(self, z):
+        # numpy's vectorized loop (the one np.abs runs on a root array)
+        assert repr(arima._modulus(z)) == repr(float(np.abs(np.array([z]))[0]))
+
+    @settings(max_examples=600)
+    @given(polynomial)
+    def test_roots_are_numpys_roots(self, coeffs):
+        ascending = [1.0, *coeffs]
+        expected = outcome(lambda: numpy_roots(np.array(ascending)).tolist())
+        assert repr(outcome(arima._roots_ascending, ascending)) == repr(expected)
+
+    @settings(max_examples=600)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=10))
+    def test_abs_sum_is_numpys_sum(self, values):
+        with np.errstate(over="ignore"):
+            expected = float(np.sum(np.abs(np.array(values, dtype=np.float64))))
+        assert repr(arima._abs_sum(values)) == repr(expected)
+
+    @settings(max_examples=600)
+    @given(
+        alpha=st.floats(-10.0, 10.0),
+        theta=polynomial,
+        beta=st.one_of(polynomial.map(negated), polynomial),
+        shared=st.one_of(st.none(), st.floats(-0.5, 0.5)),
+    )
+    @example(alpha=0.0, theta=(0.5, 0.5), beta=(-0.5, -0.5), shared=None)
+    @example(alpha=0.0, theta=(-1.0, 0.25), beta=(1.0, -0.25), shared=0.0)
+    @example(alpha=0.0, theta=(0.15, 0.15), beta=(0.3,), shared=None)
+    @example(alpha=0.0, theta=(1.0, 1.0, 1.0), beta=(-1.0, -1.0, -1.0), shared=None)
+    def test_float_rules_match_the_numpy_oracle(self, alpha, theta, beta, shared):
+        if shared is not None and beta:
+            # an MA polynomial near the AR one: roots near-cancel, around the tolerance
+            theta = tuple(-b + shared * i for i, b in enumerate(beta))
+        for coeffs in (theta, beta):
+            assert outcome(ar_is_stationary, coeffs) == outcome(numpy_ar_is_stationary, coeffs)
+            assert outcome(ma_is_invertible, coeffs) == outcome(numpy_ma_is_invertible, coeffs)
+        params = [alpha, *beta, *theta]
+        assert outcome(arima._inadmissible, params, len(beta)) == outcome(
+            numpy_inadmissible, np.array(params), len(beta)
+        )
 
 
 class TestSimulate:
@@ -221,6 +381,30 @@ def nelder_mead_fit(series, order):
     return arima._css_nelder_mead(z, lags, order.q)
 
 
+def numpy_nelder_mead(z, lags, q):
+    """Oracle: the two-start Nelder-Mead with the objective written as before
+    (numpy finiteness test, ``numpy_inadmissible``, warnings silenced per
+    call), run through scipy.optimize.minimize with the same options."""
+    p = lags.shape[1]
+
+    def objective(params):
+        if not np.all(np.isfinite(params)) or numpy_inadmissible(params, p):
+            return np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = arima._css_errors(params, z, lags)
+            css = float(np.dot(e, e))
+        return css if np.isfinite(css) else np.inf
+
+    best = None
+    for x0 in [np.zeros(1 + p + q), arima._ols_start(z, lags, q)]:
+        result = minimize(objective, x0, method="Nelder-Mead", options={
+            "maxiter": 2000, "maxfev": 4000, "xatol": 1e-8, "fatol": 1e-8,
+        })
+        if best is None or result.fun < best.fun:
+            best = result
+    return best.x, float(best.fun), bool(best.success)
+
+
 class TestCssEstimation:
     @pytest.mark.parametrize("p,d", [(0, 0), (1, 0), (3, 0), (2, 1)])
     def test_pure_ar_is_ols(self, p, d):
@@ -330,6 +514,20 @@ class TestCssEstimation:
         assert model.theta == tuple(params[3:])
         assert model.css == css
         assert model.converged == converged
+
+    @pytest.mark.parametrize("n,seed,order", [
+        pytest.param(200, 100, ArimaOrder(2, 0, 2), id="redundant-fallback"),
+        pytest.param(5, 101, ArimaOrder(2, 0, 1), id="too-few-residuals"),
+        pytest.param(200, 100, ArimaOrder(3, 0, 3), id="white-noise-303"),
+    ])
+    def test_nelder_mead_bitwise_equal_to_the_numpy_objective(self, n, seed, order):
+        series = simulate_arma(0.0, [], [], 1.0, n, seed=seed)
+        z = difference_values(series.values, order.d)
+        lags = arima._lag_matrix(z, order.p)
+        x, fun, success = arima._css_nelder_mead(z, lags, order.q)
+        x_oracle, fun_oracle, success_oracle = numpy_nelder_mead(z, lags, order.q)
+        assert x.tobytes() == x_oracle.tobytes()
+        assert (fun, success) == (fun_oracle, success_oracle)
 
 
 class TestForecast:

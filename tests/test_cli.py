@@ -577,6 +577,35 @@ class TestEvaluate:
         assert blas_thread_counts() == before
 
 
+class TestOutputFormat:
+    @pytest.mark.parametrize("first,last", [("csv", "json"), ("json", "csv")])
+    @pytest.mark.parametrize("command,flags", [
+        pytest.param("trend", ["--workers", "1"], id="trend"),
+        pytest.param("forecast", ["--models", "arima", "--horizon", "5", *FAST_EVAL], id="forecast"),
+        pytest.param("evaluate", ["--models", "arima", *FAST_EVAL], id="evaluate"),
+    ])
+    def test_rerun_in_other_format_leaves_only_its_tables(
+        self, pipeline_out, tmp_path, command, flags, first, last
+    ):
+        """A stage run with one --format and then the other leaves the same
+        files as a single run with the last format: no stale twin."""
+        def run(out: Path, fmt: str) -> list[str]:
+            assert main([command, "--out", str(out), "--station", "Gitega",
+                         "--format", fmt, *flags]) == 0
+            return sorted(path.name for path in (out / STAGE_DIRS[command]).iterdir())
+
+        run(fresh_out(pipeline_out, tmp_path / "twice"), first)
+        twice = run(tmp_path / "twice", last)
+        once = run(fresh_out(pipeline_out, tmp_path / "once"), last)
+        assert twice == once
+        tables = [name for name in once if name.endswith(f".{last}")]
+        assert tables and not any(name.endswith(f".{first}") for name in tables)
+        if command == "trend":
+            summary = json.loads((tmp_path / "twice" / "trend" / "summary.json").read_text())
+            listed = sorted(Path(f).name for f in summary["stations"]["Gitega"]["files"])
+            assert listed == [name for name in twice if name != "summary.json"]
+
+
 def grid_reason(grid: str) -> str:
     return f"argument --arima-grid: arima grid must be 'p_max,d_max,q_max' integers, got '{grid}'"
 
