@@ -141,25 +141,26 @@ def _modulus(z: float | complex) -> float:
 def _abs_sum(values: Sequence[float]) -> float:
     """sum(|v|) in np.sum's order: left to right below eight terms, else
     pairwise over the first eight and then left to right (orders stop at 10)."""
-    a = [abs(v) for v in values]
-    if len(a) < 8:
-        total = 0.0
-        rest = a
-    else:
+    total = 0.0
+    if len(values) >= 8:
+        a = [abs(v) for v in values[:8]]
         total = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-        rest = a[8:]
-    for v in rest:
-        total += v
+        values = values[8:]
+    for v in values:
+        total += abs(v)
     return total
 
 
 def _min_root_modulus(ascending: Sequence[float]) -> float:
     """Smallest root modulus of a polynomial given ascending coefficients with
     constant 1; +inf when it has no roots (degree 0), NaN when a modulus is."""
-    moduli = [_modulus(root) for root in _roots_ascending(ascending)]
-    if not moduli:
-        return math.inf
-    return math.nan if any(m != m for m in moduli) else min(moduli)
+    smallest = math.inf
+    for root in _roots_ascending(ascending):
+        modulus = _modulus(root)
+        if modulus != modulus:
+            return math.nan
+        smallest = min(smallest, modulus)
+    return smallest
 
 
 def ar_is_stationary(beta: Sequence[float]) -> bool:
@@ -238,8 +239,9 @@ def _arma_redundant(beta: Sequence[float], theta: Sequence[float]) -> bool:
     for ma_root in _roots_ascending([1.0, *theta]):
         # a NaN modulus leaves NaN distances, which never fall below the tolerance
         scale = max(1.0, _modulus(ma_root))
-        if any(_modulus(ar_root - ma_root) / scale < _REDUNDANCY_TOL for ar_root in ar_roots):
-            return True
+        for ar_root in ar_roots:
+            if _modulus(ar_root - ma_root) / scale < _REDUNDANCY_TOL:
+                return True
     return False
 
 
