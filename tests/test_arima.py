@@ -95,9 +95,9 @@ def polynomial_with_roots(rng):
     return coeffs / coeffs[0]
 
 
-# Oracle: the root and admissibility rules written with numpy calls, as the
-# module had them before they moved to Python floats. The float versions must
-# give the same answer (or raise the same error) on every input.
+# Oracle: the root and admissibility rules written with numpy calls. The
+# float versions in `arima` must give the same answer (or raise the same
+# error) on every input.
 
 def numpy_roots(coeffs):
     deg = coeffs.size - 1
@@ -382,8 +382,8 @@ def nelder_mead_fit(series, order):
 
 
 def numpy_nelder_mead(z, lags, q):
-    """Oracle: the two-start Nelder-Mead with the objective written as before
-    (numpy finiteness test, ``numpy_inadmissible``, warnings silenced per
+    """Oracle: the two-start Nelder-Mead with the objective written with numpy
+    calls (finiteness test, ``numpy_inadmissible``, warnings silenced per
     call), run through scipy.optimize.minimize with the same options."""
     p = lags.shape[1]
 
