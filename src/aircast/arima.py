@@ -31,6 +31,7 @@ from .errors import (
     OptimizerFailure,
     TooShortError,
 )
+from .orders import ArimaOrder
 from .series import (
     Granularity,
     TimeSeries,
@@ -47,21 +48,6 @@ _SIMPLEX_TOL = 1e-8
 _LM_TOL = 1e-12
 # stands in for a non-finite residual so Levenberg-Marquardt rejects the step
 _LM_BLOWUP = 1e100
-
-
-@dataclass(frozen=True)
-class ArimaOrder:
-    p: int
-    d: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.p <= 10:
-            raise ValueError("p must be in 0..10")
-        if not 0 <= self.d <= 2:
-            raise ValueError("d must be in 0..2")
-        if not 0 <= self.q <= 10:
-            raise ValueError("q must be in 0..10")
 
 
 @dataclass(frozen=True)
@@ -398,13 +384,17 @@ def _css_nelder_mead(
     start.
 
     The objective returns +inf where parameters are not finite or are
-    ``_inadmissible``, so the simplex searches only admissible parameters.
+    ``_inadmissible``, or where that test cannot tell (a companion matrix that
+    overflows), so the simplex searches only admissible parameters.
     """
     p = lags.shape[1]
 
     def objective(params: np.ndarray) -> float:
         values = params.tolist()
-        if not all(map(math.isfinite, values)) or _inadmissible(values, p):
+        try:
+            if not all(map(math.isfinite, values)) or _inadmissible(values, p):
+                return math.inf
+        except np.linalg.LinAlgError:
             return math.inf
         e = _css_errors(params, z, lags)
         css = float(np.dot(e, e))
@@ -461,22 +451,26 @@ def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         )
 
     lags = _lag_matrix(z, p)
-    if q == 0:
-        params = _ols_start(z, lags, 0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = _css_errors(params, z, lags)
-            css, converged = float(np.dot(e, e)), True
-    else:
-        solved = _css_least_squares(z, lags, q)
-        if solved is None:
-            params, css, converged = _css_nelder_mead(z, lags, q)
+    try:
+        if q == 0:
+            params = _ols_start(z, lags, 0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = _css_errors(params, z, lags)
+                css, converged = float(np.dot(e, e)), True
         else:
-            (params, css), converged = solved, True
-    if not np.isfinite(css) or not np.all(np.isfinite(params)):
-        raise OptimizerFailure(f"no finite optimum for order {order}")
+            solved = _css_least_squares(z, lags, q)
+            if solved is None:
+                params, css, converged = _css_nelder_mead(z, lags, q)
+            else:
+                (params, css), converged = solved, True
+        if not np.isfinite(css) or not np.all(np.isfinite(params)):
+            raise OptimizerFailure(f"no finite optimum for order {order}")
 
-    beta = tuple(float(b) for b in params[1 : 1 + p])
-    theta = tuple(float(t) for t in params[1 + p :])
+        beta = tuple(float(b) for b in params[1 : 1 + p])
+        theta = tuple(float(t) for t in params[1 + p :])
+        ar_stationary, ma_invertible = ar_is_stationary(beta), ma_is_invertible(theta)
+    except np.linalg.LinAlgError as exc:  # a tiny last coefficient overflowed a companion matrix
+        raise OptimizerFailure(f"no usable optimum for order {order}: {exc}") from None
     sigma2 = max(css / n_effective, float(np.finfo(np.float64).tiny))
     return ArimaModel(
         order=order,
@@ -487,8 +481,8 @@ def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         css=css,
         n_effective=n_effective,
         converged=converged,
-        ar_stationary=ar_is_stationary(beta),
-        ma_invertible=ma_is_invertible(theta),
+        ar_stationary=ar_stationary,
+        ma_invertible=ma_invertible,
     )
 
 

@@ -15,12 +15,12 @@ Exit codes: 0 ok, 1 I/O failure, 2 schema/validation failure, 3 no usable
 data, 4 no model succeeded.
 
 Importing this module loads only the numpy layers (``errors``, ``ingest``,
-``series``, ``trends``), so ``ingest`` and ``trend`` never load scipy. The
-stages that run models import the model layers (``ann``, ``arima``,
-``evaluation``, which bring in ``gp`` and scipy) when they start, in
-:func:`cmd_simulate`, :func:`cmd_forecast` and :func:`cmd_evaluate`: in the
-parent process, before :func:`_run_pool` pins every loaded BLAS and starts
-its workers.
+``orders``, ``series``, ``trends``), so ``ingest`` and ``trend`` never load
+scipy. ``simulate`` imports ``arima``; ``forecast`` and ``evaluate`` import
+``evaluation`` and exactly the model layers ``--models`` names (``ann`` is
+numpy only, ``gp`` brings scipy.linalg, ``arima`` scipy.optimize and
+scipy.signal too), in the parent process, before :func:`_run_pool` pins
+every loaded BLAS and starts its workers.
 
 Every flag is parsed and checked once, by argparse: a rejected flag exits 2
 before anything is read or written.
@@ -68,6 +68,7 @@ from .ingest import (
     parse_timestamps,
     station_key,
 )
+from .orders import ArimaOrder
 from .series import (
     Granularity,
     SplitSpec,
@@ -297,8 +298,6 @@ def _parse_models(text: str) -> list[str]:
 @_flag_type
 def _parse_grid(text: str) -> tuple[int, int, int]:
     """'p_max,d_max,q_max', each within the bounds of an ARIMA order."""
-    from .arima import ArimaOrder
-
     try:
         p, d, q = (int(part) for part in text.split(","))
     except ValueError:
@@ -338,6 +337,13 @@ def _station_names(out: Path, requested: Sequence[str]) -> list[str]:
         known_by_key = {station_key(name): name for name in known}
         return [known_by_key.get(station_key(name), name) for name in requested]
     return sorted(known)
+
+
+def _load_model_layers(models: Sequence[str]) -> None:
+    """Import ``evaluation`` and the layer of each model (a model key is its
+    module's name), and no other, in the parent: before ``_run_pool`` pins BLAS."""
+    for name in ("evaluation", *models):
+        importlib.import_module(f".{name}", __package__)
 
 
 def _build_adapters(args: argparse.Namespace, station: str) -> list[Forecaster]:
@@ -720,8 +726,7 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
-    from . import evaluation  # noqa: F401  (the model layers, before _run_pool pins BLAS)
-
+    _load_model_layers(args.models)
     results = _run_stations(args, _forecast_station)
     if results is None:
         return EXIT_EMPTY
@@ -774,7 +779,8 @@ def _evaluate_station(args: argparse.Namespace, station: str) -> EvalReport:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .evaluation import comparison_table  # and the model layers, before _run_pool pins BLAS
+    _load_model_layers(args.models)
+    from .evaluation import comparison_table
 
     reports = _run_stations(args, _evaluate_station)
     if reports is None:

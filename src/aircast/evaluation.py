@@ -25,11 +25,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from . import ann, arima, gp
+from . import ann
 from .errors import (
     AircastError,
     EmptyInputError,
@@ -38,6 +38,9 @@ from .errors import (
     TooShortError,
 )
 from .series import SplitSpec, TimeSeries, append_observation, split_holdout
+
+if TYPE_CHECKING:  # the adapters import their scipy layers when they run
+    from . import arima, gp
 
 #: Comparison-table column labels per model key.
 TABLE_LABELS = {"arima": "arima", "ann": "ann", "gp": "gpr"}
@@ -146,12 +149,16 @@ class ArimaAdapter(Forecaster):
     model: arima.ArimaModel | None = field(default=None, init=False, repr=False)
 
     def fit(self, train: TimeSeries) -> None:
+        from . import arima
+
         if self.order is not None:
             self.model = arima.fit_arima(train, self.order)
         else:
             _, self.model = arima.select_order(train, self.p_max, self.d_max, self.q_max)
 
     def forecast(self, history: TimeSeries, at: Sequence[int]) -> tuple[np.ndarray, None]:
+        from . import arima
+
         assert self.model is not None, "fit before predicting"
         return arima.forecast(self.model, history, len(at)), None
 
@@ -160,7 +167,9 @@ class ArimaAdapter(Forecaster):
         return self.model.to_dict()
 
     def load(self, data: dict, train: TimeSeries) -> None:
-        self.model = arima.ArimaModel.from_dict(data)
+        from .arima import ArimaModel
+
+        self.model = ArimaModel.from_dict(data)
 
 
 @dataclass(eq=False)
@@ -208,6 +217,8 @@ class GpAdapter(Forecaster):
     _fitted: gp.GpModel | None = field(default=None, init=False, repr=False)
 
     def fit(self, train: TimeSeries) -> None:
+        from . import gp
+
         if len(train) < 10:
             raise TooShortError("need at least 10 observations to fit the GP")
         params, noise_variance = gp.fit_hyperparameters(
@@ -216,28 +227,38 @@ class GpAdapter(Forecaster):
         self._fit_at(train, params, noise_variance)
 
     def load(self, data: dict, train: TimeSeries) -> None:
+        from .gp import SeKernelParams
+
         # one factorization at the stored hyperparameters, no grid search
-        params = gp.SeKernelParams(data["amplitude"], data["length_scale"])
+        params = SeKernelParams(data["amplitude"], data["length_scale"])
         self._fit_at(train, params, data["noise_variance"])
 
     def _fit_at(
         self, train: TimeSeries, params: gp.SeKernelParams, noise_variance: float
     ) -> None:
+        from . import gp
+
         x = gp.day_indices(train.at, train.at[0])
         self.model = self._fitted = gp.fit_gp(x, train.values, params, noise_variance)
 
     def _extend(self, history: TimeSeries, at: Sequence[int]) -> tuple[gp.GpModel, np.ndarray]:
         """The fit conditioned on ``history``, and the day indices of ``at``, both
         counted from the history's first instant: the train split's, as in the fit."""
+        from . import gp
+
         assert self.model is not None, "fit before predicting"
         base_at = history.at[0]
         self.model = gp.extend_gp(self.model, gp.day_indices(history.at, base_at), history.values)
         return self.model, gp.day_indices(at, base_at)
 
     def forecast(self, history: TimeSeries, at: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        from . import gp
+
         return gp.posterior(*self._extend(history, at))
 
     def predict_one(self, history: TimeSeries, at: int) -> float:
+        from . import gp
+
         return float(gp.posterior_mean(*self._extend(history, [at]))[0])
 
     def to_dict(self) -> dict:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -681,6 +682,48 @@ class TestSelectOrder:
             warnings.simplefilter("error")
             order, model = select_order(TimeSeries(series.granularity, series.at, values), 2, 1, 2)
         assert np.isfinite(model.css)
+
+
+class TestCompanionOverflow:
+    """A tiny last MA coefficient overflows the companion matrix, so the root
+    rules raise LinAlgError as numpy's do; a fit scores such parameters +inf in
+    Nelder-Mead and reports an optimum there as a failed cell."""
+
+    OVERFLOWING = (0.0, 1.2, 0.3, 1e-310)  # (alpha, theta) of an MA(3)
+    ORDER = ArimaOrder(0, 0, 3)
+
+    def test_root_rules_raise(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            ma_is_invertible(self.OVERFLOWING[1:])
+        with pytest.raises(np.linalg.LinAlgError):
+            arima._inadmissible(list(self.OVERFLOWING), 0)
+
+    def test_least_squares_optimum_there_is_a_failed_fit(self, monkeypatch):
+        series = simulate_arma(0.0, [], [], 1.0, 60, seed=7)
+        solved = SimpleNamespace(status=1, x=np.array(self.OVERFLOWING), fun=np.zeros(60))
+        monkeypatch.setattr(arima, "least_squares", lambda *args, **kwargs: solved)
+        monkeypatch.setattr(arima, "minimize", None)  # no fallback runs
+        with pytest.raises(OptimizerFailure, match="no usable optimum"):
+            fit_arima(series, self.ORDER)
+
+    def test_nelder_mead_scores_it_inf_and_the_cell_fails(self, monkeypatch):
+        series = simulate_arma(0.0, [], [], 1.0, 60, seed=7)
+        scores = []
+
+        def solver(objective, x0, **kwargs):
+            scores.append(objective(np.array(self.OVERFLOWING)))
+            scores.append(objective(np.zeros_like(x0)))
+            return SimpleNamespace(x=np.array(self.OVERFLOWING), fun=1.0, success=True)
+
+        monkeypatch.setattr(arima, "least_squares", lambda *args, **kwargs: SimpleNamespace(status=0, x=None))
+        monkeypatch.setattr(arima, "minimize", solver)
+        with pytest.raises(OptimizerFailure, match="no usable optimum"):
+            fit_arima(series, self.ORDER)
+        assert scores[0] == math.inf and math.isfinite(scores[1])
+
+        # in a grid search the cell fails and the others still compete
+        order, model = select_order(series, 0, 0, 3)
+        assert (order.p, order.d, order.q) == (0, 0, 0)
 
 
 class TestSerialization:

@@ -4,6 +4,7 @@ import collections
 import csv
 import gzip
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -1037,6 +1038,49 @@ def run_fresh(code: str, *argv: str, path: Sequence[Path] = ()) -> str:
     return done.stdout
 
 
+#: Which of scipy and the scipy subpackages the model layers use are loaded.
+SCIPY_LAYERS = ("[name for name in ('scipy', 'scipy.linalg', 'scipy.optimize', 'scipy.signal') "
+                "if name in sys.modules]")
+
+
+def stage_worker_blas(pipeline_out: Path, tmp_path: Path, start: str, models: str) -> tuple[int, list]:
+    """Runs ``evaluate --models models --workers 2`` on a copy of the pipeline
+    in a fresh process whose pool starts workers by ``start``. Each station
+    worker runs the stage's own ``_evaluate_station`` and then notes whether
+    scipy.linalg is loaded in its process and the thread count of each OpenBLAS
+    loaded there. Returns the number of OpenBLAS libraries loaded in the
+    parent and the workers' notes."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    (tmp_path / "blas_probe.py").write_text(
+        "import json, sys\n"
+        "from aircast import cli\n"
+        "\n"
+        "_evaluate_station = cli._evaluate_station\n"
+        "\n"
+        "def evaluate_station(args, station):\n"
+        "    report = _evaluate_station(args, station)\n"
+        "    threads = [get() for get, _ in cli._openblas_thread_controls()]\n"
+        "    report.errors['blas'] = json.dumps(['scipy.linalg' in sys.modules, threads])\n"
+        "    return report\n",
+        encoding="utf-8",
+    )
+    code = (
+        "import multiprocessing, sys\n"
+        "from aircast import cli\n"
+        "import blas_probe\n"
+        "multiprocessing.set_start_method(sys.argv[2])\n"
+        "cli._evaluate_station = blas_probe.evaluate_station\n"
+        "assert cli.main(['evaluate', '--out', sys.argv[1], '--models', sys.argv[3],\n"
+        "                 '--workers', '2', '--arima-grid', '1,0,1']) == 0\n"
+        "print(len(cli._openblas_thread_controls()))\n"
+    )
+    loaded = int(run_fresh(code, str(out), start, models, path=[tmp_path]).splitlines()[-1])
+    report = json.loads((out / "evaluation" / "evaluation_report.json").read_text())
+    assert all(set(station["models"]) == set(models.split(",")) for station in report["stations"])
+    return loaded, [json.loads(station["errors"]["blas"]) for station in report["stations"]]
+
+
 class TestStageImports:
     """Each stage loads only the layers it runs: scipy comes with the model stages."""
 
@@ -1057,29 +1101,57 @@ class TestStageImports:
         )
         assert run_fresh(code, str(tmp_path)).splitlines()[-1] == "[]"
 
-    def test_spawned_model_stage_workers_pin_every_blas(self, tmp_path):
-        """A worker that does not fork loads the parent's model layers before
-        it pins, so scipy's BLAS, which loads with them, runs on one thread too."""
-        (tmp_path / "blas_probe.py").write_text(
-            "from aircast.cli import _openblas_thread_controls\n"
-            "\n"
-            "def thread_counts(task):\n"
-            "    from aircast import evaluation  # as the model stages' station workers do\n"
-            "    return [get() for get, _ in _openblas_thread_controls()]\n",
-            encoding="utf-8",
-        )
+    @pytest.mark.parametrize("command", ["forecast", "evaluate"])
+    @pytest.mark.parametrize("models, loaded", [
+        ("ann", []),
+        ("gp", ["scipy", "scipy.linalg"]),
+    ], ids=["ann", "gp"])
+    def test_model_stages_load_only_the_layers_of_their_models(self, pipeline_out, tmp_path,
+                                                              command, models, loaded):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
         code = (
-            "import json, multiprocessing, sys\n"
-            "from aircast import cli\n"
-            "import blas_probe\n"
-            "multiprocessing.set_start_method('spawn')\n"
-            "args = cli.build_parser().parse_args(['evaluate', '--out', sys.argv[1]])\n"
-            "loaded = len(cli._openblas_thread_controls())\n"
-            "print(json.dumps([loaded, cli._run_pool(blas_probe.thread_counts, [0, 1], 2)]))\n"
+            "import sys\n"
+            "from aircast.cli import main\n"
+            f"assert main([{command!r}, '--out', sys.argv[1], '--models', {models!r}, "
+            "'--station', 'Gitega', '--arima-grid', '1,0,1', '--workers', '1']) == 0\n"
+            f"print({LOADED_SCIPY})\n"
+            f"print({SCIPY_LAYERS})\n"
         )
-        loaded, counts = json.loads(run_fresh(code, str(tmp_path), path=[tmp_path]))
+        all_scipy, layers = run_fresh(code, str(out)).splitlines()[-2:]
+        assert layers == repr(loaded)
+        if not loaded:
+            assert all_scipy == "[]"
+
+    def test_bad_arima_grid_exits_2_before_loading_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from aircast.cli import main\n"
+            "assert main(['evaluate', '--out', sys.argv[1], '--arima-grid', '1,3,1']) == 2\n"
+            f"print({LOADED_SCIPY})\n"
+        )
+        assert run_fresh(code, str(tmp_path / "out")).splitlines()[-1] == "[]"
+        assert not (tmp_path / "out").exists()
+
+    def test_spawned_model_stage_workers_pin_every_blas(self, pipeline_out, tmp_path):
+        """A worker that does not fork loads the parent's model layers before
+        it pins, so scipy's BLAS, which loads with the gp and arima layers, runs
+        on one thread too."""
+        loaded, workers = stage_worker_blas(pipeline_out, tmp_path, "spawn", "arima,ann,gp")
         assert loaded >= 1
-        assert counts == [[1] * loaded] * 2
+        assert workers == [[True, [1] * loaded]] * 2
+
+    @pytest.mark.parametrize("start, models", [
+        ("fork", "arima"), ("fork", "ann"), ("fork", "gp"), ("spawn", "ann"), ("spawn", "gp"),
+    ])  # spawned workers of all three: the test above
+    def test_model_stage_workers_pin_every_blas(self, pipeline_out, tmp_path, start, models):
+        """The parent loads the layers of the models named before the pool pins
+        and forks, and a spawned worker loads the same ones before it pins."""
+        if start not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start} start method here")
+        loaded, workers = stage_worker_blas(pipeline_out, tmp_path, start, models)
+        assert loaded >= 1
+        assert workers == [[models != "ann", [1] * loaded]] * 2
 
 
 class TestStationFilter:
