@@ -340,8 +340,8 @@ def _station_names(out: Path, requested: Sequence[str]) -> list[str]:
 
 
 def _load_model_layers(models: Sequence[str]) -> None:
-    """Import ``evaluation`` and the layer of each model (a model key is its
-    module's name), and no other, in the parent: before ``_run_pool`` pins BLAS."""
+    """Import ``evaluation`` and the layer of each model in ``models`` (a
+    model key is its layer's module name), and no other."""
     for name in ("evaluation", *models):
         importlib.import_module(f".{name}", __package__)
 
@@ -726,7 +726,7 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
-    _load_model_layers(args.models)
+    _load_model_layers(args.models)  # here, before _run_pool pins BLAS and starts workers
     results = _run_stations(args, _forecast_station)
     if results is None:
         return EXIT_EMPTY
@@ -779,7 +779,7 @@ def _evaluate_station(args: argparse.Namespace, station: str) -> EvalReport:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _load_model_layers(args.models)
+    _load_model_layers(args.models)  # here, before _run_pool pins BLAS and starts workers
     from .evaluation import comparison_table
 
     reports = _run_stations(args, _evaluate_station)

@@ -167,9 +167,9 @@ class ArimaAdapter(Forecaster):
         return self.model.to_dict()
 
     def load(self, data: dict, train: TimeSeries) -> None:
-        from .arima import ArimaModel
+        from . import arima
 
-        self.model = ArimaModel.from_dict(data)
+        self.model = arima.ArimaModel.from_dict(data)
 
 
 @dataclass(eq=False)
@@ -227,10 +227,10 @@ class GpAdapter(Forecaster):
         self._fit_at(train, params, noise_variance)
 
     def load(self, data: dict, train: TimeSeries) -> None:
-        from .gp import SeKernelParams
+        from . import gp
 
         # one factorization at the stored hyperparameters, no grid search
-        params = SeKernelParams(data["amplitude"], data["length_scale"])
+        params = gp.SeKernelParams(data["amplitude"], data["length_scale"])
         self._fit_at(train, params, data["noise_variance"])
 
     def _fit_at(
