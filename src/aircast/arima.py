@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import least_squares, minimize
-from scipy.signal import lfilter
 
 from .errors import (
     NoConvergedModelError,
@@ -266,10 +266,19 @@ def simulate_arma(
 
     rng = np.random.default_rng(seed)
     w = sigma * rng.standard_normal(_BURN_IN + n)
-    x = alpha + lfilter([1.0, *theta], [1.0], w)
-    y = lfilter([1.0], [1.0, *(-b for b in beta)], x)[_BURN_IN:]
+    # the MA part is a convolution, the AR part a recursion from zeros summed
+    # from the oldest lag (direct form II transposed): the arithmetic of
+    # scipy.signal.lfilter, so a seed gives the series it always gave
+    x = alpha + np.convolve([1.0, *theta], w)[: w.size]
+    p = len(beta)
+    y = [0.0] * p
+    for x_t in x.tolist():
+        acc = 0.0
+        for i in range(p, 0, -1):
+            acc += beta[i - 1] * y[-i]
+        y.append(acc + x_t)
     at = SYNTHETIC_BASE_EPOCH + 86400 * np.arange(n, dtype=np.int64)
-    return TimeSeries(Granularity.DAILY, at, y)
+    return TimeSeries(Granularity.DAILY, at, np.array(y[p + _BURN_IN :]))
 
 
 def ma_unconditional_moments(
@@ -302,6 +311,25 @@ def _lag_matrix(z: np.ndarray, p: int) -> np.ndarray:
     return lags
 
 
+def _ma_inverse(theta: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The e with Theta(L) e = b and zero pre-sample values, Theta(L) = 1 +
+    sum_j theta_j L^j, for one right-hand side ``b`` or one per column.
+
+    Theta(L) is a unit lower-triangular banded matrix whose j-th subdiagonal
+    holds theta_j, so this is one forward substitution (LAPACK's banded
+    triangular solve). Where Theta is not invertible the solution grows
+    geometrically, to inf and NaN once it overflows."""
+    # LAPACK's band storage: row j of a (q+1) x n array holds theta_j (row 0,
+    # the unit diagonal, is not read); filled as its transpose, so it is
+    # already in the column-major order LAPACK reads
+    band = np.empty((b.shape[0], theta.size + 1))
+    band[:] = np.concatenate(([1.0], theta))
+    e, info = dtbtrs(band.T, b, uplo="L", diag="U")
+    if info != 0:
+        raise RuntimeError(f"dtbtrs rejected its argument {-info}")
+    return e
+
+
 def _css_errors(params: np.ndarray, z: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """CSS residuals at ``params`` (alpha, beta, theta), for t = p .. len(z)-1;
     non-finite where the MA filter blows up. Callers hold
@@ -312,7 +340,7 @@ def _css_errors(params: np.ndarray, z: np.ndarray, lags: np.ndarray) -> np.ndarr
     u = z[p:] - params[0]
     if p:
         u = u - lags @ params[1 : 1 + p]
-    return lfilter([1.0], [1.0, *params[1 + p :]], u)
+    return _ma_inverse(params[1 + p :], u)
 
 
 def _css_jacobian(
@@ -326,7 +354,8 @@ def _css_jacobian(
         de/dalpha = -1/Theta(L),  de/dbeta_i = -z_{t-i}/Theta(L),
         de/dtheta_j = -e_{t-j}/Theta(L)
 
-    so one filter call over the stacked columns gives the whole matrix.
+    so one solve with every column as a right-hand side gives the whole
+    matrix.
     """
     p = lags.shape[1]
     cols = np.zeros((e.size, 1 + p + q))
@@ -334,7 +363,7 @@ def _css_jacobian(
     cols[:, 1 : 1 + p] = lags
     for j in range(1, q + 1):
         cols[j:, p + j] = e[:-j]
-    return -lfilter([1.0], [1.0, *params[1 + p :]], cols, axis=0)
+    return -_ma_inverse(params[1 + p :], cols)
 
 
 def _css_least_squares(

@@ -293,6 +293,110 @@ class TestSimulate:
         assert np.all(np.diff(series.at) == 86400)
 
 
+def lfilter_simulation(alpha, beta, theta, sigma, n, seed):
+    """Oracle: simulate_arma's draws passed through scipy.signal.lfilter."""
+    w = sigma * np.random.default_rng(seed).standard_normal(arima._BURN_IN + n)
+    x = alpha + lfilter([1.0, *theta], [1.0], w)
+    return lfilter([1.0], [1.0, *(-b for b in beta)], x)[arima._BURN_IN :]
+
+
+class TestSimulateIsLfilter:
+    """simulate_arma's filters keep lfilter's arithmetic, so every seed gives
+    the series it gave when it called lfilter."""
+
+    def test_roster(self):
+        from aircast.cli import STATION_SIM_PARAMS
+
+        for seed, sim in enumerate(STATION_SIM_PARAMS.values()):
+            params = (sim.alpha, sim.beta, sim.theta, sim.sigma, 540, seed)
+            assert np.array_equal(simulate_arma(*params).values, lfilter_simulation(*params))
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(2024)
+        for seed in range(300):
+            p, q = rng.integers(0, 5, size=2)
+            beta = rng.uniform(-0.5, 0.5, p) / max(p, 1) * 2
+            theta = rng.uniform(-1.5, 1.5, q)
+            alpha, sigma = rng.normal(0.0, 20.0), rng.uniform(0.1, 5.0)
+            n = int(rng.integers(p + q + 1, 400))
+            series = simulate_arma(alpha, beta, theta, sigma, n, seed=seed)
+            assert np.array_equal(
+                series.values, lfilter_simulation(alpha, beta, theta, sigma, n, seed)
+            ), (seed, beta, theta)
+
+
+class TestMaInverse:
+    """The CSS residuals and their Jacobian come from one banded triangular
+    solve; lfilter, the recursion they replace, is the oracle. The two sum in
+    different orders, so they agree to rounding, scaled by each column's
+    largest value."""
+
+    @staticmethod
+    def assert_close_to_lfilter(got, theta, rhs):
+        expected = lfilter([1.0], [1.0, *theta], rhs, axis=0)
+        scale = np.max(np.abs(expected), axis=0)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(scale))
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", [430, 10_366])
+    @pytest.mark.parametrize("q", [1, 2, 5])
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_css_errors_and_jacobian_match_lfilter(self, n, q, p):
+        z = simulate_arma(30.0, [0.6, 0.2], [0.4], 4.0, n, seed=n + q).values
+        lags = arima._lag_matrix(z, p)
+        rng = np.random.default_rng(10 * q + p)
+        for _ in range(5):
+            theta = rng.uniform(-0.9, 0.9, q) / q
+            params = np.concatenate([[rng.normal(30.0, 5.0)], rng.uniform(-0.4, 0.4, p), theta])
+            u = z[p:] - params[0] - lags @ params[1 : 1 + p]
+            e = arima._css_errors(params, z, lags)
+            self.assert_close_to_lfilter(e, theta, u)
+
+            jac = arima._css_jacobian(params, e, lags, q)
+            cols = np.column_stack([np.ones(e.size), lags] + [
+                np.concatenate([np.zeros(j), e[:-j]]) for j in range(1, q + 1)
+            ])
+            self.assert_close_to_lfilter(-jac, theta, cols)
+
+    @pytest.mark.parametrize("theta", [(3.0,), (-2.5,), (4.0, 5.0), (0.5, -0.2, 0.1, 0.3, 40.0)])
+    def test_noninvertible_theta_overflows_where_lfilter_does(self, theta):
+        z = simulate_arma(5.0, [0.5], [], 1.0, 1000, seed=7).values
+        params = np.array([5.0, *theta])
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = arima._css_errors(params, z, arima._lag_matrix(z, 0))
+            expected = lfilter([1.0], [1.0, *theta], z - 5.0)
+        finite = np.isfinite(expected)
+        assert not finite.all()  # the recursion overflowed, so the test means something
+        np.testing.assert_array_equal(np.isfinite(e), finite)
+        # the Levenberg-Marquardt residuals then reject the step
+        assert not arima.ma_is_invertible(theta)
+
+    def test_a_refused_argument_raises(self, monkeypatch):
+        monkeypatch.setattr(arima, "dtbtrs", lambda band, b, **kwargs: (b, -4))
+        with pytest.raises(RuntimeError, match="argument 4"):
+            arima._ma_inverse(np.array([0.5]), np.ones(3))
+
+    @pytest.mark.parametrize("order", [ArimaOrder(0, 0, 3), ArimaOrder(1, 1, 5), ArimaOrder(2, 1, 4)])
+    def test_band_wider_than_the_residuals(self, order):
+        """n - d - p <= q: the band has more rows than the residual vector."""
+        p, d, q = order.p, order.d, order.q
+        history = daily_series([1.0, 2.5, 2.0, 4.0][: p + d + 2])
+        rng = np.random.default_rng(q)
+        model = manual_model(order, alpha=0.3, beta=rng.uniform(-0.5, 0.5, p),
+                             theta=rng.uniform(-0.4, 0.4, q))
+        z = difference_values(history.values, d)
+        e = css_residuals(z, model.alpha, model.beta, model.theta)
+        assert e.size <= q
+        np.testing.assert_array_equal(
+            arima._css_errors(np.array([model.alpha, *model.beta, *model.theta]),
+                              z, arima._lag_matrix(z, p)), e)
+        padded = np.concatenate([np.zeros(q - e.size), e])
+        step = model.alpha + sum(b * z[-i] for i, b in enumerate(model.beta, start=1)) + sum(
+            t * padded[-j] for j, t in enumerate(model.theta, start=1))
+        expected = step + (history.values[-1] if d else 0.0)
+        assert forecast(model, history, 1)[0] == pytest.approx(expected, rel=1e-12)
+
+
 class TestMaMoments:
     def test_white_noise(self):
         assert ma_unconditional_moments(0.0, [], 1.0) == (0.0, 1.0)

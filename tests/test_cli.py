@@ -1098,24 +1098,36 @@ class TestStageImports:
 
     @pytest.mark.parametrize("command", ["forecast", "evaluate"])
     @pytest.mark.parametrize("models, loaded", [
-        ("ann", []),
-        ("gp", ["scipy", "scipy.linalg"]),
-    ], ids=["ann", "gp"])
+        (["--models", "ann"], []),
+        (["--models", "gp"], ["scipy", "scipy.linalg"]),
+        (["--models", "arima"], ["scipy", "scipy.linalg", "scipy.optimize"]),
+        ([], ["scipy", "scipy.linalg", "scipy.optimize"]),
+    ], ids=["ann", "gp", "arima", "default"])
     def test_model_stages_load_only_the_layers_of_their_models(self, pipeline_out, tmp_path,
                                                               command, models, loaded):
         """Of scipy and the subpackages the model layers use, exactly ``loaded``
-        (no ``scipy`` means no ``scipy*`` module at all)."""
+        (no ``scipy`` means no ``scipy*`` module at all): ARIMA's residual
+        filter is a LAPACK solve, so no model stage loads scipy.signal."""
         out = tmp_path / "out"
         shutil.copytree(pipeline_out, out)
         code = (
             "import sys\n"
             "from aircast.cli import main\n"
-            f"assert main([{command!r}, '--out', sys.argv[1], '--models', {models!r}, "
+            f"assert main([{command!r}, '--out', sys.argv[1], *{models!r}, "
             "'--station', 'Gitega', '--arima-grid', '1,0,1', '--workers', '1']) == 0\n"
             "print([name for name in ('scipy', 'scipy.linalg', 'scipy.optimize', 'scipy.signal')\n"
             "       if name in sys.modules])\n"
         )
         assert run_fresh(code, str(out)).splitlines()[-1] == repr(loaded)
+
+    def test_simulate_loads_no_scipy_signal(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from aircast.cli import main\n"
+            "assert main(['simulate', '--out', sys.argv[1], '--n-days', '30']) == 0\n"
+            "print('scipy.signal' in sys.modules)\n"
+        )
+        assert run_fresh(code, str(tmp_path / "out")).splitlines()[-1] == "False"
 
     def test_bad_arima_grid_exits_2_before_loading_scipy(self, tmp_path):
         code = (
