@@ -490,7 +490,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 params.theta,
                 params.sigma,
                 args.n_days,
-                derive_seed(args.seed, name, "sim"),
+                derive_seed(args.seed, station_key(name), "sim"),
             )
             rows.extend(
                 [name, stamp, "PM25", v]

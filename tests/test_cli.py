@@ -133,6 +133,16 @@ class TestSimulate:
             values[name] = [row[1:] for row in rows]
         assert values["gitega"] == values["Gitega"]
 
+    def test_seed_follows_the_station_key(self, tmp_path):
+        """Two spellings of one station get one seed, not only one model."""
+        values = {}
+        for name in ("Mount Kigali", "Mount-Kigali", "MOUNT_KIGALI"):
+            assert main(["simulate", "--out", str(tmp_path / name), "--n-days", "40",
+                         "--station", name]) == 0
+            _, rows = read_csv(tmp_path / name / "simulated_readings.csv")
+            values[name] = [row[1:] for row in rows]
+        assert values["Mount-Kigali"] == values["Mount Kigali"] == values["MOUNT_KIGALI"]
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AIRCAST_OUT", str(tmp_path / "envout"))
         assert main(["simulate", "--n-days", "20", "--station", "Gitega"]) == 0
