@@ -7,12 +7,15 @@ Model form (identifiable single-intercept parameterization):
 
 with innovations W_t ~ N(0, sigma2), applied after d rounds of
 first-differencing. Estimation minimizes the conditional sum of squared
-one-step residuals with pre-sample residuals set to zero. Pure AR orders are
+one-step residuals with pre-sample residuals set to zero, so Theta(L) acts as
+a unit lower-triangular banded matrix and the residuals are one banded
+triangular solve (LAPACK's dtbtrs) of the AR residuals. Pure AR orders are
 the OLS fit on the lag design. Orders with MA terms run Levenberg-Marquardt
-from the OLS start with the analytic Jacobian, which is itself a set of
-filtered regressors (Box, Jenkins, Reinsel & Ljung, CSS estimation); a
-solution that fails the invertibility or redundancy guard, or a failed solve,
-falls back to Nelder-Mead restarted from (i) all zeros and (ii) the OLS start.
+from the OLS start with the analytic Jacobian, whose columns are the
+right-hand sides of one more such solve (Box, Jenkins, Reinsel & Ljung, CSS
+estimation); a solution that fails the invertibility or redundancy guard, or
+a failed solve, falls back to Nelder-Mead restarted from (i) all zeros and
+(ii) the OLS start.
 """
 
 from __future__ import annotations

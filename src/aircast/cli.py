@@ -18,9 +18,9 @@ Importing this module loads only the numpy layers (``errors``, ``ingest``,
 ``orders``, ``series``, ``trends``), so ``ingest`` and ``trend`` never load
 scipy. ``simulate`` imports ``arima``; ``forecast`` and ``evaluate`` import
 ``evaluation`` and exactly the model layers ``--models`` names (``ann`` is
-numpy only, ``gp`` brings scipy.linalg, ``arima`` scipy.optimize and
-scipy.signal too), in the parent process, before :func:`_run_pool` pins
-every loaded BLAS and starts its workers.
+numpy only, ``gp`` brings scipy.linalg, ``arima`` scipy.optimize too), in
+the parent process, before :func:`_run_pool` pins every loaded BLAS and
+starts its workers.
 
 Every flag is parsed and checked once, by argparse: a rejected flag exits 2
 before anything is read or written.
