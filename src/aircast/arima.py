@@ -81,60 +81,12 @@ class ArimaModel:
 
 
 # The root rules below run inside the CSS objective on a handful of Python
-# floats, so they use float arithmetic, not numpy calls. They reproduce
-# numpy's arithmetic bit for bit, so every comparison with a threshold (and
-# every fit) comes out as numpy's versions of these rules gave it: the closed
-# forms keep numpy's operation order, sums keep numpy's summation order, and
-# complex moduli follow numpy's vectorized complex absolute.
-
-_HALF_ULP_OF_ONE = 2.0**-53
-_VELTKAMP_SPLIT = 2.0**27 + 1.0
-
-
-def _one_plus_square(r: float) -> float:
-    """1 + r*r rounded once, as a fused multiply-add gives it, for 0 <= r <= 1."""
-    p = r * r
-    y = 1.0 + p
-    t = p - (y - 1.0)  # exact: the rounding error of 1 + p
-    if abs(t) != _HALF_ULP_OF_ONE:
-        return y  # 1 + p is no tie, so the product's error cannot move it
-    # 1 + p is halfway between two floats: the sign of r*r - p decides
-    # (Dekker's exact product error, from Veltkamp's split of r)
-    hi = _VELTKAMP_SPLIT * r
-    hi -= hi - r
-    lo = r - hi
-    err = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
-    if err == 0.0:
-        return y
-    return y + (t + math.copysign(_HALF_ULP_OF_ONE, err))
-
-
-def _modulus(z: float | complex) -> float:
-    """|z|. A complex z goes through numpy's vectorized complex absolute:
-    larger * sqrt(1 + (smaller/larger)**2) with the square-and-add fused,
-    an infinite part giving inf before a NaN part gives NaN (the loop numpy
-    runs where its SIMD code fuses multiply-adds: x86 with FMA, and Arm)."""
-    if isinstance(z, float):
-        return abs(z)
-    re, im = abs(z.real), abs(z.imag)
-    if re == math.inf or im == math.inf:
-        return math.inf
-    if re != re or im != im:
-        return math.nan
-    larger, smaller = (re, im) if re >= im else (im, re)
-    if larger == 0.0:
-        return 0.0
-    return math.sqrt(_one_plus_square(smaller / larger)) * larger
+# floats, so they use float arithmetic, not numpy calls.
 
 
 def _abs_sum(values: Sequence[float]) -> float:
-    """sum(|v|) in np.sum's order: left to right below eight terms, else
-    pairwise over the first eight and then left to right (orders stop at 10)."""
+    """sum(|v|), left to right; an overflow gives inf, as in np.sum."""
     total = 0.0
-    if len(values) >= 8:
-        a = [abs(v) for v in values[:8]]
-        total = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-        values = values[8:]
     for v in values:
         total += abs(v)
     return total
@@ -145,7 +97,7 @@ def _min_root_modulus(ascending: Sequence[float]) -> float:
     constant 1; +inf when it has no roots (degree 0), NaN when a modulus is."""
     smallest = math.inf
     for root in _roots_ascending(ascending):
-        modulus = _modulus(root)
+        modulus = abs(root)
         if modulus != modulus:
             return math.nan
         smallest = min(smallest, modulus)
@@ -194,16 +146,9 @@ def _roots_ascending(coeffs: Sequence[float]) -> list[float | complex]:
         if not radicand < 0.0:  # NaN stays real, as in np.emath.sqrt
             disc = math.sqrt(radicand)
             return [(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)]
-        # (-b +- i*s) / (2a), dividing as numpy divides a complex by a real:
-        # Smith's rule with rat = 0/d and scl = 1/(d + 0*rat)
         s = math.sqrt(-radicand)
         d = 2.0 * a
-        rat = 0.0 / d
-        scl = 1.0 / (d + 0.0 * rat)
-        return [
-            complex((-b + s * rat) * scl, (s + b * rat) * scl),
-            complex((-b - s * rat) * scl, (-s + b * rat) * scl),
-        ]
+        return [complex(-b / d, s / d), complex(-b / d, -s / d)]
     companion = np.zeros((deg, deg))
     companion[0, :] = [-c / coeffs[deg] for c in coeffs[deg - 1 :: -1]]
     companion[1:, :-1] = np.eye(deg - 1)
@@ -227,9 +172,9 @@ def _arma_redundant(beta: Sequence[float], theta: Sequence[float]) -> bool:
     ar_roots = _roots_ascending([1.0, *(-b for b in beta)])
     for ma_root in _roots_ascending([1.0, *theta]):
         # a NaN modulus leaves NaN distances, which never fall below the tolerance
-        scale = max(1.0, _modulus(ma_root))
+        scale = max(1.0, abs(ma_root))
         for ar_root in ar_roots:
-            if _modulus(ar_root - ma_root) / scale < _REDUNDANCY_TOL:
+            if abs(ar_root - ma_root) / scale < _REDUNDANCY_TOL:
                 return True
     return False
 
