@@ -358,7 +358,7 @@ def _build_adapters(args: argparse.Namespace, station: str) -> list[Forecaster]:
             adapters.append(ArimaAdapter(p_max=p_max, d_max=d_max, q_max=q_max))
         elif name == "ann":
             adapters.append(
-                AnnAdapter(config=TrainConfig(seed=derive_seed(args.seed, station, "ann")))
+                AnnAdapter(config=TrainConfig(seed=derive_seed(args.seed, station_key(station), "ann")))
             )
         elif name == "gp":
             adapters.append(GpAdapter())

@@ -488,6 +488,20 @@ class TestForecast:
         for name in ("arima", "ann", "gp"):
             assert (pipeline_out / "forecast" / f"gitega_{name}_model.json").exists()
 
+    def test_ann_seed_follows_the_station_key(self, tmp_path):
+        """Two spellings of one station train one network, as they simulate one series."""
+        models = {}
+        for name in ("Mount Kigali", "Mount-Kigali"):
+            out = tmp_path / name
+            assert main(["simulate", "--out", str(out), "--n-days", "80", "--station", name]) == 0
+            assert main(["ingest", "--out", str(out),
+                         "--input", str(out / "simulated_readings.csv")]) == 0
+            assert main(["forecast", "--out", str(out), "--models", "ann", "--horizon", "3",
+                         "--workers", "1"]) == 0
+            model = json.loads((out / "forecast" / "mount_kigali_ann_model.json").read_text())
+            models[name] = [model[field] for field in ("weights", "biases", "train_loss")]
+        assert models["Mount-Kigali"] == models["Mount Kigali"]
+
     def test_horizon_zero_rejected(self, tmp_path, capsys):
         assert_refused(capsys, tmp_path / "out", "forecast", "--horizon", "0", *FAST_EVAL,
                        reason="argument --horizon: horizon must be >= 1")
