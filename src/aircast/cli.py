@@ -58,7 +58,6 @@ from .errors import (
 from .ingest import (
     ColumnMapping,
     Pollutant,
-    STATION_ROSTER,
     build_station_series,
     first_spellings,
     numbered_rows,
@@ -107,7 +106,8 @@ class SimParams:
     sigma: float
 
 
-#: Default ARMA parameterization per roster station (stationary means near
+#: The roster of the Kigali monitoring network, in `simulate`'s default
+#: order, with each station's ARMA parameterization (stationary means near
 #: 40 µg/m³ so synthetic concentrations stay realistic and positive).
 #: Gitega is the designated pure AR(1) station with unit innovation variance.
 STATION_SIM_PARAMS: dict[str, SimParams] = {
@@ -472,7 +472,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .arima import simulate_arma
 
     out = Path(args.out)
-    stations = args.station or list(STATION_ROSTER)
+    stations = args.station or list(STATION_SIM_PARAMS)
     given = {
         field: getattr(args, field)
         for field in ("alpha", "beta", "theta", "sigma")

@@ -56,20 +56,6 @@ def first_spellings(names: Iterable[str]) -> dict[str, str]:
     return spellings
 
 
-#: Deployment roster of the Kigali monitoring network.
-STATION_ROSTER: tuple[str, ...] = (
-    "Gitega",
-    "Rusororo",
-    "Gacuriro",
-    "Kiyovu",
-    "Rebero",
-    "Mount Kigali",
-    "Kimihurura",
-    "Gikondo Mburabuturo",
-    "Gikomero",
-)
-
-
 #: One accepted row of :func:`parse_readings`'s table. ``station`` is the name's
 #: :func:`station_key`, so one comparison selects every spelling of a station;
 #: ``pollutant`` is a :class:`Pollutant`.

@@ -18,7 +18,6 @@ from aircast.ingest import (
     IngestReport,
     Pollutant,
     READING_DTYPE,
-    STATION_ROSTER,
     build_station_series,
     parse_pollutant,
     parse_readings,
@@ -56,8 +55,10 @@ class TestStation:
             station_key("  ")
 
     def test_roster(self):
-        names = set(STATION_ROSTER)
-        assert len(STATION_ROSTER) == 9
+        from aircast.cli import STATION_SIM_PARAMS
+
+        names = set(STATION_SIM_PARAMS)
+        assert len(STATION_SIM_PARAMS) == 9
         assert {"Gitega", "Rusororo", "Gacuriro", "Kiyovu", "Rebero",
                 "Mount Kigali", "Kimihurura", "Gikondo Mburabuturo", "Gikomero"} == names
 
