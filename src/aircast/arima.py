@@ -85,7 +85,8 @@ class ArimaModel:
 
 
 def _abs_sum(values: Sequence[float]) -> float:
-    """sum(|v|), left to right; an overflow gives inf, as in np.sum."""
+    """sum(|v|), left to right: an overflow gives inf, as in np.sum (math.fsum
+    raises OverflowError instead)."""
     total = 0.0
     for v in values:
         total += abs(v)
