@@ -257,6 +257,10 @@ class TestRootFlags:
     @example(alpha=0.0, theta=(-1.0, 0.25), beta=(1.0, -0.25), shared=0.0)
     @example(alpha=0.0, theta=(0.15, 0.15), beta=(0.3,), shared=None)
     @example(alpha=0.0, theta=(1.0, 1.0, 1.0), beta=(-1.0, -1.0, -1.0), shared=None)
+    # just past a threshold but outside the band, where the answer must match:
+    # sums of 0.31 with cancelling roots, and an MA root at 1/1.02
+    @example(alpha=0.0, theta=(-0.31,), beta=(0.31,), shared=None)
+    @example(alpha=0.0, theta=(1.02,), beta=(), shared=None)
     def test_float_rules_match_the_numpy_oracle(self, alpha, theta, beta, shared):
         if shared is not None and beta:
             # an MA polynomial near the AR one: roots near-cancel, around the tolerance
