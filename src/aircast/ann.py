@@ -1,10 +1,11 @@
 """Sliding-window feedforward forecaster trained by mini-batch gradient descent.
 
 The network maps the last ``window`` values of a series to the next value.
+It has one hidden layer: ``window`` inputs, ``hidden`` units with a chosen
+activation, and one linear output, so regression targets stay unbounded.
 Inputs and targets are standardized by the training-set mean/std (stored on
-the model); hidden layers use a configurable activation, the output layer is
-always linear so regression targets stay unbounded. Backpropagation computes
-the exact gradient of mean squared error plus an L2 weight penalty.
+the model). Backpropagation computes the exact gradient of mean squared error
+plus an L2 weight penalty.
 """
 
 from __future__ import annotations
@@ -67,30 +68,35 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class MlpForecaster:
-    """Immutable trained network. weights[k] has shape (out_k, in_k)."""
+    """Immutable trained network, window -> hidden -> 1.
 
-    window: int
-    layer_sizes: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    ``weights`` is (hidden x window, 1 x hidden) and ``biases`` is (hidden,
+    1); the window and layer sizes are read off those shapes.
+    """
+
+    weights: tuple[np.ndarray, np.ndarray]
+    biases: tuple[np.ndarray, np.ndarray]
     hidden_activation: Activation
     scaler: Scaler
     train_loss: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.layer_sizes) < 3:
-            raise DimensionError("need input, at least one hidden, and output layer")
-        if self.layer_sizes[0] != self.window or self.layer_sizes[-1] != 1:
-            raise DimensionError("layer_sizes must run from window width to a single output")
-        if len(self.weights) != len(self.layer_sizes) - 1 or len(self.biases) != len(self.weights):
-            raise DimensionError("one weight matrix and bias vector per layer transition")
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (self.layer_sizes[k + 1], self.layer_sizes[k]):
-                raise DimensionError(f"weight {k} shape {w.shape} breaks the layer chain")
-            if b.shape != (self.layer_sizes[k + 1],):
-                raise DimensionError(f"bias {k} shape {b.shape} breaks the layer chain")
+        shapes = [np.shape(a) for a in (*self.weights, *self.biases)]
+        one_hidden = len(self.weights) == len(self.biases) == 2 and len(shapes[0]) == 2
+        hidden = shapes[0][0] if one_hidden else 0
+        if hidden < 1 or shapes[0][1] < 1 or shapes[1:] != [(1, hidden), (hidden,), (1,)]:
+            raise DimensionError(f"weight and bias shapes {shapes} are not window -> hidden -> 1")
         for arr in (*self.weights, *self.biases):
             arr.setflags(write=False)
+
+    @property
+    def window(self) -> int:
+        return self.weights[0].shape[1]
+
+    @property
+    def layer_sizes(self) -> tuple[int, int, int]:
+        hidden, window = self.weights[0].shape
+        return (window, hidden, 1)
 
     def to_dict(self) -> dict:
         return {
@@ -105,21 +111,24 @@ class MlpForecaster:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MlpForecaster":
+        """Refuses a file whose ``window`` or ``layer_sizes`` disagree with its
+        weights, or that holds other than one hidden layer."""
         sizes = tuple(data["layer_sizes"])
-        weights = tuple(
-            np.array(flat, dtype=np.float64).reshape(sizes[k + 1], sizes[k])
-            for k, flat in enumerate(data["weights"])
-        )
-        biases = tuple(np.array(b, dtype=np.float64) for b in data["biases"])
-        return cls(
-            window=data["window"],
-            layer_sizes=sizes,
-            weights=weights,
-            biases=biases,
+        if len(sizes) != 3 or len(data["weights"]) != 2:
+            raise DimensionError(f"layer_sizes {list(sizes)} is not window -> hidden -> 1")
+        net = cls(
+            weights=tuple(
+                np.array(flat, dtype=np.float64).reshape(sizes[k + 1], sizes[k])
+                for k, flat in enumerate(data["weights"])
+            ),
+            biases=tuple(np.array(b, dtype=np.float64) for b in data["biases"]),
             hidden_activation=Activation(data["hidden_activation"]),
             scaler=Scaler(**data["scaler"]),
             train_loss=data.get("train_loss"),
         )
+        if data["window"] != net.window:
+            raise DimensionError(f"window {data['window']} does not match layer_sizes {list(sizes)}")
+        return net
 
 
 def make_windows(series: TimeSeries, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,14 +148,11 @@ def _forward_pass(
     biases: Sequence[np.ndarray],
     act: Activation,
     inputs: np.ndarray,
-) -> list[np.ndarray]:
-    """Propagate a (features x batch) matrix; returns each layer's activations, inputs first."""
-    acts: list[np.ndarray] = [inputs]
-    last = len(weights) - 1
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        pre = w @ acts[-1] + b[:, None]
-        acts.append(pre if k == last else activation(act, pre))
-    return acts
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate a (features x batch) matrix; returns the hidden activations
+    and the (1 x batch) outputs."""
+    hidden = activation(act, weights[0] @ inputs + biases[0][:, None])
+    return hidden, weights[1] @ hidden + biases[1][:, None]
 
 
 def _loss(
@@ -162,7 +168,7 @@ def _loss(
     ``x`` is (features x batch), ``t`` is (batch,). The penalty covers weight
     matrices only, never biases.
     """
-    residual = _forward_pass(weights, biases, act, x)[-1][0] - t
+    residual = _forward_pass(weights, biases, act, x)[1][0] - t
     return float(np.mean(residual**2)) + l2 * float(sum(np.sum(w**2) for w in weights))
 
 
@@ -175,17 +181,14 @@ def _grads(
     l2: float,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The exact gradient of :func:`_loss` w.r.t. weights and biases."""
-    acts = _forward_pass(weights, biases, act, x)
-    delta = (2.0 * (acts[-1][0] - t) / t.size)[None, :]
-    d_weights, d_biases = [], []
-    for k in range(len(weights) - 1, -1, -1):
-        d_weights.append(delta @ acts[k].T + 2.0 * l2 * weights[k])
-        d_biases.append(delta.sum(axis=1))
-        if k > 0:
-            delta = weights[k].T @ delta
-            if act is Activation.TANH:  # tanh' written in terms of tanh's output
-                delta *= 1.0 - acts[k] ** 2
-    return d_weights[::-1], d_biases[::-1]
+    hidden, outputs = _forward_pass(weights, biases, act, x)
+    delta = (2.0 * (outputs[0] - t) / t.size)[None, :]
+    d_w_out = delta @ hidden.T + 2.0 * l2 * weights[1]
+    d_b_out = delta.sum(axis=1)
+    delta = weights[1].T @ delta
+    if act is Activation.TANH:  # tanh' written in terms of tanh's output
+        delta *= 1.0 - hidden**2
+    return [delta @ x.T + 2.0 * l2 * weights[0], d_w_out], [delta.sum(axis=1), d_b_out]
 
 
 def _scale_batch(
@@ -226,38 +229,32 @@ def forward(net: MlpForecaster, inputs: Sequence[float]) -> float:
     if not np.all(np.isfinite(arr)):
         raise ValueError("inputs must be finite")
     scaled = (arr - net.scaler.shift) / net.scaler.scale
-    acts = _forward_pass(net.weights, net.biases, net.hidden_activation, scaled[:, None])
-    return float(acts[-1][0, 0] * net.scaler.scale + net.scaler.shift)
+    _, outputs = _forward_pass(net.weights, net.biases, net.hidden_activation, scaled[:, None])
+    return float(outputs[0, 0] * net.scaler.scale + net.scaler.shift)
 
 
-def _init_params(
-    sizes: Sequence[int], rng: np.random.Generator
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return weights, biases
+def _glorot(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
 def train(
     series: TimeSeries,
     w: int,
-    hidden: Sequence[int],
+    hidden: int,
     hidden_activation: Activation,
     cfg: TrainConfig,
 ) -> MlpForecaster:
     """Mini-batch gradient descent; returns the best-epoch parameters.
 
-    Deterministic given cfg.seed (initialization and batch order). The
-    returned network carries the lowest full-training-set loss seen, which is
-    never above the loss of the initial parameters.
+    ``hidden`` is the hidden layer's unit count. Deterministic given cfg.seed
+    (initialization and batch order). The returned network carries the lowest
+    full-training-set loss seen, which is never above the loss of the initial
+    parameters.
     """
-    if not hidden or any(h < 1 for h in hidden):
-        raise ValueError("hidden must be a non-empty sequence of positive sizes")
+    if hidden < 1:
+        raise ValueError("hidden must be a positive unit count")
     inputs, targets = make_windows(series, w)
-    sizes = (w, *hidden, 1)
 
     with np.errstate(over="ignore"):
         mean, std = float(np.mean(series.values)), float(np.std(series.values))
@@ -269,40 +266,33 @@ def train(
     n = t_all.size
 
     rng = np.random.default_rng(cfg.seed)
-    weights, biases = _init_params(sizes, rng)
+    weights = (_glorot(w, hidden, rng), _glorot(hidden, 1, rng))
+    biases = (np.zeros(hidden), np.zeros(1))
+    (w_hid, w_out), (b_hid, b_out) = weights, biases  # updated in place below
 
     best_loss = _loss(weights, biases, hidden_activation, x_all, t_all, cfg.l2)
-    best_weights = [w_.copy() for w_ in weights]
-    best_biases = [b.copy() for b in biases]
+    best = (w_hid.copy(), w_out.copy()), (b_hid.copy(), b_out.copy())
 
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                d_w, d_b = _grads(
+                (d_w_hid, d_w_out), (d_b_hid, d_b_out) = _grads(
                     weights, biases, hidden_activation, x_all[:, idx], t_all[idx], cfg.l2
                 )
-                for k in range(len(weights)):
-                    weights[k] -= cfg.learning_rate * d_w[k]
-                    biases[k] -= cfg.learning_rate * d_b[k]
+                w_hid -= cfg.learning_rate * d_w_hid
+                b_hid -= cfg.learning_rate * d_b_hid
+                w_out -= cfg.learning_rate * d_w_out
+                b_out -= cfg.learning_rate * d_b_out
             loss = _loss(weights, biases, hidden_activation, x_all, t_all, cfg.l2)
         if not np.isfinite(loss):
             raise DivergenceError("training loss became non-finite")
         if loss < best_loss:
             best_loss = loss
-            best_weights = [w_.copy() for w_ in weights]
-            best_biases = [b.copy() for b in biases]
+            best = (w_hid.copy(), w_out.copy()), (b_hid.copy(), b_out.copy())
 
-    return MlpForecaster(
-        window=w,
-        layer_sizes=sizes,
-        weights=tuple(best_weights),
-        biases=tuple(best_biases),
-        hidden_activation=hidden_activation,
-        scaler=scaler,
-        train_loss=best_loss,
-    )
+    return MlpForecaster(*best, hidden_activation, scaler, train_loss=best_loss)
 
 
 def forecast_recursive(net: MlpForecaster, history: TimeSeries, horizon: int) -> np.ndarray:

@@ -180,7 +180,7 @@ class AnnAdapter(Forecaster):
 
     name: ClassVar[str] = "ann"
     WINDOW: ClassVar[int] = 7
-    HIDDEN: ClassVar[tuple[int, ...]] = (16,)
+    HIDDEN: ClassVar[int] = 16
     ACTIVATION: ClassVar[ann.Activation] = ann.Activation.TANH
     config: ann.TrainConfig = field(default_factory=ann.TrainConfig)
     net: ann.MlpForecaster | None = field(default=None, init=False, repr=False)

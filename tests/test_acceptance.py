@@ -82,7 +82,7 @@ def test_criterion_4_ann_gradient_check():
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        net = random_net(rng, window=4, hidden=(5,), activation_kind=ann.Activation.TANH)
+        net = random_net(rng, window=4, hidden=5, activation_kind=ann.Activation.TANH)
         batch = [(rng.uniform(-2, 2, 4), float(rng.uniform(-2, 2))) for _ in range(6)]
         analytic = ann.gradient(net, batch, l2=0.01)
         numeric = numeric_gradient(net, batch, l2=0.01)
@@ -179,7 +179,7 @@ def test_criterion_7_round_trips():
     payload = json.dumps(arima_model.to_dict(), indent=2)
     assert json.dumps(arima.ArimaModel.from_dict(json.loads(payload)).to_dict(), indent=2) == payload
 
-    net = ann.train(daily_series(rng.uniform(10, 90, 50)), 4, (6,),
+    net = ann.train(daily_series(rng.uniform(10, 90, 50)), 4, 6,
                     ann.Activation.TANH, ann.TrainConfig(epochs=10, seed=7))
     payload = json.dumps(net.to_dict(), indent=2)
     assert json.dumps(ann.MlpForecaster.from_dict(json.loads(payload)).to_dict(), indent=2) == payload

@@ -26,23 +26,17 @@ from aircast.errors import DimensionError, DivergenceError, TooShortError
 from conftest import daily_series
 
 
-def build_net(weights, biases, hidden=Activation.TANH, scaler=Scaler(), window=None):
-    weights = tuple(np.asarray(w, dtype=np.float64) for w in weights)
-    biases = tuple(np.asarray(b, dtype=np.float64) for b in biases)
-    window = window if window is not None else weights[0].shape[1]
-    sizes = (window,) + tuple(w.shape[0] for w in weights)
+def build_net(weights, biases, hidden=Activation.TANH, scaler=Scaler()):
     return MlpForecaster(
-        window=window,
-        layer_sizes=sizes,
-        weights=weights,
-        biases=biases,
+        weights=tuple(np.asarray(w, dtype=np.float64) for w in weights),
+        biases=tuple(np.asarray(b, dtype=np.float64) for b in biases),
         hidden_activation=hidden,
         scaler=scaler,
     )
 
 
-def random_net(rng, window=4, hidden=(5,), activation_kind=Activation.TANH):
-    sizes = (window, *hidden, 1)
+def random_net(rng, window=4, hidden=5, activation_kind=Activation.TANH):
+    sizes = (window, hidden, 1)
     weights = tuple(
         rng.normal(0, 0.7, size=(sizes[k + 1], sizes[k])) for k in range(len(sizes) - 1)
     )
@@ -60,8 +54,8 @@ def numeric_gradient(net, batch, l2, step=1e-5):
             minus = [w.copy() for w in net.weights]
             plus[k][idx] += step
             minus[k][idx] -= step
-            net_p = build_net(plus, net.biases, net.hidden_activation, net.scaler, net.window)
-            net_m = build_net(minus, net.biases, net.hidden_activation, net.scaler, net.window)
+            net_p = build_net(plus, net.biases, net.hidden_activation, net.scaler)
+            net_m = build_net(minus, net.biases, net.hidden_activation, net.scaler)
             dw[idx] = (batch_loss(net_p, batch, l2) - batch_loss(net_m, batch, l2)) / (2 * step)
         d_weights.append(dw)
         db = np.zeros_like(net.biases[k])
@@ -70,8 +64,8 @@ def numeric_gradient(net, batch, l2, step=1e-5):
             minus = [b.copy() for b in net.biases]
             plus[k][idx] += step
             minus[k][idx] -= step
-            net_p = build_net(net.weights, plus, net.hidden_activation, net.scaler, net.window)
-            net_m = build_net(net.weights, minus, net.hidden_activation, net.scaler, net.window)
+            net_p = build_net(net.weights, plus, net.hidden_activation, net.scaler)
+            net_m = build_net(net.weights, minus, net.hidden_activation, net.scaler)
             db[idx] = (batch_loss(net_p, batch, l2) - batch_loss(net_m, batch, l2)) / (2 * step)
         d_biases.append(db)
     return d_weights, d_biases
@@ -198,7 +192,7 @@ class TestGradient:
 class TestTrain:
     def test_constant_series(self):
         series = daily_series([42.0] * 60)
-        net = train(series, 7, (16,), Activation.TANH, TrainConfig(epochs=60, seed=1))
+        net = train(series, 7, 16, Activation.TANH, TrainConfig(epochs=60, seed=1))
         inputs, _ = make_windows(series, 7)
         for row in inputs:
             assert abs(forward(net, row) - 42.0) / 42.0 < 0.01
@@ -207,7 +201,7 @@ class TestTrain:
         values = np.linspace(10.0, 60.0, 80)
         series = daily_series(values)
         cfg = TrainConfig(learning_rate=0.05, epochs=400, seed=2)
-        net = train(series, 2, (4,), Activation.IDENTITY, cfg)
+        net = train(series, 2, 4, Activation.IDENTITY, cfg)
         rng_span = values.max() - values.min()
         for row, target in zip(*make_windows(series, 2)):
             assert abs(forward(net, row) - target) < 0.02 * rng_span
@@ -215,8 +209,8 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         series = daily_series(np.sin(np.arange(50) / 3.0) * 10 + 40)
         cfg = TrainConfig(epochs=20, seed=3)
-        a = train(series, 4, (8,), Activation.TANH, cfg)
-        b = train(series, 4, (8,), Activation.TANH, cfg)
+        a = train(series, 4, 8, Activation.TANH, cfg)
+        b = train(series, 4, 8, Activation.TANH, cfg)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         assert a.train_loss == b.train_loss
@@ -225,8 +219,8 @@ class TestTrain:
         values = rng.uniform(10, 90, 64)
         series = daily_series(values)
         cfg = TrainConfig(epochs=5, seed=4, learning_rate=0.3)
-        net = train(series, 5, (8,), Activation.TANH, cfg)
-        init = train(series, 5, (8,), Activation.TANH, TrainConfig(epochs=1, seed=4, learning_rate=1e-9))
+        net = train(series, 5, 8, Activation.TANH, cfg)
+        init = train(series, 5, 8, Activation.TANH, TrainConfig(epochs=1, seed=4, learning_rate=1e-9))
         # epochs=1 with ~zero learning rate reports (almost) the initial loss
         assert net.train_loss is not None and init.train_loss is not None
         assert net.train_loss <= init.train_loss + 1e-9
@@ -241,7 +235,7 @@ class TestTrain:
 
         monkeypatch.setattr(ann, "_loss", counting_loss)
         series = daily_series(np.sin(np.arange(80) / 3.0) * 10 + 40)
-        train(series, 4, (8,), Activation.TANH, TrainConfig(epochs=7, batch_size=8, seed=3))
+        train(series, 4, 8, Activation.TANH, TrainConfig(epochs=7, batch_size=8, seed=3))
         # the initial loss, then one full-set loss per epoch: all 76 windows each time
         assert calls == [76] * (7 + 1)
 
@@ -250,23 +244,23 @@ class TestTrain:
         series = daily_series(values)
         cfg = TrainConfig(learning_rate=1.0, epochs=300, seed=5, l2=10.0)
         with pytest.raises(DivergenceError):
-            train(series, 3, (8,), Activation.IDENTITY, cfg)
+            train(series, 3, 8, Activation.IDENTITY, cfg)
 
     def test_non_finite_spread_is_a_divergence(self):
         series = daily_series([1e200] + [40.0] * 30)
         with pytest.raises(DivergenceError, match="mean or spread is not finite"):
-            train(series, 3, (8,), Activation.TANH, TrainConfig(epochs=2, seed=5))
+            train(series, 3, 8, Activation.TANH, TrainConfig(epochs=2, seed=5))
 
     def test_scaling_invariance_of_pipeline(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(20, 80, 70)
         series = daily_series(values)
         cfg = TrainConfig(epochs=40, seed=6)
-        net_raw = train(series, 4, (8,), Activation.TANH, cfg)
+        net_raw = train(series, 4, 8, Activation.TANH, cfg)
 
         shift, scale = float(values.mean()), float(values.std())
         scaled = daily_series((values - shift) / scale)
-        net_scaled = train(scaled, 4, (8,), Activation.TANH, cfg)
+        net_scaled = train(scaled, 4, 8, Activation.TANH, cfg)
         inputs, _ = make_windows(series, 4)
         for row in inputs[:10]:
             direct = forward(net_raw, row)
@@ -312,7 +306,7 @@ class TestForecastRecursive:
         values = np.linspace(10.0, 60.0, 80)
         series = daily_series(values)
         cfg = TrainConfig(learning_rate=0.05, epochs=400, seed=2)
-        net = train(series, 2, (4,), Activation.IDENTITY, cfg)
+        net = train(series, 2, 4, Activation.IDENTITY, cfg)
         preds = forecast_recursive(net, series, 3)
         step = values[1] - values[0]
         expected = values[-1] + step * np.arange(1, 4)
@@ -328,7 +322,7 @@ class TestForecastRecursive:
 class TestSerialization:
     def test_round_trip_bitwise(self, rng):
         series = daily_series(rng.uniform(10, 90, 40))
-        net = train(series, 3, (5, 4), Activation.TANH, TrainConfig(epochs=5, seed=8))
+        net = train(series, 3, 5, Activation.TANH, TrainConfig(epochs=5, seed=8))
         payload = json.dumps(net.to_dict(), indent=2)
         restored = MlpForecaster.from_dict(json.loads(payload))
         assert json.dumps(restored.to_dict(), indent=2) == payload

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from aircast import ann, arima, evaluation, gp
 from aircast.errors import (
     AircastError,
+    DimensionError,
     EmptyInputError,
     EvaluationError,
     LengthMismatchError,
@@ -468,6 +469,30 @@ class TestFitOrLoad:
         assert fit_or_load(second, train, path) == key
         assert second.to_dict() == first.to_dict()
         assert json.loads(path.read_text(encoding="utf-8"))["fit_key"] == key
+
+    def test_ann_file_with_two_hidden_layers_is_refitted(self, ar1_split, tmp_path):
+        train, _ = ar1_split
+        adapter = LOADABLE["ann"]()
+        sizes = [adapter.WINDOW, 16, 4, 1]
+        stored = {
+            "window": adapter.WINDOW,
+            "layer_sizes": sizes,
+            "hidden_activation": "tanh",
+            "weights": [[0.1] * (a * b) for a, b in zip(sizes, sizes[1:])],
+            "biases": [[0.0] * b for b in sizes[1:]],
+            "scaler": {"shift": 0.0, "scale": 1.0},
+            "train_loss": None,
+        }
+        with pytest.raises(DimensionError):
+            ann.MlpForecaster.from_dict(stored)
+        path = tmp_path / "ann_model.json"
+        path.write_text(json.dumps({**stored, "fit_key": adapter.fit_key(train)}), encoding="utf-8")
+        fits = []
+        real_fit = adapter.fit
+        adapter.fit = lambda train: fits.append(real_fit(train))
+        fit_or_load(adapter, train, path)
+        assert len(fits) == 1
+        assert adapter.net.layer_sizes == (adapter.WINDOW, adapter.HIDDEN, 1)
 
 
 class TestComparisonTable:
