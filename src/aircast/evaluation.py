@@ -207,9 +207,9 @@ class GpAdapter(Forecaster):
     instants asked for.
 
     The train fit is kept, and each history that extends the points already
-    conditioned on is appended to its Cholesky factor (``gp.extend_gp``), so a
-    holdout step costs one triangular solve rather than a refactorization.
-    A one-step prediction computes the posterior mean only.
+    conditioned on is appended to its Cholesky factor and whitened targets
+    (``gp.extend_gp``), so a holdout step costs two triangular solves, one to
+    extend and one to query, rather than a refactorization.
     """
 
     name: ClassVar[str] = "gp"
@@ -255,11 +255,6 @@ class GpAdapter(Forecaster):
         from . import gp
 
         return gp.posterior(*self._extend(history, at))
-
-    def predict_one(self, history: TimeSeries, at: int) -> float:
-        from . import gp
-
-        return float(gp.posterior_mean(*self._extend(history, [at]))[0])
 
     def to_dict(self) -> dict:
         assert self._fitted is not None, "fit before summarizing"

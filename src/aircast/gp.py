@@ -4,13 +4,14 @@ kernel.
 Kernel convention used throughout: k(x, x') = amplitude * exp(-(x-x')^2 / l^2)
 — the amplitude multiplies unsquared and the exponent carries no 1/2 factor,
 so k(x, x) equals the amplitude exactly. Observation noise enters the Gram
-matrix as noise_variance * I. A fit's posteriors and log marginal likelihood
-are computed through a cached Cholesky factorization with bounded jitter
-escalation; the kernel matrix is never inverted explicitly. Conditioning on
-further points extends that factor by one row per point instead of
-refactorizing. The hyperparameter search factorizes nothing: it scores every
-grid cell from one eigendecomposition of the unit-amplitude kernel matrix per
-length scale, and only the chosen cell is fitted.
+matrix as noise_variance * I. A fit stores one form: the Cholesky factor L
+(found with bounded jitter escalation; the kernel matrix is never inverted
+explicitly) and the whitened targets L⁻¹[y, 1]. Its posteriors take one
+triangular solve per query and its log marginal likelihood none. Conditioning
+on further points extends the factor and the whitened targets by one row per
+point instead of refactorizing. The hyperparameter search factorizes nothing:
+it scores every grid cell from one eigendecomposition of the unit-amplitude
+kernel matrix per length scale, and only the chosen cell is fitted.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, eigh, solve_triangular
+from scipy.linalg import cholesky, eigh, solve_triangular
 
-from .errors import FactorizationError, NoValidFitError, TooLongError
+from .errors import FactorizationError, NonFiniteMeanError, NoValidFitError, TooLongError
 
 _MAX_TRAIN = 2000
 _JITTER_EXPONENTS = range(-10, -3)  # jitter is 10**k times the amplitude
@@ -64,19 +65,30 @@ def gram_matrix(xs: Sequence[float], params: SeKernelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted model: hyperparameters plus the factorized regularized Gram matrix."""
+    """Fitted model: hyperparameters, the lower Cholesky factor L of the
+    regularized Gram matrix, the targets y and ``whitened`` = L⁻¹[y, 1], whose
+    columns v and w centre on the targets' mean ō as L⁻¹(y − ō1) = v − ōw
+    (Rasmussen & Williams 2006, Alg. 2.1)."""
 
     params: SeKernelParams
     noise_variance: float
     train_inputs: np.ndarray = field(repr=False)
-    train_targets: np.ndarray = field(repr=False)  # centered
-    offset: float
+    train_targets: np.ndarray = field(repr=False)
     chol_lower: np.ndarray = field(repr=False)
     jitter: float
-    _alpha: np.ndarray = field(repr=False)  # (K + noise I + jitter I)^{-1} y
+    whitened: np.ndarray = field(repr=False)  # columns v and w
 
     def __len__(self) -> int:
         return int(self.train_inputs.size)
+
+    @property
+    def offset(self) -> float:
+        """ō, the targets' mean, which the posterior means revert to."""
+        return float(np.mean(self.train_targets))
+
+    def _centred(self) -> np.ndarray:
+        v, w = self.whitened.T
+        return v - self.offset * w
 
     def to_summary_dict(self) -> dict:
         return {
@@ -105,28 +117,16 @@ def _check_training(x: np.ndarray, y: np.ndarray, noise_variance: float) -> None
         raise ValueError("noise_variance must be non-negative")
 
 
-def _conditioned(
-    params: SeKernelParams,
-    noise_variance: float,
-    x: np.ndarray,
-    y: np.ndarray,
-    lower: np.ndarray,
-    jitter: float,
-) -> GpModel:
-    """Center the targets and solve them through the factor."""
-    offset = float(np.mean(y))
-    centered = y - offset
-    alpha = cho_solve((lower, True), centered)
-    return GpModel(
-        params=params,
-        noise_variance=noise_variance,
-        train_inputs=x,
-        train_targets=centered,
-        offset=offset,
-        chol_lower=lower,
-        jitter=jitter,
-        _alpha=alpha,
-    )
+def _check_targets(y: np.ndarray) -> None:
+    """ValueError for a target that is not finite; NonFiniteMeanError where
+    finite targets' mean, the centre of every posterior, overflows."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.mean(np.asarray_chkfinite(y))):
+            raise NonFiniteMeanError("the GP training values' mean is not finite")
+
+
+def _whiten(lower: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return solve_triangular(lower, np.column_stack([y, np.ones_like(y)]), lower=True)
 
 
 def fit_gp(
@@ -135,15 +135,17 @@ def fit_gp(
     params: SeKernelParams,
     noise_variance: float,
 ) -> GpModel:
-    """Center targets, regularize, and factorize K + noise·I (+ jitter·I).
+    """Factorize K + noise·I (+ jitter·I) and whiten the targets through it.
 
     Jitter runs through the seven values 1e-10·amplitude, 1e-9·amplitude, …,
     1e-4·amplitude before giving up with FactorizationError. More than 2000
-    training points raise TooLongError.
+    training points raise TooLongError, a target that is not finite
+    ValueError, and finite targets whose mean overflows NonFiniteMeanError.
     """
     x = np.asarray(times, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
     _check_training(x, y, noise_variance)
+    _check_targets(y)
 
     base = gram_matrix(x, params) + noise_variance * np.eye(x.size)
     for exponent in _JITTER_EXPONENTS:
@@ -152,7 +154,7 @@ def fit_gp(
             lower = cholesky(base + jitter * np.eye(x.size), lower=True)
         except np.linalg.LinAlgError:
             continue
-        return _conditioned(params, noise_variance, x, y, lower, jitter)
+        return GpModel(params, noise_variance, x, y, lower, jitter, _whiten(lower, y))
     raise FactorizationError(f"kernel matrix not positive definite up to jitter {jitter:g}")
 
 
@@ -164,10 +166,11 @@ def extend_gp(
 
     The factor depends on the inputs only, so each appended point adds one
     row to it: one triangular solve against the rows above, with the model's
-    jitter on the new diagonal (Seeger 2004). All targets are then re-centred
-    and solved through the extended factor. Inputs that do not extend the
-    model's, or an appended pivot that is not positive, get a full
-    ``fit_gp``; the cap and distinct-times checks are the same as there.
+    jitter on the new diagonal (Seeger 2004). That row also appends one
+    element to v and to w by forward substitution; all targets are whitened
+    afresh only when the model's targets do not start ``values``. Inputs that
+    do not extend the model's, or an appended pivot that is not positive, get
+    a full ``fit_gp``; the checks are the same as there.
     """
     x = np.asarray(times, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
@@ -175,8 +178,9 @@ def extend_gp(
     if not np.array_equal(x[:m], model.train_inputs):
         return fit_gp(x, y, model.params, model.noise_variance)
     _check_training(x, y, model.noise_variance)
+    _check_targets(y)
 
-    lower = model.chol_lower
+    lower, whitened = model.chol_lower, model.whitened
     diagonal = model.params.amplitude + model.noise_variance + model.jitter
     for i in range(m, x.size):
         k = _cross_kernel(x[:i], x[i : i + 1], model.params)[:, 0]
@@ -191,44 +195,34 @@ def extend_gp(
         grown[i, :i] = row
         grown[i, i] = np.sqrt(pivot)
         lower = grown
-    return _conditioned(model.params, model.noise_variance, x, y, lower, model.jitter)
-
-
-def _mean(model: GpModel, k_star: np.ndarray) -> np.ndarray:
-    return k_star.T @ model._alpha + model.offset
-
-
-def posterior_mean(model: GpModel, test_times: Sequence[float]) -> np.ndarray:
-    """Posterior means (offset restored) at the query times, without the
-    variances' solve against the whole factor."""
-    t = np.asarray(test_times, dtype=np.float64)
-    return _mean(model, _cross_kernel(model.train_inputs, t, model.params))
+        whitened = np.vstack([whitened, ((y[i], 1.0) - row @ whitened) / grown[i, i]])
+    if not np.array_equal(y[:m], model.train_targets):
+        whitened = _whiten(lower, y)
+    return GpModel(model.params, model.noise_variance, x, y, lower, model.jitter, whitened)
 
 
 def posterior(
     model: GpModel, test_times: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means (offset restored) and variances at the query times.
+    """Posterior means and variances at the query times, from one triangular
+    solve r = L⁻¹k*: the means are ō + rᵀ(v − ōw), the variances a − ‖r‖².
 
     Variances are the predictive diagonal of the latent function, clamped at
     zero against roundoff.
     """
     t = np.asarray(test_times, dtype=np.float64)
-    if t.size == 0:
-        return np.empty(0), np.empty(0)
-    k_star = _cross_kernel(model.train_inputs, t, model.params)
-    means = _mean(model, k_star)
-    v = cho_solve((model.chol_lower, True), k_star)
-    variances = model.params.amplitude - np.einsum("ij,ij->j", k_star, v)
+    k_star = np.asarray_chkfinite(_cross_kernel(model.train_inputs, t, model.params))
+    r = solve_triangular(model.chol_lower, k_star, lower=True, check_finite=False)
+    means = model.offset + r.T @ model._centred()
+    variances = model.params.amplitude - np.einsum("ij,ij->j", r, r)
     return means, np.maximum(variances, 0.0)
 
 
 def log_marginal_likelihood(model: GpModel) -> float:
-    """Gaussian evidence of the centered targets under the factorized matrix."""
-    n = len(model)
-    quad = float(model.train_targets @ model._alpha)
+    """Gaussian evidence of the centred targets under the factorized matrix."""
+    centred = model._centred()
     logdet_half = float(np.sum(np.log(np.diag(model.chol_lower))))
-    return -0.5 * quad - logdet_half - 0.5 * n * np.log(2.0 * np.pi)
+    return -0.5 * float(centred @ centred) - logdet_half - 0.5 * len(model) * np.log(2.0 * np.pi)
 
 
 def _lml_surface(
@@ -285,7 +279,8 @@ def fit_hyperparameters(
     x = np.asarray(times, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
     _check_training(x, y, float(noise_grid.min()))
-    # centred as _conditioned centres; refused where fit_gp's cho_solve refuses
+    # centred as fit_gp's posteriors are, and refused where fit_gp refuses the
+    # targets, though as a ValueError where it is their mean that overflows
     centered = np.asarray_chkfinite(y - np.mean(y))
     sq_dist = np.subtract.outer(x, x) ** 2
 

@@ -964,9 +964,9 @@ class TestLongSeries:
         assert main(["forecast", "--out", str(long_out), "--models", "gp", *FAST_EVAL]) == 4
 
 
-def ingest_with_a_huge_gitega_reading(out: Path, index: int) -> Path:
-    """Simulate 120 days of Gitega and Kiyovu, set Gitega's reading number
-    ``index`` (in its own time order) to 1e200, and ingest."""
+def ingest_with_a_huge_gitega_reading(out: Path, *indices: int, value: str = "1e200") -> Path:
+    """Simulate 120 days of Gitega and Kiyovu, set Gitega's readings number
+    ``indices`` (in its own time order) to ``value``, and ingest."""
     assert main([
         "simulate", "--out", str(out), "--n-days", "120",
         "--station", "Gitega", "--station", "Kiyovu",
@@ -974,7 +974,8 @@ def ingest_with_a_huge_gitega_reading(out: Path, index: int) -> Path:
     path = out / "simulated_readings.csv"
     header, rows = read_csv(path)
     gitega = [row for row in rows if row[0] == "Gitega"]
-    gitega[index][3] = "1e200"
+    for index in indices:
+        gitega[index][3] = value
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
     assert main(["ingest", "--out", str(out), "--input", str(path)]) == 0
@@ -1044,6 +1045,19 @@ class TestOverflowingHoldout:
         (row,) = [row for row in rows if row[0] == "Gitega"]
         for column in ("rmse_arima", "rmse_ann", "rmse_gpr"):
             assert 1e198 < float(row[header.index(column)]) < 1e200
+
+    def test_overflowing_gp_history_fails_the_gp_alone(self, tmp_path):
+        """Two held-out readings of 1e308 are valid, but the GP history that
+        holds both has a mean that overflows: the GP's failure is recorded,
+        the other models and station are written, and the JSON stays strict."""
+        out = ingest_with_a_huge_gitega_reading(tmp_path, -2, -3, value="1e308")
+        assert main(["evaluate", "--out", str(out), "--models", "arima,ann,gp",
+                     "--arima-grid", "1,0,1", "--workers", "1"]) == 0
+        report = strict_json(out / "evaluation" / "evaluation_report.json")
+        stations = {station["station"]: station for station in report["stations"]}
+        assert set(stations["Gitega"]["models"]) == {"arima", "ann"}
+        assert "mean is not finite" in stations["Gitega"]["errors"]["gp"]
+        assert set(stations["Kiyovu"]["models"]) == {"arima", "ann", "gp"}
 
 
 SRC = Path(aircast.__file__).resolve().parent.parent

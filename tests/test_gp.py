@@ -11,6 +11,7 @@ from aircast import gp
 from aircast.errors import (
     AircastError,
     FactorizationError,
+    NonFiniteMeanError,
     NoValidFitError,
     TooLongError,
     TooShortError,
@@ -25,7 +26,6 @@ from aircast.gp import (
     gram_matrix,
     log_marginal_likelihood,
     posterior,
-    posterior_mean,
 )
 from aircast.evaluation import GpAdapter
 from aircast.series import instants_after
@@ -229,7 +229,7 @@ def assert_same_model(model, oracle):
     assert model.jitter == oracle.jitter
     np.testing.assert_array_equal(model.train_inputs, oracle.train_inputs)
     np.testing.assert_allclose(model.chol_lower, oracle.chol_lower, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(model._alpha, oracle._alpha, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(model.whitened, oracle.whitened, rtol=1e-12, atol=1e-12)
     assert model.offset == pytest.approx(oracle.offset, rel=1e-12)
 
 
@@ -278,6 +278,35 @@ class TestExtendGp:
         with pytest.raises(ValueError, match="distinct"):
             extend_gp(base, np.append(x, x[3]), np.append(y, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_appended_target_is_a_value_error(self, rng, bad):
+        x, y, params, noise = random_instance(rng, 12)
+        base = fit_gp(x[:10], y[:10], params, noise)
+        y[11] = bad
+        with pytest.raises(ValueError) as info:
+            extend_gp(base, x, y)
+        assert not isinstance(info.value, AircastError)
+
+    def test_overflowing_mean_is_a_toolkit_error(self, rng):
+        x, y, params, noise = random_instance(rng, 12)
+        base = fit_gp(x[:10], y[:10], params, noise)
+        y[10:] = 1e308
+        with pytest.raises(NonFiniteMeanError):
+            extend_gp(base, x, y)
+        with pytest.raises(NonFiniteMeanError):
+            fit_gp(x, y, params, noise)
+
+    def test_whitened_targets_extend_by_one_row_per_point(self, rng):
+        x, y, params, noise = random_instance(rng, 15)
+        base = fit_gp(x[:12], y[:12], params, noise)
+        model = extend_gp(base, x, y)
+        assert np.array_equal(model.whitened[:12], base.whitened)
+        np.testing.assert_allclose(model.chol_lower @ model.whitened,
+                                   np.column_stack([y, np.ones(15)]), rtol=1e-12)
+        # revised earlier targets are whitened afresh through the extended factor
+        revised = y[::-1].copy()
+        assert_same_model(extend_gp(base, x, revised), fit_gp(x, revised, params, noise))
+
     def test_cap_raised_when_extension_crosses_it(self):
         x = np.arange(2001, dtype=np.float64)
         y = np.sin(x / 10.0)
@@ -325,14 +354,6 @@ class TestPosterior:
         model = fit_gp(x, y, params, noise)
         means, variances = posterior(model, [])
         assert means.size == 0 and variances.size == 0
-
-    def test_mean_alone_is_bitwise_the_posterior_mean(self, rng):
-        for size in (1, 3):
-            x, y, params, noise = random_instance(rng, 12)
-            model = fit_gp(x, y, params, noise)
-            test_x = rng.uniform(-5, 70, size)
-            assert np.array_equal(posterior_mean(model, test_x), posterior(model, test_x)[0])
-        assert posterior_mean(model, []).size == 0
 
 
 class TestLogMarginalLikelihood:
@@ -521,7 +542,8 @@ class TestHyperparameterFit:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308], ids=["nan", "inf", "mean-overflow"])
     def test_non_finite_targets_are_a_value_error(self, bad):
-        # as fit_gp's cho_solve refuses them; a NaN likelihood never gets to win
+        # as fit_gp refuses these targets (a ValueError here for the overflowing
+        # mean too); a NaN likelihood never gets to win
         x = np.arange(12, dtype=np.float64)
         y = np.sin(x)
         y[3] = bad
