@@ -268,12 +268,14 @@ def _ma_inverse(theta: np.ndarray, b: np.ndarray) -> np.ndarray:
     holds theta_j, so this is one forward substitution (LAPACK's banded
     triangular solve). Where Theta is not invertible the solution grows
     geometrically, to inf and NaN once it overflows."""
-    # LAPACK's band storage: row j of a (q+1) x n array holds theta_j (row 0,
-    # the unit diagonal, is not read); filled as its transpose, so it is
-    # already in the column-major order LAPACK reads
-    band = np.empty((b.shape[0], theta.size + 1))
-    band[:] = np.concatenate(([1.0], theta))
-    e, info = dtbtrs(band.T, b, uplo="L", diag="U")
+    # LAPACK's band storage: row j of a column-major (q+1) x n array holds
+    # theta_j (row 0, the unit diagonal, is not read). Filled one row at a
+    # time: a broadcast fill, or f2py's copy of a broadcast view, steps through
+    # q+1 values per column and costs up to twice as much
+    band = np.empty((theta.size + 1, b.shape[0]), order="F")
+    for j, coefficient in enumerate([1.0, *theta.tolist()]):
+        band[j] = coefficient
+    e, info = dtbtrs(band, b, uplo="L", diag="U")
     if info != 0:
         raise RuntimeError(f"dtbtrs rejected its argument {-info}")
     return e

@@ -548,7 +548,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print("ingest: no rows accepted", file=sys.stderr)
         return EXIT_EMPTY
 
-    readings = np.concatenate(tables).view(np.recarray)
+    # one file's table as it is; several joined once, and their own tables dropped
+    readings = tables[0] if len(tables) == 1 else np.concatenate(tables).view(np.recarray)
+    del tables
     gaps = {Granularity.HOURLY: MAX_GAP_HOURLY, Granularity.DAILY: MAX_GAP_DAILY}
     written = 0
     for station in args.station or sorted(stations_seen.values()):

@@ -253,9 +253,16 @@ def parse_readings(
     SchemaError if a required column is absent from the header; IO failures
     propagate as OSError.
     """
-    mapping = mapping or ColumnMapping()
+    # detached, not closed, when done: the stream is the caller's to close
     text = io.TextIOWrapper(stream, encoding="utf-8-sig", errors="replace", newline="")
-    reader = csv.reader(text)
+    try:
+        return _parse_rows(csv.reader(text), mapping or ColumnMapping())
+    finally:
+        text.detach()
+
+
+def _parse_rows(reader, mapping: ColumnMapping) -> tuple[np.recarray, IngestReport]:
+    """:func:`parse_readings` on a csv reader of the stream's text."""
     try:
         header = next(reader)
     except StopIteration:
@@ -271,7 +278,13 @@ def parse_readings(
     # stands in for a short row, which is rejected before its fields are read
     padding = [""] * width
 
-    tables = [np.empty(0, dtype=READING_DTYPE)]
+    # One table, filled in place and grown by ndarray.resize, whose realloc of a
+    # large block remaps its pages instead of copying them: no second copy of the
+    # rows is ever held. refcheck=False, because a tracer (coverage, a debugger)
+    # holds a reference the default check refuses; so no view of the table
+    # outlives a resize, and each chunk writes through fresh slices.
+    readings = np.zeros(0, dtype=READING_DTYPE)
+    filled = 0
     keys: dict[str, str] = {}  # station name -> its key, in order of first acceptance
     pollutants: dict[str, int] = {}  # pollutant text -> _pollutant_index(text)
     report = IngestReport()
@@ -310,17 +323,18 @@ def parse_readings(
         for name in dict.fromkeys(names):
             if name not in keys:  # one key string per spelling, shared by its rows
                 keys[name] = station_key(name)
-        # np.zeros, because np.empty sets the object fields one item at a time, far slower
-        table = np.zeros(len(names), dtype=READING_DTYPE)
-        table["station"] = list(map(keys.__getitem__, names))
-        table["at"] = at[accepted]
-        table["pollutant"] = _POLLUTANTS[pollutant[accepted]]
-        table["value"] = values[accepted]
-        tables.append(table)
-    readings = np.concatenate(tables).view(np.recarray)
-    report.rows_accepted = len(readings)
+        end = filled + len(names)
+        if end > len(readings):
+            readings.resize(max(end, int(1.5 * len(readings))), refcheck=False)
+        readings["station"][filled:end] = list(map(keys.__getitem__, names))
+        readings["at"][filled:end] = at[accepted]
+        readings["pollutant"][filled:end] = _POLLUTANTS[pollutant[accepted]]
+        readings["value"][filled:end] = values[accepted]
+        filled = end
+    readings.resize(filled, refcheck=False)
+    report.rows_accepted = filled
     report.stations_seen = first_spellings(keys)
-    return readings, report
+    return readings.view(np.recarray), report
 
 
 def parse_readings_path(
@@ -339,8 +353,8 @@ def build_station_series(
     pollutant: Pollutant = Pollutant.PM25,
 ) -> TimeSeries:
     """Per-station raw series: filtered, time-sorted, duplicates mean-collapsed in file order."""
-    mine = readings[(readings.station == station_key(station)) & (readings.pollutant == pollutant)]
-    if not len(mine):
+    mine = (readings.station == station_key(station)) & (readings.pollutant == pollutant)
+    if not mine.any():
         raise EmptySeriesError(f"no {pollutant.value} readings for station {station!r}")
-    instants, values, _ = group_means(mine.at, mine.value)
+    instants, values, _ = group_means(readings.at[mine], readings.value[mine])
     return TimeSeries(Granularity.RAW, instants, values)

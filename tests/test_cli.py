@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -27,7 +28,7 @@ from aircast.cli import (
 )
 from aircast.errors import SchemaError
 from aircast.evaluation import AnnAdapter, ArimaAdapter, GpAdapter
-from aircast.ingest import station_key
+from aircast.ingest import READING_DTYPE, station_key
 from aircast.series import LOCAL_TZ, Granularity, TimeSeries
 from aircast.trends import Season
 
@@ -174,6 +175,30 @@ class TestIngest:
         assert report["stations_seen"] == ["Gitega"]
         _, daily_rows = read_csv(out / "series" / "gitega_daily.csv")
         assert len(daily_rows) == 14
+
+    def test_peak_memory_is_about_one_table(self, tmp_path):
+        # 3 stations x 33,334 quarter-hours; the table is 32 bytes a row, and
+        # ingest peaks at 2.06 tables (3.20 when it held the table twice)
+        stamps = np.datetime_as_string(
+            np.datetime64("2021-01-01T00:00:00") + np.arange(33_334) * np.timedelta64(900, "s")
+        ).tolist()
+        src = tmp_path / "readings.csv"
+        src.write_text(self.HEADER + "".join(
+            f"{station},{stamp}+02:00,PM25,{40 + i % 7}.5\n"
+            for station in ("Gitega", "Kiyovu", "Rebero")
+            for i, stamp in enumerate(stamps)
+        ), encoding="utf-8")
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["ingest", "--out", str(out), "--input", str(src)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = json.loads((out / "ingest_report.json").read_text())["rows_accepted"]
+        assert rows == 3 * len(stamps)
+        tables = peak / (READING_DTYPE.itemsize * rows)
+        assert tables < 2.5, f"ingest peaked at {tables:.2f} tables"
 
     def test_gzip_input(self, tmp_path):
         src = tmp_path / "readings.csv.gz"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import gzip
 import io
 import json
@@ -156,6 +157,14 @@ class TestParseReadings:
         except SchemaError:
             return
         assert report.rows_read == report.rows_accepted + len(report.rejects)
+
+    def test_stream_left_open(self):
+        # the stream is the caller's: the parse's text wrapper must not close it
+        stream = io.BytesIO((HEADER + "Gitega,2021-06-01T08:00:00+02:00,PM25,1.0\n").encode())
+        readings, _ = parse_readings(stream)
+        gc.collect()
+        assert not stream.closed
+        assert len(readings) == 1
 
     def test_report_json_fields(self):
         report = IngestReport(
