@@ -1,5 +1,5 @@
-"""AR/MA/ARIMA modeling: simulation, conditional-sum-of-squares fitting,
-order selection by AIC, and mean forecasting.
+"""AR/MA/ARIMA modeling: conditional-sum-of-squares fitting, order
+selection by AIC, and mean forecasting.
 
 Model form (identifiable single-intercept parameterization):
 
@@ -28,24 +28,12 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import least_squares, minimize
 
-from .errors import (
-    NoConvergedModelError,
-    NonStationaryError,
-    OptimizerFailure,
-    TooShortError,
+from .errors import NoConvergedModelError, OptimizerFailure, TooShortError
+from .orders import (
+    ArimaOrder, _min_root_modulus, _roots_ascending, ar_is_stationary, ma_is_invertible,
 )
-from .orders import ArimaOrder
-from .series import (
-    Granularity,
-    TimeSeries,
-    difference_values,
-    inverse_difference_values,
-)
+from .series import TimeSeries, difference_values, inverse_difference_values
 
-#: 2021-01-01 00:00 Kigali time; base instant for synthetic daily series.
-SYNTHETIC_BASE_EPOCH = 1_609_452_000
-
-_BURN_IN = 200
 _MAX_ITER = 2000
 _SIMPLEX_TOL = 1e-8
 _LM_TOL = 1e-12
@@ -80,8 +68,8 @@ class ArimaModel:
         })
 
 
-# The root rules below run inside the CSS objective on a handful of Python
-# floats, so they use float arithmetic, not numpy calls.
+# The admissibility rules below run inside the CSS objective on a handful of
+# Python floats, so they use float arithmetic, not numpy calls.
 
 
 def _abs_sum(values: Sequence[float]) -> float:
@@ -91,28 +79,6 @@ def _abs_sum(values: Sequence[float]) -> float:
     for v in values:
         total += abs(v)
     return total
-
-
-def _min_root_modulus(ascending: Sequence[float]) -> float:
-    """Smallest root modulus of a polynomial given ascending coefficients with
-    constant 1; +inf when it has no roots (degree 0), NaN when a modulus is."""
-    smallest = math.inf
-    for root in _roots_ascending(ascending):
-        modulus = abs(root)
-        if modulus != modulus:
-            return math.nan
-        smallest = min(smallest, modulus)
-    return smallest
-
-
-def ar_is_stationary(beta: Sequence[float]) -> bool:
-    """Stationarity of 1 - beta_1 x - ... - beta_p x^p."""
-    return _min_root_modulus([1.0, *(-float(b) for b in beta)]) > 1.0
-
-
-def ma_is_invertible(theta: Sequence[float]) -> bool:
-    """Invertibility of 1 + theta_1 x + ... + theta_q x^q."""
-    return _min_root_modulus([1.0, *(float(t) for t in theta)]) > 1.0
 
 
 def _ma_strictly_noninvertible(theta: Sequence[float], tol: float = 1e-9) -> bool:
@@ -125,35 +91,6 @@ def _ma_strictly_noninvertible(theta: Sequence[float], tol: float = 1e-9) -> boo
     if _abs_sum(theta) < 1.0:  # sufficient for all roots outside
         return False
     return _min_root_modulus([1.0, *theta]) < 1.0 - tol
-
-
-def _roots_ascending(coeffs: Sequence[float]) -> list[float | complex]:
-    """Roots of a polynomial given ascending coefficients with constant 1.
-
-    Hot path inside the CSS objective: degrees 1-2 use closed forms, higher
-    degrees one companion-matrix eigendecomposition. Real roots are floats;
-    a complex pair (or a complex eigenvalue set) is complex throughout.
-    """
-    deg = len(coeffs) - 1
-    while deg > 0 and coeffs[deg] == 0.0:
-        deg -= 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [-coeffs[0] / coeffs[1]]
-    if deg == 2:
-        a, b, c = coeffs[2], coeffs[1], coeffs[0]
-        radicand = b * b - 4.0 * a * c
-        if not radicand < 0.0:  # NaN stays real, as in np.emath.sqrt
-            disc = math.sqrt(radicand)
-            return [(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)]
-        s = math.sqrt(-radicand)
-        d = 2.0 * a
-        return [complex(-b / d, s / d), complex(-b / d, -s / d)]
-    companion = np.zeros((deg, deg))
-    companion[0, :] = [-c / coeffs[deg] for c in coeffs[deg - 1 :: -1]]
-    companion[1:, :-1] = np.eye(deg - 1)
-    return np.linalg.eigvals(companion).tolist()
 
 
 _REDUNDANCY_TOL = 0.2
@@ -189,45 +126,6 @@ def _inadmissible(params: Sequence[float], p: int) -> bool:
     return _ma_strictly_noninvertible(theta) or (
         p > 0 and _arma_redundant(params[1 : 1 + p], theta)
     )
-
-
-def simulate_arma(
-    alpha: float,
-    beta: Sequence[float],
-    theta: Sequence[float],
-    sigma: float,
-    n: int,
-    seed: int,
-) -> TimeSeries:
-    """Generate n observations of the ARMA recursion on synthetic daily instants.
-
-    Deterministic given the seed; a 200-step burn-in from zero initial
-    conditions is discarded.
-    """
-    beta = tuple(float(b) for b in beta)
-    theta = tuple(float(t) for t in theta)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if n <= len(beta) + len(theta):
-        raise ValueError("n must exceed p + q")
-    if not ar_is_stationary(beta):
-        raise NonStationaryError(f"AR coefficients {beta} have a root on/inside the unit circle")
-
-    rng = np.random.default_rng(seed)
-    w = sigma * rng.standard_normal(_BURN_IN + n)
-    # the MA part is a convolution, the AR part a recursion from zeros summed
-    # from the oldest lag (direct form II transposed): the arithmetic of
-    # scipy.signal.lfilter, so a seed gives the series it always gave
-    x = alpha + np.convolve([1.0, *theta], w)[: w.size]
-    p = len(beta)
-    y = [0.0] * p
-    for x_t in x.tolist():
-        acc = 0.0
-        for i in range(p, 0, -1):
-            acc += beta[i - 1] * y[-i]
-        y.append(acc + x_t)
-    at = SYNTHETIC_BASE_EPOCH + 86400 * np.arange(n, dtype=np.int64)
-    return TimeSeries(Granularity.DAILY, at, np.array(y[p + _BURN_IN :]))
 
 
 def ma_unconditional_moments(

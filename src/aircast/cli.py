@@ -16,11 +16,12 @@ data, 4 no model succeeded.
 
 Importing this module loads only the numpy layers (``errors``, ``ingest``,
 ``orders``, ``series``, ``trends``), so ``ingest`` and ``trend`` never load
-scipy. ``simulate`` imports ``arima``; ``forecast`` and ``evaluate`` import
-``evaluation`` and exactly the model layers ``--models`` names (``ann`` is
-numpy only, ``gp`` brings scipy.linalg, ``arima`` scipy.optimize too), in
-the parent process, before :func:`_run_pool` pins every loaded BLAS and
-starts its workers.
+scipy. ``simulate`` imports the simulator, which is numpy only too, so it
+loads no scipy either; ``forecast`` and ``evaluate`` import ``evaluation``
+and exactly the model layers ``--models`` names (``ann`` is numpy only,
+``gp`` brings scipy.linalg, ``arima`` scipy.optimize too), in the parent
+process, before :func:`_run_pool` pins every loaded BLAS and starts its
+workers.
 
 Every flag is parsed and checked once, by argparse: a rejected flag exits 2
 before anything is read or written.
@@ -39,7 +40,7 @@ import os
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -76,6 +77,7 @@ from .series import (
     interpolate_gaps,
     iso_local,
     resample_mean,
+    scaled_where_overflowing,
     split_holdout,
 )
 
@@ -96,33 +98,6 @@ DEFAULT_MIN_COVERAGE = 0.75
 MAX_GAP_HOURLY = 6
 MAX_GAP_DAILY = 3
 DEFAULT_SIM_DAYS = 540
-
-
-@dataclass(frozen=True)
-class SimParams:
-    alpha: float
-    beta: tuple[float, ...]
-    theta: tuple[float, ...]
-    sigma: float
-
-
-#: The roster of the Kigali monitoring network, in `simulate`'s default
-#: order, with each station's ARMA parameterization (stationary means near
-#: 40 µg/m³ so synthetic concentrations stay realistic and positive).
-#: Gitega is the designated pure AR(1) station with unit innovation variance.
-STATION_SIM_PARAMS: dict[str, SimParams] = {
-    "Gitega": SimParams(12.0, (0.7,), (), 1.0),
-    "Rusororo": SimParams(18.0, (0.6,), (0.3,), 4.0),
-    "Gacuriro": SimParams(13.5, (0.5, 0.2), (), 3.0),
-    "Kiyovu": SimParams(44.0, (), (0.5,), 5.0),
-    "Rebero": SimParams(8.0, (0.8,), (), 2.0),
-    "Mount Kigali": SimParams(38.0, (), (), 6.0),
-    "Kimihurura": SimParams(22.0, (0.5,), (), 3.0),
-    "Gikondo Mburabuturo": SimParams(13.0, (0.4, 0.3), (-0.2,), 2.0),
-    "Gikomero": SimParams(15.0, (0.65,), (), 5.0),
-}
-
-_FALLBACK_SIM = SimParams(12.0, (0.7,), (), 3.0)
 
 
 def derive_seed(master: int, *labels: object) -> int:
@@ -469,7 +444,7 @@ def _run_stations(args: argparse.Namespace, worker: Callable) -> list | None:
 # simulate
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .arima import simulate_arma
+    from .simulate import FALLBACK_SIM, STATION_SIM_PARAMS, simulate_arma
 
     out = Path(args.out)
     stations = args.station or list(STATION_SIM_PARAMS)
@@ -478,12 +453,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for field in ("alpha", "beta", "theta", "sigma")
         if getattr(args, field) is not None
     }
-    override = replace(_FALLBACK_SIM, **given) if given else None
+    override = replace(FALLBACK_SIM, **given) if given else None
     roster = {station_key(name): params for name, params in STATION_SIM_PARAMS.items()}
     rows = []
     try:
         for name in stations:
-            params = override or roster.get(station_key(name), _FALLBACK_SIM)
+            params = override or roster.get(station_key(name), FALLBACK_SIM)
             series = simulate_arma(
                 params.alpha,
                 params.beta,
@@ -611,7 +586,9 @@ def _trend_station(args: argparse.Namespace, station: str) -> dict:
     if hourly is not None:
         profile = trends.hour_of_day_profile(hourly)
         tables.append(("hour_profile", trends.profile_rows("hour", range(24), profile)))
-        result["median_hourly"] = float(np.median(hourly.values))
+        result["median_hourly"] = scaled_where_overflowing(
+            lambda v: float(np.median(v)), hourly.values
+        )
     if daily is not None:
         weekday = trends.day_of_week_profile(daily)
         grid = trends.calendar_daily_means(daily)

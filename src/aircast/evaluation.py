@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, ClassVar, Mapping, Sequence
+from typing import TYPE_CHECKING, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +37,9 @@ from .errors import (
     LengthMismatchError,
     TooShortError,
 )
-from .series import SplitSpec, TimeSeries, append_observation, split_holdout
+from .series import (
+    SplitSpec, TimeSeries, append_observation, scaled_where_overflowing, split_holdout,
+)
 
 if TYPE_CHECKING:  # the adapters import their scipy layers when they run
     from . import arima, gp
@@ -56,27 +58,16 @@ def _check_pair(actual: Sequence[float], predicted: Sequence[float]) -> tuple[np
     return a, p
 
 
-def _scaled_where_overflowing(metric: Callable[[np.ndarray], float], errors: np.ndarray) -> float:
-    """``metric(errors)``; where that overflows, the errors are first scaled by
-    their largest magnitude, so finite errors give a finite metric."""
-    with np.errstate(over="ignore"):
-        value = metric(errors)
-    if np.isinf(value) and np.all(np.isfinite(errors)):
-        scale = float(np.max(np.abs(errors)))
-        value = scale * metric(errors / scale)
-    return value
-
-
 def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Root mean squared error over equal-length sequences, finite for finite errors."""
     a, p = _check_pair(actual, predicted)
-    return _scaled_where_overflowing(lambda e: float(np.sqrt(np.mean(e**2))), a - p)
+    return scaled_where_overflowing(lambda e: float(np.sqrt(np.mean(e**2))), a - p)
 
 
 def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Mean absolute error over equal-length sequences, finite for finite errors."""
     a, p = _check_pair(actual, predicted)
-    return _scaled_where_overflowing(lambda e: float(np.mean(np.abs(e))), a - p)
+    return scaled_where_overflowing(lambda e: float(np.mean(np.abs(e))), a - p)
 
 
 @cache

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -164,6 +164,18 @@ def group_means(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
     if not np.all(np.isfinite(sums)):
         raise NonFiniteMeanError("mean is not finite (a sum of readings overflows)")
     return uniq, sums / counts, counts
+
+
+def scaled_where_overflowing(statistic: Callable[[np.ndarray], float], values: np.ndarray) -> float:
+    """``statistic(values)``; where that overflows, the values are first scaled by
+    their largest magnitude, so finite values give a finite mean, median, RMS or
+    mean magnitude. A statistic that does not overflow is returned as computed."""
+    with np.errstate(over="ignore"):
+        value = statistic(values)
+    if np.isinf(value) and np.all(np.isfinite(values)):
+        scale = float(np.max(np.abs(values)))
+        value = scale * statistic(values / scale)
+    return value
 
 
 def resample_mean(

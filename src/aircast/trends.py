@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, EmptySeriesError, GranularityError
-from .series import UTC_OFFSET_SECONDS, Granularity, TimeSeries
+from .series import UTC_OFFSET_SECONDS, Granularity, TimeSeries, scaled_where_overflowing
 
 #: WHO-recommended 24-hour mean PM2.5 guideline, µg/m³.
 WHO_DAILY_GUIDELINE = 15.0
@@ -171,7 +171,8 @@ def seasonal_means(series: TimeSeries) -> dict[Season, tuple[float, int]]:
     _require(series, Granularity.DAILY, "seasonal_means")
     groups = _groups(_seasons(_local_days(series.at)), series.values, len(_SEASONS))
     return {
-        season: (float(np.mean(g)), g.size) for season, g in zip(_SEASONS, groups) if g.size
+        season: (scaled_where_overflowing(lambda v: float(np.mean(v)), g), g.size)
+        for season, g in zip(_SEASONS, groups) if g.size
     }
 
 

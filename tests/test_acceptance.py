@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from aircast import ann, arima, gp, trends
+from aircast import ann, arima, gp, simulate, trends
 from aircast.cli import main
 from aircast.evaluation import mae, rmse
 from aircast.series import Granularity, TimeSeries, difference, inverse_difference
@@ -30,7 +30,7 @@ def test_criterion_1_arima_parameter_recovery():
     start = time.monotonic()
     errors = []
     for seed in range(20):
-        series = arima.simulate_arma(0.0, [0.7], [], 1.0, 2000, seed=seed)
+        series = simulate.simulate_arma(0.0, [0.7], [], 1.0, 2000, seed=seed)
         model = arima.fit_arima(series, arima.ArimaOrder(1, 0, 0))
         errors.append(abs(model.beta[0] - 0.7))
     elapsed = time.monotonic() - start
@@ -44,7 +44,7 @@ def test_criterion_1_arima_parameter_recovery():
 def test_criterion_2_ma_moments_monte_carlo():
     start = time.monotonic()
     _, variance = arima.ma_unconditional_moments(0.0, [0.5], 1.0)
-    draws = arima.simulate_arma(0.0, [], [0.5], 1.0, 100_000, seed=2024)
+    draws = simulate.simulate_arma(0.0, [], [0.5], 1.0, 100_000, seed=2024)
     sample = float(np.var(draws.values))
     elapsed = time.monotonic() - start
     assert abs(sample - variance) / variance < 0.05
@@ -174,7 +174,7 @@ def test_criterion_7_round_trips():
         scale = np.maximum(np.abs(series.values[d:]), 1.0)
         assert np.max(np.abs(restored.values - series.values[d:]) / scale) < 1e-9
 
-    sim = arima.simulate_arma(1.0, [0.5], [0.2], 1.0, 300, seed=7)
+    sim = simulate.simulate_arma(1.0, [0.5], [0.2], 1.0, 300, seed=7)
     arima_model = arima.fit_arima(sim, arima.ArimaOrder(1, 0, 1))
     payload = json.dumps(arima_model.to_dict(), indent=2)
     assert json.dumps(arima.ArimaModel.from_dict(json.loads(payload)).to_dict(), indent=2) == payload
@@ -218,7 +218,7 @@ def test_criterion_8_end_to_end_protocol(tmp_path):
 
 
 def test_criterion_9_no_leakage_mutation():
-    series = arima.simulate_arma(12.0, [0.7], [], 1.0, 60, seed=9)
+    series = simulate.simulate_arma(12.0, [0.7], [], 1.0, 60, seed=9)
     from aircast.evaluation import ArimaAdapter, rolling_one_step
     from aircast.series import SplitSpec, split_holdout
 

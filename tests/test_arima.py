@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from aircast import arima
+from aircast import arima, simulate
 from aircast.arima import (
     ArimaModel,
     ArimaOrder,
@@ -22,7 +22,6 @@ from aircast.arima import (
     ma_is_invertible,
     ma_unconditional_moments,
     select_order,
-    simulate_arma,
 )
 from scipy.signal import lfilter
 
@@ -33,6 +32,7 @@ from aircast.errors import (
     TooShortError,
 )
 from aircast.series import Granularity, TimeSeries, difference_values
+from aircast.simulate import simulate_arma
 
 from conftest import daily_series
 
@@ -312,9 +312,9 @@ class TestSimulate:
 
 def lfilter_simulation(alpha, beta, theta, sigma, n, seed):
     """Oracle: simulate_arma's draws passed through scipy.signal.lfilter."""
-    w = sigma * np.random.default_rng(seed).standard_normal(arima._BURN_IN + n)
+    w = sigma * np.random.default_rng(seed).standard_normal(simulate._BURN_IN + n)
     x = alpha + lfilter([1.0, *theta], [1.0], w)
-    return lfilter([1.0], [1.0, *(-b for b in beta)], x)[arima._BURN_IN :]
+    return lfilter([1.0], [1.0, *(-b for b in beta)], x)[simulate._BURN_IN :]
 
 
 class TestSimulateIsLfilter:
@@ -322,7 +322,7 @@ class TestSimulateIsLfilter:
     the series it gave when it called lfilter."""
 
     def test_roster(self):
-        from aircast.cli import STATION_SIM_PARAMS
+        from aircast.simulate import STATION_SIM_PARAMS
 
         for seed, sim in enumerate(STATION_SIM_PARAMS.values()):
             params = (sim.alpha, sim.beta, sim.theta, sim.sigma, 540, seed)
@@ -797,7 +797,7 @@ class TestSelectOrder:
         """The float root rules round differently from numpy's only near a
         threshold; on roster data, Nelder-Mead fallbacks included, every
         selected order and fit is the one the numpy rules give."""
-        from aircast.cli import STATION_SIM_PARAMS
+        from aircast.simulate import STATION_SIM_PARAMS
 
         sim = STATION_SIM_PARAMS[station]
         series = simulate_arma(sim.alpha, sim.beta, sim.theta, sim.sigma, 432, seed=432)

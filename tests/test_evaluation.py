@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aircast import ann, arima, evaluation, gp
+from aircast import ann, arima, evaluation, gp, simulate
 from aircast.errors import (
     AircastError,
     DimensionError,
@@ -185,7 +185,7 @@ class TestRollingOneStep:
         assert rmse(actuals, predictions) == 0.0
 
     def test_ar1_one_step_error_near_sigma(self):
-        series = arima.simulate_arma(0.0, [0.7], [], 1.0, 2200, seed=21)
+        series = simulate.simulate_arma(0.0, [0.7], [], 1.0, 2200, seed=21)
         train, test = split_holdout(series, SplitSpec(count=200))
         adapter = ArimaAdapter(order=arima.ArimaOrder(1, 0, 0))
         adapter.fit(train)
@@ -241,7 +241,7 @@ class TestCompareModels:
         assert ev.rmse == 0.0 and ev.mae == 0.0
 
     def test_three_models_on_ar1(self):
-        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 140, seed=22)
+        series = simulate.simulate_arma(12.0, [0.7], [], 1.0, 140, seed=22)
         adapters = [
             ArimaAdapter(order=arima.ArimaOrder(1, 0, 0)),
             AnnAdapter(config=ann.TrainConfig(seed=1, epochs=50)),
@@ -268,7 +268,7 @@ class TestCompareModels:
         assert "naive" in report.models
 
     def test_deterministic_given_seeds(self):
-        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 120, seed=23)
+        series = simulate.simulate_arma(12.0, [0.7], [], 1.0, 120, seed=23)
 
         def run():
             adapters = [
@@ -308,7 +308,7 @@ def fit_gp_calls(monkeypatch):
 
 class TestGpAdapter:
     def test_rolling_matches_per_step_refit(self):
-        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 160, seed=24)
+        series = simulate.simulate_arma(12.0, [0.7], [], 1.0, 160, seed=24)
         train, test = split_holdout(series, SplitSpec(fraction=0.25))
         adapter = GpAdapter()
         adapter.fit(train)
@@ -323,7 +323,7 @@ class TestGpAdapter:
         np.testing.assert_allclose(predictions, expected, rtol=1e-12)
 
     def test_prediction_after_a_gap_is_at_the_held_out_instant(self):
-        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 80, seed=30)
+        series = simulate.simulate_arma(12.0, [0.7], [], 1.0, 80, seed=30)
         kept = np.r_[0:66, 72:80]  # six days missing from the holdout
         gapped = TimeSeries(series.granularity, series.at[kept], series.values[kept])
         train, test = split_holdout(gapped, SplitSpec(count=14))
@@ -343,7 +343,7 @@ class TestGpAdapter:
         assert predictions[after] == pytest.approx(expected, rel=1e-12)
 
     def test_non_extending_history_refits(self, fit_gp_calls):
-        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 60, seed=25)
+        series = simulate.simulate_arma(12.0, [0.7], [], 1.0, 60, seed=25)
         adapter = GpAdapter()
         adapter.fit(series)
         trained = adapter.model
@@ -362,7 +362,7 @@ class TestGpAdapter:
 
     def test_revised_values_need_no_refit(self, fit_gp_calls):
         # the factor depends on the instants only; every value is re-solved
-        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 60, seed=26)
+        series = simulate.simulate_arma(12.0, [0.7], [], 1.0, 60, seed=26)
         adapter = GpAdapter()
         adapter.fit(series)
         trained = adapter.model
@@ -376,7 +376,7 @@ class TestGpAdapter:
         )
 
     def test_cap_error_at_the_step_that_crosses_it(self):
-        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 2010, seed=27)
+        series = simulate.simulate_arma(12.0, [0.7], [], 1.0, 2010, seed=27)
         train, test = split_holdout(series, SplitSpec(count=10))
         assert len(train) == 2000
         adapter = GpAdapter()
@@ -386,7 +386,7 @@ class TestGpAdapter:
         assert isinstance(info.value.__cause__, TooLongError)
 
     def test_cap_recorded_per_model(self):
-        series = arima.simulate_arma(12.0, [0.7], [], 1.0, 2600, seed=28)
+        series = simulate.simulate_arma(12.0, [0.7], [], 1.0, 2600, seed=28)
         adapters = [ArimaAdapter(order=arima.ArimaOrder(1, 0, 0)), GpAdapter()]
         report = compare_models(series, SplitSpec(fraction=0.2), adapters, station="S")
         assert set(report.models) == {"arima"}
@@ -402,7 +402,7 @@ LOADABLE = {
 
 @pytest.fixture(scope="module")
 def ar1_split():
-    series = arima.simulate_arma(12.0, [0.7], [], 1.0, 120, seed=29)
+    series = simulate.simulate_arma(12.0, [0.7], [], 1.0, 120, seed=29)
     return split_holdout(series, SplitSpec(fraction=0.2))
 
 

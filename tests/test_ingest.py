@@ -56,7 +56,7 @@ class TestStation:
             station_key("  ")
 
     def test_roster(self):
-        from aircast.cli import STATION_SIM_PARAMS
+        from aircast.simulate import STATION_SIM_PARAMS
 
         names = set(STATION_SIM_PARAMS)
         assert len(STATION_SIM_PARAMS) == 9

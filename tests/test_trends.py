@@ -275,6 +275,11 @@ class TestSeasons:
         with pytest.raises(EmptySeriesError):
             seasonal_means(TimeSeries(Granularity.DAILY, np.array([], dtype=np.int64), np.array([])))
 
+    def test_finite_days_whose_sum_overflows_have_a_finite_mean(self):
+        (mean, count), = seasonal_means(daily_series([1.7e308, 1.7e308, 1.0, 2.0])).values()
+        assert count == 4
+        assert mean == pytest.approx(8.5e307, rel=1e-12)
+
 
 class TestWhoExceedance:
     def test_strict_inequality_boundary(self):
