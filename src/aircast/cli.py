@@ -61,12 +61,14 @@ from .ingest import (
     Pollutant,
     build_station_series,
     first_spellings,
+    join_readings,
     numbered_rows,
     parse_pollutant,
     parse_readings_path,
     parse_timestamp,
     parse_timestamps,
     station_key,
+    value_faults,
 )
 from .orders import ArimaOrder
 from .series import (
@@ -147,9 +149,10 @@ def write_series_csv(path: Path, series: TimeSeries) -> None:
 def load_series_csv(path: Path, granularity: Granularity) -> TimeSeries | None:
     """Read a series file written by the ingest stage; None if absent/empty.
 
-    The file is read once, by ingest's row rule (``numbered_rows``) and its
-    timestamp rule (ISO-8601 with an explicit offset). The first row that
-    does not read, or rows that do not form a series, raise SchemaError.
+    The file is read once, by ingest's row rule (``numbered_rows``), its
+    timestamp rule (ISO-8601 with an explicit offset) and its value rule
+    (finite and non-negative). The first row that does not read, or rows that
+    do not form a series, raise SchemaError.
     """
     if not path.exists():
         return None
@@ -175,7 +178,8 @@ def load_series_csv(path: Path, granularity: Granularity) -> TimeSeries | None:
         values = np.fromiter(map(float, texts), np.float64, len(texts))
     except ValueError:
         values = None
-    if unread or values is None or not stamp_ok.all():
+    if (unread or values is None or not stamp_ok.all()
+            or any(refused.any() for refused in value_faults(values).values())):
         rows = chain(zip(lines, zip(stamps, texts)), unread)
         line, error = next((n, e) for n, row in rows if (e := _row_error(row)))
         raise SchemaError(f"{path}, line {line}: {error}")
@@ -192,12 +196,13 @@ def _row_error(row: Sequence[str]) -> str | None:
     if not row:
         return "malformed csv"
     try:
-        stamp, value = row
+        stamp, text = row
         parse_timestamp(stamp)
-        float(value)
+        value = float(text)
     except (ValueError, OverflowError, OSError) as exc:
         return str(exc)
-    return None
+    faults = value_faults(np.array([value])).items()
+    return next((reason for reason, refused in faults if refused[0]), None)
 
 
 def series_path(out: Path, station: str, granularity: Granularity) -> Path:
@@ -510,8 +515,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     rows_read = sum(report.rows_read for _, report in reports)
     rows_accepted = sum(report.rows_accepted for _, report in reports)
-    # the first file's spelling wins
-    stations_seen = first_spellings(n for _, r in reports for n in r.stations_seen.values())
+    # the files' tables are dropped once joined
+    readings, stations_seen = join_readings(tables, [report for _, report in reports])
+    del tables
     write_json(out / "ingest_report.json", {
         "files": {str(path): report.to_dict() for path, report in reports},
         "rows_read": rows_read,
@@ -523,16 +529,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print("ingest: no rows accepted", file=sys.stderr)
         return EXIT_EMPTY
 
-    # one file's table as it is; several joined once, and their own tables dropped
-    readings = tables[0] if len(tables) == 1 else np.concatenate(tables).view(np.recarray)
-    del tables
     gaps = {Granularity.HOURLY: MAX_GAP_HOURLY, Granularity.DAILY: MAX_GAP_DAILY}
     written = 0
     for station in args.station or sorted(stations_seen.values()):
         for granularity in gaps:  # series/ keeps only what this run writes for the station
             series_path(out, station, granularity).unlink(missing_ok=True)
         try:
-            raw = build_station_series(readings, station, args.pollutant)
+            raw = build_station_series(readings, stations_seen, station, args.pollutant)
         except EmptySeriesError:
             print(f"ingest: no data for station {station!r}", file=sys.stderr)
             continue

@@ -56,11 +56,13 @@ def first_spellings(names: Iterable[str]) -> dict[str, str]:
     return spellings
 
 
-#: One accepted row of :func:`parse_readings`'s table. ``station`` is the name's
-#: :func:`station_key`, so one comparison selects every spelling of a station;
-#: ``pollutant`` is a :class:`Pollutant`.
+#: One accepted row of :func:`parse_readings`'s table, packed into 21 bytes
+#: with no object field. ``station`` is the position of the name's
+#: :func:`station_key` in the report's ``stations_seen`` (the order of first
+#: acceptance), so one integer comparison selects every spelling of a station;
+#: ``pollutant`` is the position of its :class:`Pollutant` in ``list(Pollutant)``.
 READING_DTYPE = np.dtype(
-    [("station", object), ("at", np.int64), ("pollutant", object), ("value", np.float64)]
+    [("at", np.int64), ("value", np.float64), ("station", np.int32), ("pollutant", np.uint8)]
 )
 
 
@@ -196,7 +198,12 @@ REJECT_REASONS = (
     "negative value",
 )
 
-_POLLUTANTS = np.array(list(Pollutant), dtype=object)
+
+def value_faults(values: np.ndarray) -> dict[str, np.ndarray]:
+    """The value rule on parsed values: each reason it refuses a value for,
+    with the mask of the values that reason holds for, in the order the
+    checks apply."""
+    return {"non-finite value": ~np.isfinite(values), "negative value": values < 0}
 
 
 def numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
@@ -285,7 +292,8 @@ def _parse_rows(reader, mapping: ColumnMapping) -> tuple[np.recarray, IngestRepo
     # outlives a resize, and each chunk writes through fresh slices.
     readings = np.zeros(0, dtype=READING_DTYPE)
     filled = 0
-    keys: dict[str, str] = {}  # station name -> its key, in order of first acceptance
+    codes: dict[str, int] = {}  # station name -> its key's code, in order of first acceptance
+    key_codes: dict[str, int] = {}  # station key -> its code, its position in stations_seen
     pollutants: dict[str, int] = {}  # pollutant text -> _pollutant_index(text)
     report = IngestReport()
     for lines, rows in _row_chunks(reader):
@@ -310,8 +318,7 @@ def _parse_rows(reader, mapping: ColumnMapping) -> tuple[np.recarray, IngestRepo
             ~stamp_ok,
             pollutant < 0,
             np.array([v is None for v in floats]),
-            ~np.isfinite(values),
-            values < 0,
+            *value_faults(values).values(),
         ]
         reason = np.select(failed, np.arange(1, len(failed) + 1))  # 0: accepted
         report.rows_read += len(rows)
@@ -321,19 +328,21 @@ def _parse_rows(reader, mapping: ColumnMapping) -> tuple[np.recarray, IngestRepo
         accepted = reason == 0
         names = stations[accepted].tolist()
         for name in dict.fromkeys(names):
-            if name not in keys:  # one key string per spelling, shared by its rows
-                keys[name] = station_key(name)
+            if name not in codes:  # one station_key call per spelling
+                codes[name] = key_codes.setdefault(station_key(name), len(key_codes))
         end = filled + len(names)
         if end > len(readings):
             readings.resize(max(end, int(1.5 * len(readings))), refcheck=False)
-        readings["station"][filled:end] = list(map(keys.__getitem__, names))
         readings["at"][filled:end] = at[accepted]
-        readings["pollutant"][filled:end] = _POLLUTANTS[pollutant[accepted]]
         readings["value"][filled:end] = values[accepted]
+        readings["station"][filled:end] = np.fromiter(
+            map(codes.__getitem__, names), np.int32, len(names)
+        )
+        readings["pollutant"][filled:end] = pollutant[accepted]
         filled = end
     readings.resize(filled, refcheck=False)
     report.rows_accepted = filled
-    report.stations_seen = first_spellings(keys)
+    report.stations_seen = first_spellings(codes)
     return readings.view(np.recarray), report
 
 
@@ -347,13 +356,40 @@ def parse_readings_path(
         return parse_readings(handle, mapping)
 
 
+def join_readings(
+    tables: Sequence[np.recarray], reports: Sequence[IngestReport]
+) -> tuple[np.recarray, dict[str, str]]:
+    """Several files' tables joined once, and their merged ``stations_seen``
+    (the first file's spelling wins). Each table's station codes are first
+    mapped, in place, from positions in its own report's ``stations_seen`` to
+    positions in the merged one. One file's table is returned as it is."""
+    seen = first_spellings(name for report in reports for name in report.stations_seen.values())
+    if len(tables) == 1:
+        return tables[0], seen
+    merged = {key: code for code, key in enumerate(seen)}
+    for table, report in zip(tables, reports):
+        lookup = np.array([merged[key] for key in report.stations_seen], np.int32)
+        table["station"] = lookup[table["station"]]
+    return np.concatenate(tables).view(np.recarray), seen
+
+
 def build_station_series(
     readings: np.recarray,
+    keys: Iterable[str],
     station: str,
     pollutant: Pollutant = Pollutant.PM25,
 ) -> TimeSeries:
-    """Per-station raw series: filtered, time-sorted, duplicates mean-collapsed in file order."""
-    mine = (readings.station == station_key(station)) & (readings.pollutant == pollutant)
+    """Per-station raw series: filtered, time-sorted, duplicates mean-collapsed in file order.
+
+    ``keys`` are the table's station keys in code order (a report's
+    ``stations_seen``), so a row is the station's when its ``station`` is the
+    position of ``station_key(station)`` there. Raises EmptySeriesError when
+    no row is the station's and the pollutant's.
+    """
+    keys = list(keys)
+    key = station_key(station)
+    mine = readings.pollutant == list(Pollutant).index(pollutant)
+    mine &= readings.station == (keys.index(key) if key in keys else -1)
     if not mine.any():
         raise EmptySeriesError(f"no {pollutant.value} readings for station {station!r}")
     instants, values, _ = group_means(readings.at[mine], readings.value[mine])

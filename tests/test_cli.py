@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -28,7 +29,7 @@ from aircast.cli import (
 )
 from aircast.errors import SchemaError
 from aircast.evaluation import AnnAdapter, ArimaAdapter, GpAdapter
-from aircast.ingest import READING_DTYPE, station_key
+from aircast.ingest import station_key
 from aircast.series import LOCAL_TZ, Granularity, TimeSeries
 from aircast.trends import Season
 
@@ -176,9 +177,11 @@ class TestIngest:
         _, daily_rows = read_csv(out / "series" / "gitega_daily.csv")
         assert len(daily_rows) == 14
 
-    def test_peak_memory_is_about_one_table(self, tmp_path):
-        # 3 stations x 33,334 quarter-hours; the table is 32 bytes a row, and
-        # ingest peaks at 2.06 tables (3.20 when it held the table twice)
+    def test_peak_memory_per_accepted_row(self, tmp_path):
+        # 3 stations x 33,334 quarter-hours. The table is 21 bytes a row, and
+        # ingest peaks at about 55 bytes per accepted row (66 when the table
+        # held each row's station key and pollutant as objects in 32 bytes,
+        # 102 when it also held the table twice)
         stamps = np.datetime_as_string(
             np.datetime64("2021-01-01T00:00:00") + np.arange(33_334) * np.timedelta64(900, "s")
         ).tolist()
@@ -197,8 +200,8 @@ class TestIngest:
             tracemalloc.stop()
         rows = json.loads((out / "ingest_report.json").read_text())["rows_accepted"]
         assert rows == 3 * len(stamps)
-        tables = peak / (READING_DTYPE.itemsize * rows)
-        assert tables < 2.5, f"ingest peaked at {tables:.2f} tables"
+        per_row = peak / rows
+        assert per_row <= 60, f"ingest peaked at {per_row:.1f} bytes per accepted row"
 
     def test_gzip_input(self, tmp_path):
         src = tmp_path / "readings.csv.gz"
@@ -258,6 +261,31 @@ class TestIngest:
         _, hourly = read_csv(out / "series" / "gitega_hourly.csv")
         # the first file holds 40.0 at 05:00 on June 1st
         assert ["2021-06-01T05:00:00+02:00", "45.0"] in hourly
+
+    def test_two_inputs_in_other_station_orders_write_the_one_file_series(self, tmp_path):
+        # each file numbers its stations in its own order of first acceptance;
+        # the second's codes are mapped into the merged order before the join
+        first = "".join(hourly_rows(s, range(12), level) for s, level in
+                        [("Gitega", 40), ("Kiyovu", 60), ("Rebero", 80)])
+        second = "".join([
+            hourly_rows("Rebero", range(12, 24), 80),
+            "Rebero,2021-06-03T13:00:00+02:00,PM10,999.0\n",
+            hourly_rows("KIYOVU", range(12, 24), 60),
+            hourly_rows("gitega", range(12, 24), 40),
+        ])
+        paths = {}
+        for name, text in [("a", first), ("b", second), ("both", first + second)]:
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(self.HEADER + text, encoding="utf-8")
+        two, one = tmp_path / "two", tmp_path / "one"
+        assert main(["ingest", "--out", str(two), "--input", str(paths["a"]),
+                     "--input", str(paths["b"])]) == 0
+        assert main(["ingest", "--out", str(one), "--input", str(paths["both"])]) == 0
+        names = sorted(path.name for path in (one / "series").iterdir())
+        assert len(names) == 6
+        assert sorted(path.name for path in (two / "series").iterdir()) == names
+        for name in names:
+            assert (two / "series" / name).read_bytes() == (one / "series" / name).read_bytes()
 
     def test_station_spellings_that_differ_in_punctuation_are_one_station(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
@@ -945,12 +973,43 @@ class TestSeriesFile:
             '2021-01-01T00:00:00+02:00,1\n2021-01-01T01:00:00+02:00,"' + "1" * 131_073 + '"\nnow,1\n',
             3, "malformed csv", id="oversized-field",
         ),
+        # ingest's value rule: finite and non-negative, the first reason that holds
+        pytest.param("2021-01-01T00:00:00+02:00,1\n2021-01-01T01:00:00+02:00,-1.7e308\n",
+                     3, "negative value", id="negative-value"),
+        pytest.param("2021-01-01T00:00:00+02:00,-0.5\n2021-01-01T01:00:00+02:00,x\n",
+                     2, "negative value", id="negative-before-unparseable"),
+        pytest.param("2021-01-01T00:00:00+02:00,1\n2021-01-01T01:00:00+02:00,inf\n",
+                     3, "non-finite value", id="infinite-value"),
+        pytest.param("2021-01-01T00:00:00+02:00,-inf\n", 2, "non-finite value",
+                     id="negative-infinity"),
+        pytest.param("2021-01-01T00:00:00+02:00,nan\n2021-01-01T01:00:00+02:00,-1\n",
+                     2, "non-finite value", id="nan-before-negative"),
     ])
     def test_first_bad_row_names_the_error(self, tmp_path, body, line, reason):
         path = tmp_path / "s.csv"
         path.write_text("timestamp,value\n" + body, encoding="utf-8")
         with pytest.raises(SchemaError, match=f"line {line}: .*{reason}"):
             load_series_csv(path, Granularity.HOURLY)
+
+    def test_negative_zero_reads(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,value\n2021-01-01T00:00:00+02:00,-0.0\n", encoding="utf-8")
+        assert load_series_csv(path, Granularity.HOURLY).values.tolist() == [0.0]
+
+    def test_trend_refuses_a_negative_hourly_value(self, tmp_path, capsys):
+        """A hand-written hourly file whose finite values span the float range
+        fails its station by the value rule, where trend once overflowed to an
+        infinite median and spread."""
+        at = BASE_EPOCH + 86_400 * np.arange(4, dtype=np.int64)
+        values = np.array([-1.7e308, -1.6e308, 1.6e308, 1.7e308])
+        path = tmp_path / "series" / "gitega_hourly.csv"
+        write_series_csv(path, TimeSeries(Granularity.HOURLY, at, values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["trend", "--out", str(tmp_path), "--station", "Gitega", "--workers", "1"])
+        assert code == 3
+        assert f"trend: Gitega: {path}, line 2: negative value" in capsys.readouterr().err
+        assert not (tmp_path / "trend" / "gitega_hour_profile.csv").exists()
 
     def test_blank_file_is_absent(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -127,7 +127,7 @@ class TestParseReadings:
             "Gitega,2021-06-01T09:00:00+02:00,pm10,5.0\n"
         )
         readings, _ = parse_text(text)
-        assert [r.pollutant for r in readings] == [Pollutant.PM25, Pollutant.PM10]
+        assert [list(Pollutant)[r.pollutant] for r in readings] == [Pollutant.PM25, Pollutant.PM10]
 
     def test_column_mapping(self):
         text = "site,when,species,conc\nGitega,2021-06-01T08:00:00+02:00,PM25,9.5\n"
@@ -321,6 +321,7 @@ def oracle_parse(stream, mapping=None):
 
     rows = []
     keys = {}
+    spellings = {}
     report = IngestReport()
     while True:
         try:
@@ -366,9 +367,10 @@ def oracle_parse(stream, mapping=None):
         key = keys.get(station_name)
         if key is None:
             key = keys[station_name] = station_key(station_name)
+        spellings.setdefault(key, station_name)
         rows.append((key, at, pollutant, value))
     report.rows_accepted = len(rows)
-    report.stations_seen = {key: name for name, key in reversed(keys.items())}
+    report.stations_seen = spellings
     return rows, report
 
 
@@ -401,16 +403,24 @@ BAD_LINES = [
 ]
 
 
+def test_reading_table_is_21_bytes_with_no_object_field():
+    assert READING_DTYPE.itemsize == 21
+    assert not READING_DTYPE.hasobject
+
+
 def assert_same_parse(data: bytes) -> None:
     readings, report = parse_readings(io.BytesIO(data))
     rows, expected = oracle_parse(io.BytesIO(data))
     assert report.to_dict() == expected.to_dict()
     assert report.rejects == expected.rejects
-    assert report.stations_seen == expected.stations_seen
+    # in order too: a row's station code is its key's position there
+    assert list(report.stations_seen.items()) == list(expected.stations_seen.items())
     assert readings.dtype == READING_DTYPE
-    assert readings.station.tolist() == [row[0] for row in rows]
+    keys = list(report.stations_seen)
+    assert [keys[code] for code in readings.station.tolist()] == [row[0] for row in rows]
     assert readings.at.tolist() == [row[1] for row in rows]
-    assert readings.pollutant.tolist() == [row[2] for row in rows]
+    pollutants = list(Pollutant)
+    assert [pollutants[code] for code in readings.pollutant.tolist()] == [row[2] for row in rows]
     assert readings.value.tobytes() == np.array([row[3] for row in rows], dtype=float).tobytes()
 
 
@@ -458,30 +468,33 @@ class TestGzipInput:
 
 def reading_table(rows):
     """A PM2.5 reading table, as parse_readings returns, from (station, at,
-    value) rows."""
-    return np.array(
-        [(station_key(station), at, Pollutant.PM25, value) for station, at, value in rows],
-        dtype=READING_DTYPE,
-    ).view(np.recarray)
+    value) rows, and its station keys in code order (its stations_seen's)."""
+    rows = [(station_key(station), at, value) for station, at, value in rows]
+    keys = list(dict.fromkeys(key for key, _, _ in rows))
+    pm25 = list(Pollutant).index(Pollutant.PM25)
+    table = np.array(
+        [(at, value, keys.index(key), pm25) for key, at, value in rows], dtype=READING_DTYPE
+    )
+    return table.view(np.recarray), keys
 
 
 class TestBuildStationSeries:
     def test_filters_and_sorts(self):
-        readings = reading_table([
+        readings, keys = reading_table([
             ("Rebero", 200, 2.0),
             ("Gitega", 300, 3.0),
             ("Gitega", 100, 1.0),
         ])
-        series = build_station_series(readings, "gitega")
+        series = build_station_series(readings, keys, "gitega")
         np.testing.assert_array_equal(series.at, [100, 300])
         np.testing.assert_array_equal(series.values, [1.0, 3.0])
 
     def test_duplicate_instants_mean_collapsed(self):
-        readings = reading_table([
+        readings, keys = reading_table([
             ("Gitega", 100, 10.0),
             ("Gitega", 100, 20.0),
         ])
-        series = build_station_series(readings, "Gitega")
+        series = build_station_series(readings, keys, "Gitega")
         assert len(series) == 1
         assert series.values[0] == 15.0
 
@@ -494,14 +507,17 @@ class TestBuildStationSeries:
         values = rng.uniform(0.0, 500.0, at.size) * 10.0 ** rng.integers(-3, 4, at.size)
         order = rng.permutation(at.size)
         at, values = at[order], values[order]
-        series = build_station_series(
-            reading_table(("Gitega", int(t), float(v)) for t, v in zip(at, values)),
-            "Gitega",
-        )
+        readings, keys = reading_table(("Gitega", int(t), float(v)) for t, v in zip(at, values))
+        series = build_station_series(readings, keys, "Gitega")
         expected = [np.mean(values[at == t]) for t in series.at]
         assert series.values.tobytes() == np.array(expected).tobytes()
 
     def test_empty_selection(self):
-        readings = reading_table([("Gitega", 100, 1.0)])
+        readings, keys = reading_table([("Gitega", 100, 1.0)])
         with pytest.raises(EmptySeriesError):
-            build_station_series(readings, "Gitega", Pollutant.SO2)
+            build_station_series(readings, keys, "Gitega", Pollutant.SO2)
+
+    def test_unknown_station(self):
+        readings, keys = reading_table([("Gitega", 100, 1.0)])
+        with pytest.raises(EmptySeriesError):
+            build_station_series(readings, keys, "Rebero")
