@@ -4,8 +4,8 @@ The network maps the last ``window`` values of a series to the next value.
 It has one hidden layer: ``window`` inputs, ``hidden`` units with a chosen
 activation, and one linear output, so regression targets stay unbounded.
 Inputs and targets are standardized by the training-set mean/std (stored on
-the model). Backpropagation computes the exact gradient of mean squared error
-plus an L2 weight penalty.
+the model). Backpropagation computes the exact gradient of the mean squared
+error.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     seed: int = 0
-    l2: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate <= 1.0:
@@ -62,8 +61,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -161,15 +158,11 @@ def _loss(
     act: Activation,
     x: np.ndarray,
     t: np.ndarray,
-    l2: float,
 ) -> float:
-    """MSE + l2 * sum(weights^2) on scaled data.
-
-    ``x`` is (features x batch), ``t`` is (batch,). The penalty covers weight
-    matrices only, never biases.
-    """
+    """Mean squared error on scaled data; ``x`` is (features x batch), ``t``
+    is (batch,)."""
     residual = _forward_pass(weights, biases, act, x)[1][0] - t
-    return float(np.mean(residual**2)) + l2 * float(sum(np.sum(w**2) for w in weights))
+    return float(np.mean(residual**2))
 
 
 def _grads(
@@ -178,17 +171,16 @@ def _grads(
     act: Activation,
     x: np.ndarray,
     t: np.ndarray,
-    l2: float,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The exact gradient of :func:`_loss` w.r.t. weights and biases."""
     hidden, outputs = _forward_pass(weights, biases, act, x)
     delta = (2.0 * (outputs[0] - t) / t.size)[None, :]
-    d_w_out = delta @ hidden.T + 2.0 * l2 * weights[1]
+    d_w_out = delta @ hidden.T
     d_b_out = delta.sum(axis=1)
     delta = weights[1].T @ delta
     if act is Activation.TANH:  # tanh' written in terms of tanh's output
         delta *= 1.0 - hidden**2
-    return [delta @ x.T + 2.0 * l2 * weights[0], d_w_out], [delta.sum(axis=1), d_b_out]
+    return [delta @ x.T, d_w_out], [delta.sum(axis=1), d_b_out]
 
 
 def _scale_batch(
@@ -205,20 +197,18 @@ def _scale_batch(
     return (x - s.shift) / s.scale, (t - s.shift) / s.scale
 
 
-def batch_loss(
-    net: MlpForecaster, batch: Sequence[tuple[np.ndarray, float]], l2: float = 0.0
-) -> float:
+def batch_loss(net: MlpForecaster, batch: Sequence[tuple[np.ndarray, float]]) -> float:
     """Training objective on a batch (standardized space)."""
     x, t = _scale_batch(net, batch)
-    return _loss(net.weights, net.biases, net.hidden_activation, x, t, l2)
+    return _loss(net.weights, net.biases, net.hidden_activation, x, t)
 
 
 def gradient(
-    net: MlpForecaster, batch: Sequence[tuple[np.ndarray, float]], l2: float = 0.0
+    net: MlpForecaster, batch: Sequence[tuple[np.ndarray, float]]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact gradient of :func:`batch_loss` w.r.t. weights and biases."""
     x, t = _scale_batch(net, batch)
-    return _grads(net.weights, net.biases, net.hidden_activation, x, t, l2)
+    return _grads(net.weights, net.biases, net.hidden_activation, x, t)
 
 
 def forward(net: MlpForecaster, inputs: Sequence[float]) -> float:
@@ -270,7 +260,7 @@ def train(
     biases = (np.zeros(hidden), np.zeros(1))
     (w_hid, w_out), (b_hid, b_out) = weights, biases  # updated in place below
 
-    best_loss = _loss(weights, biases, hidden_activation, x_all, t_all, cfg.l2)
+    best_loss = _loss(weights, biases, hidden_activation, x_all, t_all)
     best = (w_hid.copy(), w_out.copy()), (b_hid.copy(), b_out.copy())
 
     for _ in range(cfg.epochs):
@@ -279,13 +269,13 @@ def train(
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 (d_w_hid, d_w_out), (d_b_hid, d_b_out) = _grads(
-                    weights, biases, hidden_activation, x_all[:, idx], t_all[idx], cfg.l2
+                    weights, biases, hidden_activation, x_all[:, idx], t_all[idx]
                 )
                 w_hid -= cfg.learning_rate * d_w_hid
                 b_hid -= cfg.learning_rate * d_b_hid
                 w_out -= cfg.learning_rate * d_w_out
                 b_out -= cfg.learning_rate * d_b_out
-            loss = _loss(weights, biases, hidden_activation, x_all, t_all, cfg.l2)
+            loss = _loss(weights, biases, hidden_activation, x_all, t_all)
         if not np.isfinite(loss):
             raise DivergenceError("training loss became non-finite")
         if loss < best_loss:

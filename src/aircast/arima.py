@@ -81,19 +81,20 @@ def _abs_sum(values: Sequence[float]) -> float:
     return total
 
 
-def _ma_strictly_noninvertible(theta: Sequence[float], tol: float = 1e-9) -> bool:
+_UNIT_CIRCLE_TOL = 1e-9
+_REDUNDANCY_TOL = 0.2
+
+
+def _ma_strictly_noninvertible(theta: Sequence[float]) -> bool:
     """True when an MA root lies strictly inside the unit circle.
 
-    Roots on (or within ``tol`` of) the circle are tolerated: those are
-    legitimate boundary optima (e.g. over-differenced data) and stay flagged
-    through ``ma_invertible`` instead of being pushed away.
+    Roots on (or within ``_UNIT_CIRCLE_TOL`` of) the circle are tolerated:
+    those are legitimate boundary optima (e.g. over-differenced data) and stay
+    flagged through ``ma_invertible`` instead of being pushed away.
     """
     if _abs_sum(theta) < 1.0:  # sufficient for all roots outside
         return False
-    return _min_root_modulus([1.0, *theta]) < 1.0 - tol
-
-
-_REDUNDANCY_TOL = 0.2
+    return _min_root_modulus([1.0, *theta]) < 1.0 - _UNIT_CIRCLE_TOL
 
 
 def _arma_redundant(beta: Sequence[float], theta: Sequence[float]) -> bool:

@@ -702,7 +702,7 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
         row.extend(float(column[k]) for column in columns.values())
         rows.append(row)
     forecast_path = out / "forecast" / f"{station_key(station)}_forecast"
-    result["file"] = str(write_table(forecast_path, header, rows, args.format))
+    write_table(forecast_path, header, rows, args.format)
     result["models"] = {name: len(track) for name, track in tracks.items()}
     return result
 

@@ -35,6 +35,7 @@ from .errors import (
     EmptyInputError,
     EvaluationError,
     LengthMismatchError,
+    NoValidFitError,
     TooShortError,
 )
 from .series import (
@@ -230,7 +231,11 @@ class GpAdapter(Forecaster):
         from . import gp
 
         x = gp.day_indices(train.at, train.at[0])
-        self.model = self._fitted = gp.fit_gp(x, train.values, params, noise_variance)
+        fitted = gp.fit_gp(x, train.values, params, noise_variance)
+        # the evidence is written to the model file, which holds strict JSON
+        if not np.isfinite(gp.log_marginal_likelihood(fitted)):
+            raise NoValidFitError("the GP fit's log marginal likelihood is not finite")
+        self.model = self._fitted = fitted
 
     def _extend(self, history: TimeSeries, at: Sequence[int]) -> tuple[gp.GpModel, np.ndarray]:
         """The fit conditioned on ``history``, and the day indices of ``at``, both

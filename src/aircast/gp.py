@@ -219,10 +219,13 @@ def posterior(
 
 
 def log_marginal_likelihood(model: GpModel) -> float:
-    """Gaussian evidence of the centred targets under the factorized matrix."""
-    centred = model._centred()
+    """Gaussian evidence of the centred targets under the factorized matrix;
+    -inf, without a warning, where their sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        centred = model._centred()
+        quad = float(centred @ centred)
     logdet_half = float(np.sum(np.log(np.diag(model.chol_lower))))
-    return -0.5 * float(centred @ centred) - logdet_half - 0.5 * len(model) * np.log(2.0 * np.pi)
+    return -0.5 * quad - logdet_half - 0.5 * len(model) * np.log(2.0 * np.pi)
 
 
 def _lml_surface(

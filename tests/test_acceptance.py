@@ -84,8 +84,8 @@ def test_criterion_4_ann_gradient_check():
         rng = np.random.default_rng(seed)
         net = random_net(rng, window=4, hidden=5, activation_kind=ann.Activation.TANH)
         batch = [(rng.uniform(-2, 2, 4), float(rng.uniform(-2, 2))) for _ in range(6)]
-        analytic = ann.gradient(net, batch, l2=0.01)
-        numeric = numeric_gradient(net, batch, l2=0.01)
+        analytic = ann.gradient(net, batch)
+        numeric = numeric_gradient(net, batch)
         worst = max(
             worst,
             max_relative_error(analytic[0], numeric[0]),

@@ -44,7 +44,7 @@ def random_net(rng, window=4, hidden=5, activation_kind=Activation.TANH):
     return build_net(weights, biases, hidden=activation_kind)
 
 
-def numeric_gradient(net, batch, l2, step=1e-5):
+def numeric_gradient(net, batch, step=1e-5):
     """Central finite differences of batch_loss over every coordinate."""
     d_weights, d_biases = [], []
     for k in range(len(net.weights)):
@@ -56,7 +56,7 @@ def numeric_gradient(net, batch, l2, step=1e-5):
             minus[k][idx] -= step
             net_p = build_net(plus, net.biases, net.hidden_activation, net.scaler)
             net_m = build_net(minus, net.biases, net.hidden_activation, net.scaler)
-            dw[idx] = (batch_loss(net_p, batch, l2) - batch_loss(net_m, batch, l2)) / (2 * step)
+            dw[idx] = (batch_loss(net_p, batch) - batch_loss(net_m, batch)) / (2 * step)
         d_weights.append(dw)
         db = np.zeros_like(net.biases[k])
         for idx in np.ndindex(*net.biases[k].shape):
@@ -66,7 +66,7 @@ def numeric_gradient(net, batch, l2, step=1e-5):
             minus[k][idx] -= step
             net_p = build_net(net.weights, plus, net.hidden_activation, net.scaler)
             net_m = build_net(net.weights, minus, net.hidden_activation, net.scaler)
-            db[idx] = (batch_loss(net_p, batch, l2) - batch_loss(net_m, batch, l2)) / (2 * step)
+            db[idx] = (batch_loss(net_p, batch) - batch_loss(net_m, batch)) / (2 * step)
         d_biases.append(db)
     return d_weights, d_biases
 
@@ -162,7 +162,7 @@ class TestGradient:
     def test_perfect_fit_zero_gradient(self):
         net = build_net([np.zeros((2, 1)), np.zeros((1, 2))], [np.zeros(2), np.zeros(1)])
         batch = [(np.array([3.0]), 0.0), (np.array([-1.0]), 0.0)]
-        d_w, d_b = gradient(net, batch, l2=0.0)
+        d_w, d_b = gradient(net, batch)
         assert all(np.all(g == 0.0) for g in d_w)
         assert all(np.all(g == 0.0) for g in d_b)
 
@@ -171,8 +171,8 @@ class TestGradient:
         rng = np.random.default_rng(seed)
         net = random_net(rng)
         batch = [(rng.uniform(-2, 2, 4), float(rng.uniform(-2, 2))) for _ in range(6)]
-        analytic = gradient(net, batch, l2=0.01)
-        numeric = numeric_gradient(net, batch, l2=0.01)
+        analytic = gradient(net, batch)
+        numeric = numeric_gradient(net, batch)
         assert max_relative_error(analytic[0], numeric[0]) < 1e-4
         assert max_relative_error(analytic[1], numeric[1]) < 1e-4
 
@@ -184,8 +184,8 @@ class TestGradient:
         # targets placed at prediction - r and prediction - 2r
         batch1 = [(x, p - 1.0) for (x, _), p in zip(batch, preds)]
         batch2 = [(x, p - 2.0) for (x, _), p in zip(batch, preds)]
-        _, d_b1 = gradient(net, batch1, l2=0.0)
-        _, d_b2 = gradient(net, batch2, l2=0.0)
+        _, d_b1 = gradient(net, batch1)
+        _, d_b2 = gradient(net, batch2)
         np.testing.assert_allclose(d_b2[-1], 2.0 * d_b1[-1], rtol=1e-9)
 
 
@@ -230,7 +230,7 @@ class TestTrain:
         real_loss = ann._loss
 
         def counting_loss(*args):
-            calls.append(args[-2].size)
+            calls.append(args[-1].size)
             return real_loss(*args)
 
         monkeypatch.setattr(ann, "_loss", counting_loss)
@@ -242,7 +242,7 @@ class TestTrain:
     def test_divergence_detected(self):
         values = np.linspace(0.0, 100.0, 60)
         series = daily_series(values)
-        cfg = TrainConfig(learning_rate=1.0, epochs=300, seed=5, l2=10.0)
+        cfg = TrainConfig(learning_rate=1.0, epochs=300, seed=5)
         with pytest.raises(DivergenceError):
             train(series, 3, 8, Activation.IDENTITY, cfg)
 
@@ -274,8 +274,6 @@ class TestTrain:
             TrainConfig(learning_rate=1.5)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(l2=-0.1)
 
 
 class TestForecastRecursive:

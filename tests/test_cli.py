@@ -1156,6 +1156,39 @@ class TestOverflowingHoldout:
         assert set(stations["Kiyovu"]["models"]) == {"arima", "ann", "gp"}
 
 
+class TestOverflowingEvidence:
+    def test_non_finite_gp_evidence_fails_the_gp_alone(self, tmp_path, capsys):
+        """Sixty readings of 1e300 fit a GP whose centred targets' sum of squares
+        overflows: both stages refuse that fit without a warning, record the
+        GP's failure alone, and every JSON they write is strict."""
+        at = BASE_EPOCH + 86400 * np.arange(60, dtype=np.int64)
+        write_series_csv(tmp_path / "series" / "gitega_daily.csv",
+                         TimeSeries(Granularity.DAILY, at, np.full(60, 1e300)))
+        args = ["--out", str(tmp_path), "--station", "Gitega", "--models", "arima,ann,gp",
+                "--arima-grid", "1,0,1", "--workers", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["forecast", *args]) == 0
+            assert main(["evaluate", *args]) == 0
+        errors = [line for line in capsys.readouterr().err.splitlines() if "Gitega [" in line]
+        assert errors == [
+            f"{stage}: Gitega [gp]: the GP fit's log marginal likelihood is not finite"
+            for stage in ("forecast", "evaluate")
+        ]
+        header, _ = read_csv(tmp_path / "forecast" / "gitega_forecast.csv")
+        assert header == ["date", "actual", "arima", "ann"]
+        report = strict_json(tmp_path / "evaluation" / "evaluation_report.json")
+        (station,) = report["stations"]
+        assert set(station["models"]) == {"arima", "ann"}
+        assert set(station["errors"]) == {"gp"}
+        written = sorted(tmp_path.rglob("*.json"))
+        assert {path.name for path in written} >= {
+            "gitega_arima_model.json", "gitega_ann_model.json", "evaluation_report.json",
+        }
+        for path in written:
+            strict_json(path)
+
+
 SRC = Path(aircast.__file__).resolve().parent.parent
 LOADED_SCIPY = "sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy')"
 
