@@ -1,11 +1,11 @@
-"""Sliding-window feedforward forecaster trained by mini-batch gradient descent.
+"""Sliding-window feedforward forecaster trained by Levenberg–Marquardt.
 
-The network maps the last ``window`` values of a series to the next value.
-It has one hidden layer: ``window`` inputs, ``hidden`` units with a chosen
-activation, and one linear output, so regression targets stay unbounded.
-Inputs and targets are standardized by the training-set mean/std (stored on
-the model). Backpropagation computes the exact gradient of the mean squared
-error.
+The network maps the last ``window`` values of a series to the next value
+through one hidden layer (a chosen activation) and one linear output, so
+targets stay unbounded. Inputs and targets are standardized by the training
+mean/std, kept on the model. Damped Gauss–Newton steps (Hagan & Menhaj 1994)
+use the exact residual Jacobian, summed a block of windows at a time; the
+last windows, never stepped on, choose the kept iteration (Prechelt 1998).
 """
 
 from __future__ import annotations
@@ -47,20 +47,25 @@ class Scaler:
             raise ValueError("scale must be positive")
 
 
+#: The share of windows held out (the last, in time order); the iterations
+#: without a held-out improvement that stop training; the damping's start and
+#: the cap past which no step is tried; the windows per Jacobian block.
+VALIDATION_SHARE, PATIENCE, MU_START, MU_MAX, BLOCK = 0.2, 10, 1e-3, 1e10, 1024
+#: Training diagnostics a model carries, in their JSON order.
+DIAGNOSTICS = ("kept_iteration", "final_mu", "validation_loss", "fit_loss_curve",
+               "validation_loss_curve")
+Params = Sequence[np.ndarray]
+Batch = Sequence[tuple[np.ndarray, float]]
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.05
-    epochs: int = 200
-    batch_size: int = 32
-    seed: int = 0
+    epochs: int = 200  # the cap on Levenberg–Marquardt iterations
+    seed: int = 0  # draws the initial weights
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must lie in (0, 1]")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,8 @@ class MlpForecaster:
     """Immutable trained network, window -> hidden -> 1.
 
     ``weights`` is (hidden x window, 1 x hidden) and ``biases`` is (hidden,
-    1); the window and layer sizes are read off those shapes.
+    1); the window and layer sizes are read off those shapes. ``diagnostics``
+    holds :data:`DIAGNOSTICS`; a loss curve's entry k follows k iterations.
     """
 
     weights: tuple[np.ndarray, np.ndarray]
@@ -76,6 +82,7 @@ class MlpForecaster:
     hidden_activation: Activation
     scaler: Scaler
     train_loss: float | None = field(default=None, compare=False)
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         shapes = [np.shape(a) for a in (*self.weights, *self.biases)]
@@ -104,6 +111,7 @@ class MlpForecaster:
             "biases": [b.tolist() for b in self.biases],
             "scaler": {"shift": self.scaler.shift, "scale": self.scaler.scale},
             "train_loss": self.train_loss,
+            **self.diagnostics,
         }
 
     @classmethod
@@ -122,6 +130,7 @@ class MlpForecaster:
             hidden_activation=Activation(data["hidden_activation"]),
             scaler=Scaler(**data["scaler"]),
             train_loss=data.get("train_loss"),
+            diagnostics={key: data[key] for key in DIAGNOSTICS if key in data},
         )
         if data["window"] != net.window:
             raise DimensionError(f"window {data['window']} does not match layer_sizes {list(sizes)}")
@@ -141,51 +150,45 @@ def make_windows(series: TimeSeries, w: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _forward_pass(
-    weights: Sequence[np.ndarray],
-    biases: Sequence[np.ndarray],
-    act: Activation,
-    inputs: np.ndarray,
+    weights: Params, biases: Params, act: Activation, inputs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate a (features x batch) matrix; returns the hidden activations
-    and the (1 x batch) outputs."""
+    """Propagate (features x batch) inputs; returns hidden activations and (1 x batch) outputs."""
     hidden = activation(act, weights[0] @ inputs + biases[0][:, None])
     return hidden, weights[1] @ hidden + biases[1][:, None]
 
 
-def _loss(
-    weights: Sequence[np.ndarray],
-    biases: Sequence[np.ndarray],
-    act: Activation,
-    x: np.ndarray,
-    t: np.ndarray,
-) -> float:
-    """Mean squared error on scaled data; ``x`` is (features x batch), ``t``
-    is (batch,)."""
+def _loss(weights: Params, biases: Params, act: Activation, x: np.ndarray, t: np.ndarray) -> float:
+    """Mean squared error on scaled data; ``x`` is (features x batch)."""
     residual = _forward_pass(weights, biases, act, x)[1][0] - t
     return float(np.mean(residual**2))
 
 
-def _grads(
-    weights: Sequence[np.ndarray],
-    biases: Sequence[np.ndarray],
-    act: Activation,
-    x: np.ndarray,
-    t: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The exact gradient of :func:`_loss` w.r.t. weights and biases."""
-    hidden, outputs = _forward_pass(weights, biases, act, x)
-    delta = (2.0 * (outputs[0] - t) / t.size)[None, :]
-    d_w_out = delta @ hidden.T
-    d_b_out = delta.sum(axis=1)
-    delta = weights[1].T @ delta
-    if act is Activation.TANH:  # tanh' written in terms of tanh's output
-        delta *= 1.0 - hidden**2
-    return [delta @ x.T, d_w_out], [delta.sum(axis=1), d_b_out]
+def _unflatten(theta: np.ndarray, hidden: int, w: int) -> tuple[tuple, tuple]:
+    """(weights, biases) as views of the flat parameters: hidden weights row
+    by row, output weights, hidden biases, output bias."""
+    w_hid, w_out, b_hid, b_out = np.split(theta, np.cumsum([hidden * w, hidden, hidden]))
+    return (w_hid.reshape(hidden, w), w_out.reshape(1, hidden)), (b_hid, b_out)
 
 
-def _scale_batch(
-    net: MlpForecaster, batch: Sequence[tuple[np.ndarray, float]]
+def _normal_equations(
+    weights: Params, biases: Params, act: Activation, x: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """JᵀJ and Jᵀr for the residuals outputs - targets, parameters in :func:`_unflatten`'s
+    order, summed over blocks of at most :data:`BLOCK` windows (columns of ``x``)."""
+    jtj = jtr = 0.0  # arrays from the first block on
+    for start in range(0, t.size, BLOCK):
+        xb = x[:, start : start + BLOCK]
+        hidden, outputs = _forward_pass(weights, biases, act, xb)
+        # d output / d hidden pre-activation; tanh' written in terms of tanh's output
+        d_pre = weights[1].T * (1.0 - hidden**2 if act is Activation.TANH else np.ones_like(hidden))
+        d_w_hid = (d_pre[:, None, :] * xb[None, :, :]).reshape(-1, xb.shape[1])
+        jt = np.concatenate([d_w_hid, hidden, d_pre, np.ones((1, xb.shape[1]))])
+        jtj += jt @ jt.T
+        jtr += jt @ (outputs[0] - t[start : start + BLOCK])
+    return jtj, jtr
+
+
+def _scale_batch(net: MlpForecaster, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     if not batch:
         raise ValueError("batch must be non-empty")
     for inp, _ in batch:
@@ -197,18 +200,18 @@ def _scale_batch(
     return (x - s.shift) / s.scale, (t - s.shift) / s.scale
 
 
-def batch_loss(net: MlpForecaster, batch: Sequence[tuple[np.ndarray, float]]) -> float:
+def batch_loss(net: MlpForecaster, batch: Batch) -> float:
     """Training objective on a batch (standardized space)."""
     x, t = _scale_batch(net, batch)
     return _loss(net.weights, net.biases, net.hidden_activation, x, t)
 
 
-def gradient(
-    net: MlpForecaster, batch: Sequence[tuple[np.ndarray, float]]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact gradient of :func:`batch_loss` w.r.t. weights and biases."""
+def gradient(net: MlpForecaster, batch: Batch) -> tuple[tuple, tuple]:
+    """Exact gradient of :func:`batch_loss` w.r.t. (weights, biases):
+    (2/n)·Jᵀr, from the Jacobian the trainer steps with."""
     x, t = _scale_batch(net, batch)
-    return _grads(net.weights, net.biases, net.hidden_activation, x, t)
+    _, jtr = _normal_equations(net.weights, net.biases, net.hidden_activation, x, t)
+    return _unflatten(2.0 / t.size * jtr, *net.weights[0].shape)
 
 
 def forward(net: MlpForecaster, inputs: Sequence[float]) -> float:
@@ -223,66 +226,63 @@ def forward(net: MlpForecaster, inputs: Sequence[float]) -> float:
     return float(outputs[0, 0] * net.scaler.scale + net.scaler.shift)
 
 
-def _glorot(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
-
 def train(
-    series: TimeSeries,
-    w: int,
-    hidden: int,
-    hidden_activation: Activation,
-    cfg: TrainConfig,
+    series: TimeSeries, w: int, hidden: int, hidden_activation: Activation, cfg: TrainConfig
 ) -> MlpForecaster:
-    """Mini-batch gradient descent; returns the best-epoch parameters.
+    """Levenberg–Marquardt with held-out stopping; returns the kept iteration.
 
-    ``hidden`` is the hidden layer's unit count. Deterministic given cfg.seed
-    (initialization and batch order). The returned network carries the lowest
-    full-training-set loss seen, which is never above the loss of the initial
-    parameters.
+    ``hidden`` is the hidden layer's unit count. Steps fit all but the last
+    :data:`VALIDATION_SHARE` of the windows, each solving (JᵀJ + μI)δ = −Jᵀr;
+    μ falls tenfold after a step that lowers the fit loss, else rises tenfold
+    and the step is retried. Training stops after ``cfg.epochs`` iterations,
+    :data:`PATIENCE` past the best held-out loss, or when μ passes
+    :data:`MU_MAX`. The kept iteration (0: the initial weights) has the lowest
+    held-out loss. Under 5 windows, none is held out and all choose.
     """
     if hidden < 1:
         raise ValueError("hidden must be a positive unit count")
     inputs, targets = make_windows(series, w)
-
     with np.errstate(over="ignore"):
         mean, std = float(np.mean(series.values)), float(np.std(series.values))
     if not (np.isfinite(mean) and np.isfinite(std)):
         raise DivergenceError("the training values' mean or spread is not finite")
     scaler = Scaler(shift=mean, scale=std if std > 0 else 1.0)
-    x_all = (inputs.T - scaler.shift) / scaler.scale
-    t_all = (targets - scaler.shift) / scaler.scale
-    n = t_all.size
+    x_all, t_all = ((a - scaler.shift) / scaler.scale for a in (inputs.T, targets))
+    n_fit = t_all.size - int(VALIDATION_SHARE * t_all.size)
+    fit = x_all[:, :n_fit], t_all[:n_fit]
+    held = (x_all[:, n_fit:], t_all[n_fit:]) if n_fit < t_all.size else fit
 
-    rng = np.random.default_rng(cfg.seed)
-    weights = (_glorot(w, hidden, rng), _glorot(hidden, 1, rng))
-    biases = (np.zeros(hidden), np.zeros(1))
-    (w_hid, w_out), (b_hid, b_out) = weights, biases  # updated in place below
+    rng = np.random.default_rng(cfg.seed)  # Glorot-uniform weights, zero biases
+    limits = np.sqrt(6.0 / (w + hidden)), np.sqrt(6.0 / (hidden + 1))
+    theta = np.concatenate([rng.uniform(-limits[0], limits[0], hidden * w),
+                            rng.uniform(-limits[1], limits[1], hidden), np.zeros(hidden + 1)])
 
-    best_loss = _loss(weights, biases, hidden_activation, x_all, t_all)
-    best = (w_hid.copy(), w_out.copy()), (b_hid.copy(), b_out.copy())
+    def loss(theta: np.ndarray, data: tuple[np.ndarray, np.ndarray]) -> float:
+        return _loss(*_unflatten(theta, hidden, w), hidden_activation, *data)
 
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                (d_w_hid, d_w_out), (d_b_hid, d_b_out) = _grads(
-                    weights, biases, hidden_activation, x_all[:, idx], t_all[idx]
-                )
-                w_hid -= cfg.learning_rate * d_w_hid
-                b_hid -= cfg.learning_rate * d_b_hid
-                w_out -= cfg.learning_rate * d_w_out
-                b_out -= cfg.learning_rate * d_b_out
-            loss = _loss(weights, biases, hidden_activation, x_all, t_all)
-        if not np.isfinite(loss):
-            raise DivergenceError("training loss became non-finite")
-        if loss < best_loss:
-            best_loss = loss
-            best = (w_hid.copy(), w_out.copy()), (b_hid.copy(), b_out.copy())
+    fit_curve, held_curve = [loss(theta, fit)], [loss(theta, held)]
+    best, kept, mu, damping = theta, 0, MU_START, np.eye(theta.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, cfg.epochs + 1):
+            jtj, jtr = _normal_equations(*_unflatten(theta, hidden, w), hidden_activation, *fit)
+            while mu <= MU_MAX:
+                trial = theta - np.linalg.solve(jtj + mu * damping, jtr)
+                if (trial_loss := loss(trial, fit)) < fit_curve[-1]:
+                    break
+                mu *= 10.0
+            else:
+                break  # no damping up to the cap lowers the fit loss
+            theta, mu = trial, mu / 10.0
+            fit_curve.append(trial_loss)
+            held_curve.append(loss(theta, held))
+            if held_curve[-1] < held_curve[kept]:
+                best, kept = theta, iteration
+            elif iteration - kept >= PATIENCE:
+                break
 
-    return MlpForecaster(*best, hidden_activation, scaler, train_loss=best_loss)
+    diagnostics = dict(zip(DIAGNOSTICS, (kept, mu, held_curve[kept], fit_curve, held_curve)))
+    return MlpForecaster(*_unflatten(best, hidden, w), hidden_activation, scaler,
+                         train_loss=fit_curve[kept], diagnostics=diagnostics)
 
 
 def forecast_recursive(net: MlpForecaster, history: TimeSeries, horizon: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,28 @@ class TestGradient:
         assert max_relative_error(analytic[0], numeric[0]) < 1e-4
         assert max_relative_error(analytic[1], numeric[1]) < 1e-4
 
+    def test_identity_activation_matches_central_differences(self):
+        rng = np.random.default_rng(31)
+        net = random_net(rng, activation_kind=Activation.IDENTITY)
+        batch = [(rng.uniform(-2, 2, 4), float(rng.uniform(-2, 2))) for _ in range(6)]
+        analytic = gradient(net, batch)
+        numeric = numeric_gradient(net, batch)
+        assert max_relative_error(analytic[0], numeric[0]) < 1e-4
+        assert max_relative_error(analytic[1], numeric[1]) < 1e-4
+
+    @pytest.mark.parametrize("kind", list(Activation))
+    def test_blockwise_normal_equations_match_full_jacobian(self, monkeypatch, kind):
+        rng = np.random.default_rng(21)
+        net = random_net(rng, activation_kind=kind)
+        x, t = rng.uniform(-2, 2, (4, 10)), rng.uniform(-2, 2, 10)
+        args = (net.weights, net.biases, kind, x, t)
+        full = ann._normal_equations(*args)  # one block holds all 10 windows: the whole J
+        monkeypatch.setattr(ann, "BLOCK", 3)  # blocks of 3, 3, 3 and a ragged 1
+        blockwise = ann._normal_equations(*args)
+        assert full[0].shape == (31, 31) and full[1].shape == (31,)
+        for got, want in zip(blockwise, full):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_residual_doubling_scales_output_bias_gradient(self):
         rng = np.random.default_rng(9)
         net = random_net(rng)
@@ -200,7 +223,7 @@ class TestTrain:
     def test_linear_ramp_with_identity(self):
         values = np.linspace(10.0, 60.0, 80)
         series = daily_series(values)
-        cfg = TrainConfig(learning_rate=0.05, epochs=400, seed=2)
+        cfg = TrainConfig(epochs=400, seed=2)
         net = train(series, 2, 4, Activation.IDENTITY, cfg)
         rng_span = values.max() - values.min()
         for row, target in zip(*make_windows(series, 2)):
@@ -218,12 +241,16 @@ class TestTrain:
     def test_best_loss_never_above_initial(self, rng):
         values = rng.uniform(10, 90, 64)
         series = daily_series(values)
-        cfg = TrainConfig(epochs=5, seed=4, learning_rate=0.3)
-        net = train(series, 5, 8, Activation.TANH, cfg)
-        init = train(series, 5, 8, Activation.TANH, TrainConfig(epochs=1, seed=4, learning_rate=1e-9))
-        # epochs=1 with ~zero learning rate reports (almost) the initial loss
-        assert net.train_loss is not None and init.train_loss is not None
-        assert net.train_loss <= init.train_loss + 1e-9
+        net = train(series, 5, 8, Activation.TANH, TrainConfig(epochs=5, seed=4))
+        # the initial weights drawn from seed 4 (Glorot-uniform), scored on the
+        # last 11 of the 59 windows
+        draw = np.random.default_rng(4)
+        weights = (draw.uniform(-np.sqrt(6 / 13), np.sqrt(6 / 13), (8, 5)),
+                   draw.uniform(-np.sqrt(6 / 9), np.sqrt(6 / 9), (1, 8)))
+        init = MlpForecaster(weights, (np.zeros(8), np.zeros(1)), Activation.TANH, net.scaler)
+        held_out = list(zip(*make_windows(series, 5)))[-11:]
+        assert net.diagnostics["validation_loss"] == pytest.approx(batch_loss(net, held_out), rel=1e-12)
+        assert net.diagnostics["validation_loss"] <= batch_loss(init, held_out) + 1e-12
 
     def test_loss_evaluated_once_per_epoch_never_per_batch(self, monkeypatch):
         calls = []
@@ -235,16 +262,23 @@ class TestTrain:
 
         monkeypatch.setattr(ann, "_loss", counting_loss)
         series = daily_series(np.sin(np.arange(80) / 3.0) * 10 + 40)
-        train(series, 4, 8, Activation.TANH, TrainConfig(epochs=7, batch_size=8, seed=3))
-        # the initial loss, then one full-set loss per epoch: all 76 windows each time
-        assert calls == [76] * (7 + 1)
+        net = train(series, 4, 8, Activation.TANH, TrainConfig(epochs=7, seed=3))
+        # 76 windows: the first 61 are fitted and the last 15 held out. Every
+        # loss covers a whole set, never a Jacobian block; the held-out loss is
+        # taken for the initial weights and once per iteration
+        iterations = len(net.diagnostics["validation_loss_curve"]) - 1
+        assert 1 <= iterations <= 7
+        assert calls[:2] == [61, 15] and set(calls) == {61, 15}
+        assert calls.count(15) == iterations + 1
 
-    def test_divergence_detected(self):
+    def test_steps_that_raise_the_fit_loss_are_rejected(self):
+        # plain gradient descent at learning rate 1 diverged on this ramp; a
+        # damped step that does not lower the fit loss is never taken
         values = np.linspace(0.0, 100.0, 60)
-        series = daily_series(values)
-        cfg = TrainConfig(learning_rate=1.0, epochs=300, seed=5)
-        with pytest.raises(DivergenceError):
-            train(series, 3, 8, Activation.IDENTITY, cfg)
+        net = train(daily_series(values), 3, 8, Activation.IDENTITY, TrainConfig(epochs=300, seed=5))
+        curve = np.array(net.diagnostics["fit_loss_curve"])
+        assert np.all(np.isfinite(curve)) and np.all(np.diff(curve) < 0)
+        assert np.isfinite(net.diagnostics["final_mu"])
 
     def test_non_finite_spread_is_a_divergence(self):
         series = daily_series([1e200] + [40.0] * 30)
@@ -269,11 +303,44 @@ class TestTrain:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=1.5)
-        with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=-3)
+        # the step and batch sizes of gradient descent are no longer options
+        for gone in ("learning_rate", "batch_size"):
+            with pytest.raises(TypeError):
+                TrainConfig(**{gone: 1})
+
+    def test_diagnostics_recorded(self):
+        series = daily_series(np.sin(np.arange(90) / 4.0) * 10 + 40)
+        net = train(series, 4, 8, Activation.TANH, TrainConfig(epochs=30, seed=2))
+        d = net.diagnostics
+        fit_curve, held_curve = d["fit_loss_curve"], d["validation_loss_curve"]
+        assert len(fit_curve) == len(held_curve) <= 31
+        assert 0 <= d["kept_iteration"] < len(held_curve)
+        assert d["validation_loss"] == held_curve[d["kept_iteration"]] == min(held_curve)
+        assert net.train_loss == fit_curve[d["kept_iteration"]]
+
+    def test_too_short_to_hold_out_fits_and_chooses_on_all_windows(self):
+        # 4 windows: a fifth of them rounds down to none held out
+        series = daily_series([40.0, 42.0, 45.0, 41.0, 39.0, 44.0])
+        net = train(series, 2, 3, Activation.TANH, TrainConfig(epochs=20, seed=1))
+        d = net.diagnostics
+        assert d["validation_loss_curve"] == d["fit_loss_curve"]
+        assert d["validation_loss"] == net.train_loss == batch_loss(net, list(zip(*make_windows(series, 2))))
+
+    def test_peak_memory_stays_below_one_jacobian(self):
+        # 10,000 windows: the whole Jacobian, 10,000 x 145 float64, would take
+        # 11.6 MB. Blocks of 1,024 windows keep training's peak near 5 MB
+        values = np.random.default_rng(12).uniform(10, 90, 10_007)
+        series = daily_series(values)
+        tracemalloc.start()
+        try:
+            train(series, 7, 16, Activation.TANH, TrainConfig(epochs=2, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6, f"training peaked at {peak / 1e6:.1f} MB"
 
 
 class TestForecastRecursive:
@@ -303,7 +370,7 @@ class TestForecastRecursive:
     def test_ramp_continuation(self):
         values = np.linspace(10.0, 60.0, 80)
         series = daily_series(values)
-        cfg = TrainConfig(learning_rate=0.05, epochs=400, seed=2)
+        cfg = TrainConfig(epochs=400, seed=2)
         net = train(series, 2, 4, Activation.IDENTITY, cfg)
         preds = forecast_recursive(net, series, 3)
         step = values[1] - values[0]
