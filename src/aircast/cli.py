@@ -42,7 +42,6 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -62,11 +61,11 @@ from .ingest import (
     build_station_series,
     first_spellings,
     join_readings,
-    numbered_rows,
     parse_pollutant,
     parse_readings_path,
     parse_timestamp,
     parse_timestamps,
+    row_chunks,
     station_key,
     value_faults,
 )
@@ -149,46 +148,46 @@ def write_series_csv(path: Path, series: TimeSeries) -> None:
 def load_series_csv(path: Path, granularity: Granularity) -> TimeSeries | None:
     """Read a series file written by the ingest stage; None if absent/empty.
 
-    The file is read once, by ingest's row rule (``numbered_rows``), its
-    timestamp rule (ISO-8601 with an explicit offset) and its value rule
-    (finite and non-negative). The first row that does not read, or rows that
-    do not form a series, raise SchemaError.
+    The file is read once, a chunk at a time, by ingest's row rule
+    (``ingest.row_chunks``), its timestamp rule (ISO-8601 with an explicit
+    offset) and its value rule (finite and non-negative). The first row that
+    does not read, or rows that do not form a series, raise SchemaError.
     """
     if not path.exists():
         return None
-    stamps, texts, lines = [], [], []  # the rows read, as columns
-    unread = []  # a row without two fields, where reading stops
+    chunks = []  # each chunk's (instants, values)
     with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
         reader = csv.reader(fh)
         with contextlib.suppress(csv.Error):
             next(reader, None)  # the header
-        # row by row: csv rows kept in chunks would outlive young-generation
-        # garbage collections and be traced again by the older ones
-        for line, row in numbered_rows(reader):
-            try:
-                stamp, text = row
-            except ValueError:
-                unread.append((line, row))
-                break
-            stamps.append(stamp)
-            texts.append(text)
-            lines.append(line)
-    at, stamp_ok = parse_timestamps(stamps)
-    try:
-        values = np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
-        values = None
-    if (unread or values is None or not stamp_ok.all()
-            or any(refused.any() for refused in value_faults(values).values())):
-        rows = chain(zip(lines, zip(stamps, texts)), unread)
-        line, error = next((n, e) for n, row in rows if (e := _row_error(row)))
-        raise SchemaError(f"{path}, line {line}: {error}")
-    if not stamps:
+        for lines, rows in row_chunks(reader):
+            chunk = _series_chunk(rows)
+            if chunk is None:
+                line, error = next((n, e) for n, row in zip(lines, rows) if (e := _row_error(row)))
+                raise SchemaError(f"{path}, line {line}: {error}")
+            chunks.append(chunk)
+    if not chunks:
         return None
+    at, values = map(np.concatenate, zip(*chunks))
     try:
         return TimeSeries(granularity, at, values)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+
+
+def _series_chunk(rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Series rows as (instants, values) by ingest's array rules; None if a row does not read."""
+    if set(map(len, rows)) != {2}:
+        return None
+    stamps, texts = zip(*rows)
+    at, stamp_ok = parse_timestamps(stamps)
+    try:
+        values = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        return None
+    if not stamp_ok.all() or any(refused.any() for refused in value_faults(values).values()):
+        return None
+    return at, values
 
 
 def _row_error(row: Sequence[str]) -> str | None:
@@ -245,6 +244,14 @@ class _Stations(argparse.Action):
         except ValueError as exc:
             raise argparse.ArgumentError(self, str(exc)) from None
         setattr(namespace, self.dest, list(spellings.values()))
+
+
+class _Inputs(argparse.Action):
+    """``--input``, repeatable: a path named twice is read once, at its first place."""
+
+    def __call__(self, parser, namespace, path, option_string=None) -> None:
+        paths = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, paths if path in paths else [*paths, path])
 
 
 @_flag_type
@@ -500,8 +507,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     tables = []
     reports = []
-    for raw_path in args.input:
-        path = Path(raw_path)
+    for path in args.input:
         try:
             table, report = parse_readings_path(path, mapping)
         except (OSError, EOFError, zlib.error) as exc:  # the last two: a damaged .gz
@@ -854,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ing = sub.add_parser("ingest", help="parse sensor CSVs into cleaned per-station series")
     _add_common(p_ing)
-    p_ing.add_argument("--input", action="append", default=[], required=True,
+    p_ing.add_argument("--input", action=_Inputs, type=Path, default=[], required=True,
                        help="input CSV path (.gz accepted); repeatable")
     p_ing.add_argument("--pollutant", default="PM25", type=_flag_type(parse_pollutant),
                        metavar="{" + ",".join(p.value for p in Pollutant) + "}",

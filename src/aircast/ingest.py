@@ -107,7 +107,7 @@ def parse_timestamp(text: str) -> int:
     return int(math.floor(dt.timestamp()))
 
 
-#: Rows read, and stamps parsed, per chunk. Each chunk is validated as
+#: Rows read per chunk by :func:`row_chunks`. Each chunk is validated as
 #: columns, and only its results outlive it.
 CHUNK_ROWS = 1024
 
@@ -123,19 +123,10 @@ def parse_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
     Stamps of the exact shapes ``YYYY-MM-DDTHH:MM:SS+HH:MM`` (or ``-HH:MM``)
     and ``YYYY-MM-DDTHH:MM:SSZ`` with ASCII digits and in-range fields are
-    read as columns, CHUNK_ROWS at a time; every other text goes to
-    :func:`parse_timestamp`, the rule. ``ok`` is False where the rule refuses
-    a text, and its instant is 0.
+    read as columns; every other text goes to :func:`parse_timestamp`, the
+    rule. ``ok`` is False where the rule refuses a text, and its instant is 0.
+    Callers pass a chunk of :func:`row_chunks`' rows at a time.
     """
-    at = np.zeros(len(texts), np.int64)
-    ok = np.zeros(len(texts), bool)
-    for start in range(0, len(texts), CHUNK_ROWS):
-        chunk = slice(start, start + CHUNK_ROWS)
-        at[chunk], ok[chunk] = _parse_timestamp_chunk(texts[chunk])
-    return at, ok
-
-
-def _parse_timestamp_chunk(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     n = len(texts)
     sizes = np.fromiter(map(len, texts), np.intp, n)
     # a longer text is cut to 25 characters here, and left to the rule by its size
@@ -206,31 +197,29 @@ def value_faults(values: np.ndarray) -> dict[str, np.ndarray]:
     return {"non-finite value": ~np.isfinite(values), "negative value": values < 0}
 
 
-def numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
-    """(physical line number, row) of each non-blank row of ``reader``. A row
-    csv cannot read is an empty list."""
-    while True:
+def row_chunks(reader) -> Iterator[tuple[list[int], list[list[str]]]]:
+    """(physical line numbers, rows) of the non-blank rows of ``reader``, up
+    to CHUNK_ROWS at a time. A row csv cannot read is an empty list, and
+    reading goes on after it."""
+    lines: list[int] = []
+    rows: list[list[str]] = []
+    more = True
+    while more:
         try:
             for row in reader:
                 if row:  # a blank line is not a data row
-                    yield reader.line_num, row
-            return
+                    lines.append(reader.line_num)
+                    rows.append(row)
+                    if len(rows) == CHUNK_ROWS:
+                        break
+            else:
+                more = False
         except csv.Error:
-            yield reader.line_num, []
-
-
-def _row_chunks(reader) -> Iterator[tuple[list[int], list[list[str]]]]:
-    """:func:`numbered_rows` as (line numbers, rows), up to CHUNK_ROWS at a time."""
-    lines: list[int] = []
-    rows: list[list[str]] = []
-    for line, row in numbered_rows(reader):
-        lines.append(line)
-        rows.append(row)
-        if len(rows) == CHUNK_ROWS:
+            lines.append(reader.line_num)
+            rows.append([])
+        if rows and (len(rows) == CHUNK_ROWS or not more):
             yield lines, rows
             lines, rows = [], []
-    if rows:
-        yield lines, rows
 
 
 def _float_or_none(text: str) -> float | None:
@@ -296,7 +285,7 @@ def _parse_rows(reader, mapping: ColumnMapping) -> tuple[np.recarray, IngestRepo
     key_codes: dict[str, int] = {}  # station key -> its code, its position in stations_seen
     pollutants: dict[str, int] = {}  # pollutant text -> _pollutant_index(text)
     report = IngestReport()
-    for lines, rows in _row_chunks(reader):
+    for lines, rows in row_chunks(reader):
         sizes = np.fromiter(map(len, rows), np.intp, len(rows))
         short = sizes < width
         if short.any():

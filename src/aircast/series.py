@@ -270,23 +270,19 @@ def interpolate_gaps(series: TimeSeries, max_gap: int) -> TimeSeries:
     if len(series) < 2 or max_gap == 0:
         return series
 
-    at_out: list[int] = []
-    val_out: list[float] = []
-    at = series.at.tolist()
-    values = series.values.tolist()
-    for i in range(len(at) - 1):
-        at_out.append(at[i])
-        val_out.append(values[i])
-        missing = (at[i + 1] - at[i]) // step - 1
-        if 1 <= missing <= max_gap:
-            span = at[i + 1] - at[i]
-            for k in range(1, missing + 1):
-                frac = (k * step) / span
-                at_out.append(at[i] + k * step)
-                val_out.append(values[i] + frac * (values[i + 1] - values[i]))
-    at_out.append(at[-1])
-    val_out.append(values[-1])
-    return TimeSeries(series.granularity, np.array(at_out), np.array(val_out))
+    at, values = series.at, series.values
+    missing = np.diff(at) // step - 1
+    missing[(missing < 1) | (missing > max_gap)] = 0
+    # fill number k of the gap after observation i, for each filled instant
+    i = np.repeat(np.arange(missing.size), missing)
+    k = np.arange(1, i.size + 1) - np.repeat(np.cumsum(missing) - missing, missing)
+    # a difference of opposite-signed values near the float limit overflows to
+    # inf, which TimeSeries refuses as non-finite
+    with np.errstate(over="ignore"):
+        filled = values[i] + (k * step / (at[i + 1] - at[i])) * (values[i + 1] - values[i])
+    return TimeSeries(
+        series.granularity, np.insert(at, i + 1, at[i] + k * step), np.insert(values, i + 1, filled)
+    )
 
 
 def split_holdout(series: TimeSeries, spec: SplitSpec) -> tuple[TimeSeries, TimeSeries]:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import aircast
-from aircast import ann, arima, gp
+from aircast import ann, arima, gp, ingest
 from aircast.cli import (
     _openblas_thread_controls,
     load_series_csv,
@@ -261,6 +261,17 @@ class TestIngest:
         _, hourly = read_csv(out / "series" / "gitega_hourly.csv")
         # the first file holds 40.0 at 05:00 on June 1st
         assert ["2021-06-01T05:00:00+02:00", "45.0"] in hourly
+
+    def test_an_input_named_twice_is_read_once(self, tmp_path):
+        src = tmp_path / "a.csv"
+        src.write_text(self.CSV, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(src),
+                     "--input", str(tmp_path / "." / "a.csv")]) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert list(report["files"]) == [str(src)]
+        assert report["rows_read"] == sum(f["rows_read"] for f in report["files"].values())
+        assert report["rows_read"] == len(self.CSV.splitlines()) - 1
 
     def test_two_inputs_in_other_station_orders_write_the_one_file_series(self, tmp_path):
         # each file numbers its stations in its own order of first acceptance;
@@ -948,9 +959,13 @@ class TestDamagedIngestReport:
 
 class TestSeriesFile:
     """write_series_csv and load_series_csv: a round trip, and the first row
-    that does not read names the error."""
+    that does not read names the error, with the file read in chunks of 2, of
+    3 and of the default size, so bad rows, blank lines and quoted multi-line
+    values fall on chunk boundaries."""
 
-    def test_round_trip(self, tmp_path):
+    CHUNK_SIZES = (2, 3, ingest.CHUNK_ROWS)
+
+    def test_round_trip(self, tmp_path, monkeypatch):
         at = BASE_EPOCH + 3600 * np.array([0, 1, 2, 5, 30_000], dtype=np.int64)
         series = TimeSeries(Granularity.HOURLY, at, np.array([1.5, 0.1 + 0.2, 1e-300, 7.0, 1e300]))
         path = tmp_path / "s.csv"
@@ -958,9 +973,11 @@ class TestSeriesFile:
         assert path.read_text(encoding="utf-8").splitlines()[:2] == [
             "timestamp,value", "2021-01-01T00:00:00+02:00,1.5"
         ]
-        loaded = load_series_csv(path, Granularity.HOURLY)
-        assert loaded.at.tolist() == at.tolist()
-        assert loaded.values.tobytes() == series.values.tobytes()
+        for chunk_rows in self.CHUNK_SIZES:
+            monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+            loaded = load_series_csv(path, Granularity.HOURLY)
+            assert loaded.at.tolist() == at.tolist()
+            assert loaded.values.tobytes() == series.values.tobytes()
 
     @pytest.mark.parametrize("body, line, reason", [
         ("2021-01-01T00:00:00+02:00,1\n2021-01-01T01:00:00+02:00,1,2\n", 3, "too many values"),
@@ -985,11 +1002,13 @@ class TestSeriesFile:
         pytest.param("2021-01-01T00:00:00+02:00,nan\n2021-01-01T01:00:00+02:00,-1\n",
                      2, "non-finite value", id="nan-before-negative"),
     ])
-    def test_first_bad_row_names_the_error(self, tmp_path, body, line, reason):
+    def test_first_bad_row_names_the_error(self, tmp_path, monkeypatch, body, line, reason):
         path = tmp_path / "s.csv"
         path.write_text("timestamp,value\n" + body, encoding="utf-8")
-        with pytest.raises(SchemaError, match=f"line {line}: .*{reason}"):
-            load_series_csv(path, Granularity.HOURLY)
+        for chunk_rows in self.CHUNK_SIZES:
+            monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+            with pytest.raises(SchemaError, match=f"line {line}: .*{reason}"):
+                load_series_csv(path, Granularity.HOURLY)
 
     def test_negative_zero_reads(self, tmp_path):
         path = tmp_path / "s.csv"

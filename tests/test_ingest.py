@@ -288,8 +288,16 @@ class TestParseTimestamps:
         assert_matches_rule(ADVERSARIAL_STAMPS)
 
     def test_adversarial_stamps_in_chunks_of_three(self, monkeypatch):
+        """Through parse_readings, three rows a chunk: each row's stamp is read by the rule."""
         monkeypatch.setattr(ingest, "CHUNK_ROWS", 3)
-        assert_matches_rule(ADVERSARIAL_STAMPS)
+        readings, report = parse_text(
+            HEADER + "".join(f"Gitega,{stamp},PM25,1.0\n" for stamp in ADVERSARIAL_STAMPS)
+        )
+        expected = expected_timestamps(ADVERSARIAL_STAMPS)
+        assert readings.at.tolist() == [at for at in expected if at is not None]
+        assert report.rejects == [
+            (line, "bad timestamp") for line, at in enumerate(expected, start=2) if at is None
+        ]
 
     @given(st.lists(st.one_of(near_range_stamps, random_digit_stamps), max_size=40))
     @example(["2000-02-29T23:59:59-23:59", "1970-01-01T00:00:00Z", "1969-12-31T23:59:59+00:00"])

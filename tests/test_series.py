@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from datetime import datetime
 
 import numpy as np
@@ -208,6 +209,22 @@ class TestInverseDifference:
         np.testing.assert_array_equal(restored.at, series.at[d:])
 
 
+def loop_interpolate(series: TimeSeries, max_gap: int) -> tuple[list[int], list[float]]:
+    """interpolate_gaps as a loop over the gaps, one filled point at a time."""
+    step = series.granularity.step_seconds
+    at, values = series.at.tolist(), series.values.tolist()
+    at_out, val_out = at[:1], values[:1]
+    for i in range(len(at) - 1):
+        span = at[i + 1] - at[i]
+        missing = span // step - 1
+        for k in range(1, missing + 1 if 1 <= missing <= max_gap else 1):
+            at_out.append(at[i] + k * step)
+            val_out.append(values[i] + (k * step / span) * (values[i + 1] - values[i]))
+        at_out.append(at[i + 1])
+        val_out.append(values[i + 1])
+    return at_out, val_out
+
+
 class TestInterpolateGaps:
     def test_midpoint_fill(self):
         series = TimeSeries(
@@ -249,6 +266,27 @@ class TestInterpolateGaps:
             assert restored[t] == v
         # no extrapolation past either end
         assert out.at[0] == series.at[0] and out.at[-1] == series.at[-1]
+
+    @pytest.mark.parametrize("granularity", [Granularity.HOURLY, Granularity.DAILY])
+    @pytest.mark.parametrize("max_gap", [0, 1, 3, 6])
+    def test_random_gaps_match_loop_oracle(self, rng, granularity, max_gap):
+        step = granularity.step_seconds
+        for scale in (1.0, 1e3, 1e-300, 1e300) * 25:
+            steps = rng.integers(1, 21, int(rng.integers(1, 40)))
+            at = BASE_EPOCH + step * np.cumsum(steps)
+            series = TimeSeries(granularity, at, scale * rng.normal(0, 1, steps.size))
+            out = interpolate_gaps(series, max_gap)
+            at, values = loop_interpolate(series, max_gap)
+            assert out.at.tolist() == at
+            assert out.values.tobytes() == np.array(values).tobytes()
+
+    def test_overflowing_difference_is_non_finite(self):
+        at = np.array([BASE_EPOCH, BASE_EPOCH + 3 * HOUR])
+        series = TimeSeries(Granularity.HOURLY, at, np.array([-1.7e308, 1.7e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="values must be finite"):
+                interpolate_gaps(series, max_gap=6)
 
     def test_requires_aligned_granularity(self):
         raw = TimeSeries(Granularity.RAW, np.array([0, 100]), np.array([1.0, 2.0]))
