@@ -21,7 +21,9 @@ loads no scipy either; ``forecast`` and ``evaluate`` import ``evaluation``
 and exactly the model layers ``--models`` names (``ann`` is numpy only,
 ``gp`` brings scipy.linalg, ``arima`` scipy.optimize too), in the parent
 process, before :func:`_run_pool` pins every loaded BLAS and starts its
-workers.
+workers. The pool machinery (``concurrent.futures`` and ``multiprocessing``)
+loads only when a pool starts, so ``simulate``, ``ingest`` and a stage that
+runs its tasks in the parent never load it.
 
 Every flag is parsed and checked once, by argparse: a rejected flag exits 2
 before anything is read or written.
@@ -39,15 +41,15 @@ import math
 import os
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import trends
+from . import ingest, trends
 from .errors import (
     AircastError,
     EmptySeriesError,
@@ -141,8 +143,13 @@ def write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence], fmt
 
 
 def write_series_csv(path: Path, series: TimeSeries) -> None:
-    rows = zip(iso_local(series.at), series.values.tolist())
-    write_table(path, ["timestamp", "value"], rows, "csv")
+    """Write a series file, formatting ``ingest.CHUNK_ROWS`` rows at a time."""
+    step = ingest.CHUNK_ROWS
+    blocks = (
+        zip(iso_local(series.at[i : i + step]), series.values[i : i + step].tolist())
+        for i in range(0, len(series), step)
+    )
+    write_table(path, ["timestamp", "value"], chain.from_iterable(blocks), "csv")
 
 
 def load_series_csv(path: Path, granularity: Granularity) -> TimeSeries | None:
@@ -247,11 +254,14 @@ class _Stations(argparse.Action):
 
 
 class _Inputs(argparse.Action):
-    """``--input``, repeatable: a path named twice is read once, at its first place."""
+    """``--input``, repeatable: a file named twice, in any spelling (relative,
+    absolute, through a symlink), is read once, at its first place and under
+    its first spelling."""
 
     def __call__(self, parser, namespace, path, option_string=None) -> None:
         paths = getattr(namespace, self.dest)
-        setattr(namespace, self.dest, paths if path in paths else [*paths, path])
+        if os.path.realpath(path) not in map(os.path.realpath, paths):
+            setattr(namespace, self.dest, [*paths, path])
 
 
 @_flag_type
@@ -433,6 +443,9 @@ def _run_pool(worker: Callable, tasks: Sequence, workers: int) -> list:
     with single_blas_thread():
         if workers <= 1 or len(tasks) <= 1:
             return [worker(task) for task in tasks]
+        # concurrent.futures brings multiprocessing: loaded only where a pool starts
+        from concurrent.futures import ProcessPoolExecutor
+
         loaded = sorted(name for name in sys.modules if name.startswith("aircast."))
         with ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)),
@@ -496,6 +509,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # ingest
 
+def _write_station_series(
+    args: argparse.Namespace, readings: np.recarray, stations_seen: dict[str, str], station: str
+) -> int:
+    """Write one station's series files; returns how many were written. Its
+    series are dropped on return, before the next station's are built."""
+    out = Path(args.out)
+    gaps = {Granularity.HOURLY: MAX_GAP_HOURLY, Granularity.DAILY: MAX_GAP_DAILY}
+    for granularity in gaps:  # series/ keeps only what this run writes for the station
+        series_path(out, station, granularity).unlink(missing_ok=True)
+    try:
+        raw = build_station_series(readings, stations_seen, station, args.pollutant)
+    except EmptySeriesError:
+        print(f"ingest: no data for station {station!r}", file=sys.stderr)
+        return 0
+    except NonFiniteMeanError as exc:  # the station's rows stay accepted
+        print(f"ingest: {station}: {exc}", file=sys.stderr)
+        return 0
+    written = 0
+    for granularity, max_gap in gaps.items():
+        try:
+            cleaned = interpolate_gaps(resample_mean(raw, granularity, args.min_coverage), max_gap)
+        except EmptySeriesError:
+            print(f"ingest: {station}: no {granularity.value} bucket met coverage", file=sys.stderr)
+            continue
+        except NonFiniteMeanError as exc:
+            print(f"ingest: {station}: {granularity.value} {exc}", file=sys.stderr)
+            continue
+        write_series_csv(series_path(out, station, granularity), cleaned)
+        written += 1
+    return written
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     out = Path(args.out)
     mapping = ColumnMapping(
@@ -535,35 +580,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print("ingest: no rows accepted", file=sys.stderr)
         return EXIT_EMPTY
 
-    gaps = {Granularity.HOURLY: MAX_GAP_HOURLY, Granularity.DAILY: MAX_GAP_DAILY}
-    written = 0
-    for station in args.station or sorted(stations_seen.values()):
-        for granularity in gaps:  # series/ keeps only what this run writes for the station
-            series_path(out, station, granularity).unlink(missing_ok=True)
-        try:
-            raw = build_station_series(readings, stations_seen, station, args.pollutant)
-        except EmptySeriesError:
-            print(f"ingest: no data for station {station!r}", file=sys.stderr)
-            continue
-        except NonFiniteMeanError as exc:  # the station's rows stay accepted
-            print(f"ingest: {station}: {exc}", file=sys.stderr)
-            continue
-        for granularity, max_gap in gaps.items():
-            try:
-                cleaned = interpolate_gaps(
-                    resample_mean(raw, granularity, args.min_coverage), max_gap
-                )
-            except EmptySeriesError:
-                print(
-                    f"ingest: {station}: no {granularity.value} bucket met coverage",
-                    file=sys.stderr,
-                )
-                continue
-            except NonFiniteMeanError as exc:
-                print(f"ingest: {station}: {granularity.value} {exc}", file=sys.stderr)
-                continue
-            write_series_csv(series_path(out, station, granularity), cleaned)
-            written += 1
+    written = sum(
+        _write_station_series(args, readings, stations_seen, station)
+        for station in args.station or sorted(stations_seen.values())
+    )
     if written == 0:
         print("ingest: no station series written", file=sys.stderr)
         return EXIT_EMPTY

@@ -381,5 +381,12 @@ def build_station_series(
     mine &= readings.station == (keys.index(key) if key in keys else -1)
     if not mine.any():
         raise EmptySeriesError(f"no {pollutant.value} readings for station {station!r}")
-    instants, values, _ = group_means(readings.at[mine], readings.value[mine])
+    # the station's rows in time order, each instant's duplicates in file order,
+    # each column dropped unsorted once its sorted copy is made
+    at = readings.at[mine]
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    values = readings.value[mine][order]
+    del mine, order
+    instants, values, _ = group_means(at, values)
     return TimeSeries(Granularity.RAW, instants, values)

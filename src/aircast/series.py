@@ -154,16 +154,23 @@ def instants_after(series: TimeSeries, count: int) -> np.ndarray:
 
 
 def group_means(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted distinct keys, mean of ``values`` per key, count per key). Each key's values
-    are summed in their given order, as ``np.mean`` sums up to seven values; a sum that
-    overflows raises NonFiniteMeanError."""
-    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    sums = np.zeros(uniq.size)
+    """(distinct keys, mean of ``values`` per key, count per key) of non-decreasing ``keys``:
+    each run of equal keys is one group. Each key's values are summed in their given
+    order, as ``np.mean`` sums up to seven values; a sum that overflows raises
+    NonFiniteMeanError."""
+    run_starts = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=run_starts[1:])
+    distinct = keys[run_starts]
+    group = np.cumsum(run_starts)
+    group -= 1  # each key's group: its position in ``distinct``
+    counts = np.bincount(group, minlength=distinct.size)
+    sums = np.zeros(distinct.size)
     with np.errstate(over="ignore"):
-        np.add.at(sums, inverse, values)
+        np.add.at(sums, group, values)
     if not np.all(np.isfinite(sums)):
         raise NonFiniteMeanError("mean is not finite (a sum of readings overflows)")
-    return uniq, sums / counts, counts
+    sums /= counts
+    return distinct, sums, counts
 
 
 def scaled_where_overflowing(statistic: Callable[[np.ndarray], float], values: np.ndarray) -> float:
@@ -201,11 +208,12 @@ def resample_mean(
     source_step = estimate_step_seconds(series)
     expected = max(1, int(round(step / source_step)))
 
-    uniq, means, counts = group_means(_bucket_starts(series.at, step), series.values)
+    # the series is time-ordered, so its bucket starts are already non-decreasing
+    buckets, means, counts = group_means(_bucket_starts(series.at, step), series.values)
     keep = counts / expected >= min_coverage
     if not np.any(keep):
         raise EmptySeriesError("no bucket met the coverage requirement")
-    return TimeSeries(target, uniq[keep], means[keep])
+    return TimeSeries(target, buckets[keep], means[keep])
 
 
 def difference(series: TimeSeries, d: int) -> TimeSeries:

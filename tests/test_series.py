@@ -84,7 +84,48 @@ class TestLocalTime:
         assert iso_local(np.array(instants, dtype=np.int64)) == expected
 
 
+def loop_resample(
+    series: TimeSeries, step: int, min_coverage: float
+) -> tuple[list[int], list[float]]:
+    """resample_mean as a loop: each local bucket summed left to right from 0.0,
+    kept when its count covers ``min_coverage`` of the source cadence's share."""
+    at, values = series.at.tolist(), series.values.tolist()
+    source_step = int(max(1, np.median(np.diff(series.at)))) if len(at) > 1 else 1
+    expected = max(1, round(step / source_step))
+    buckets: dict[int, list[float]] = {}
+    for t, v in zip(at, values):
+        buckets.setdefault((t + 7200) // step * step - 7200, []).append(v)
+    at_out, val_out = [], []
+    for start, members in buckets.items():
+        total = 0.0
+        for v in members:
+            total += v
+        if len(members) / expected >= min_coverage:
+            at_out.append(start)
+            val_out.append(total / len(members))
+    return at_out, val_out
+
+
 class TestResampleMean:
+    @pytest.mark.parametrize("target", [Granularity.HOURLY, Granularity.DAILY])
+    @pytest.mark.parametrize("min_coverage", [0.0, 0.5, 0.75])
+    def test_bucket_means_match_loop_oracle(self, rng, target, min_coverage):
+        """Bit for bit: irregular raw readings, with magnitudes mixed so that
+        the order of a bucket's sum shows in its last bits."""
+        for _ in range(100):
+            gaps = rng.choice([1, 60, 300, 900, 900, 900, 1800, 7200], int(rng.integers(1, 400)))
+            at = BASE_EPOCH + int(rng.integers(0, DAY)) + np.cumsum(gaps)
+            values = rng.normal(0, 1, gaps.size) * 10.0 ** rng.integers(-3, 7, gaps.size)
+            series = TimeSeries(Granularity.RAW, at, values)
+            at_out, val_out = loop_resample(series, target.step_seconds, min_coverage)
+            if not at_out:
+                with pytest.raises(EmptySeriesError):
+                    resample_mean(series, target, min_coverage)
+                continue
+            out = resample_mean(series, target, min_coverage)
+            assert out.at.tolist() == at_out
+            assert out.values.tobytes() == np.array(val_out).tobytes()
+
     def test_two_hourly_values_to_daily_mean(self):
         series = hourly_series([10.0, 20.0])
         out = resample_mean(series, Granularity.DAILY, min_coverage=0.0)
