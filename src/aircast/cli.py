@@ -62,7 +62,6 @@ from .ingest import (
     Pollutant,
     build_station_series,
     first_spellings,
-    join_readings,
     parse_pollutant,
     parse_readings_path,
     parse_timestamp,
@@ -73,6 +72,7 @@ from .ingest import (
 )
 from .orders import ArimaOrder
 from .series import (
+    DEFAULT_MIN_COVERAGE,
     Granularity,
     SplitSpec,
     TimeSeries,
@@ -97,7 +97,6 @@ DEFAULT_MODELS = ("arima", "ann", "gp")
 # CLI-level order-search bounds; the library's select_order default is wider
 # but a 9-station run needs to stay interactive.
 DEFAULT_ARIMA_GRID = (2, 1, 2)
-DEFAULT_MIN_COVERAGE = 0.75
 MAX_GAP_HOURLY = 6
 MAX_GAP_DAILY = 3
 DEFAULT_SIM_DAYS = 540
@@ -510,7 +509,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ingest
 
 def _write_station_series(
-    args: argparse.Namespace, readings: np.recarray, stations_seen: dict[str, str], station: str
+    args: argparse.Namespace, files: list[tuple[np.recarray, dict[str, str]]], station: str
 ) -> int:
     """Write one station's series files; returns how many were written. Its
     series are dropped on return, before the next station's are built."""
@@ -519,7 +518,7 @@ def _write_station_series(
     for granularity in gaps:  # series/ keeps only what this run writes for the station
         series_path(out, station, granularity).unlink(missing_ok=True)
     try:
-        raw = build_station_series(readings, stations_seen, station, args.pollutant)
+        raw = build_station_series(files, station, args.pollutant)
     except EmptySeriesError:
         print(f"ingest: no data for station {station!r}", file=sys.stderr)
         return 0
@@ -550,7 +549,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         value=args.value_column,
     )
 
-    tables = []
+    files = []  # each file's table and its own stations_seen, in input order
     reports = []
     for path in args.input:
         try:
@@ -561,14 +560,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         except SchemaError as exc:
             print(f"ingest: {path}: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
-        tables.append(table)
+        files.append((table, report.stations_seen))
         reports.append((path, report))
 
     rows_read = sum(report.rows_read for _, report in reports)
     rows_accepted = sum(report.rows_accepted for _, report in reports)
-    # the files' tables are dropped once joined
-    readings, stations_seen = join_readings(tables, [report for _, report in reports])
-    del tables
+    stations_seen = first_spellings(name for _, seen in files for name in seen.values())
     write_json(out / "ingest_report.json", {
         "files": {str(path): report.to_dict() for path, report in reports},
         "rows_read": rows_read,
@@ -581,7 +578,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return EXIT_EMPTY
 
     written = sum(
-        _write_station_series(args, readings, stations_seen, station)
+        _write_station_series(args, files, station)
         for station in args.station or sorted(stations_seen.values())
     )
     if written == 0:

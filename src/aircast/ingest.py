@@ -18,7 +18,7 @@ from datetime import datetime
 from enum import Enum
 from pathlib import Path
 from operator import itemgetter
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -246,8 +246,8 @@ def parse_readings(
     Rejected rows (bad timestamp, non-finite or negative value, unknown
     pollutant, missing fields) are recorded with their 1-based physical line
     number (the header is line 1). A UTF-8 byte-order mark is skipped. Raises
-    SchemaError if a required column is absent from the header; IO failures
-    propagate as OSError.
+    SchemaError if a required column is absent from the header or named in it
+    more than once; IO failures propagate as OSError.
     """
     # detached, not closed, when done: the stream is the caller's to close
     text = io.TextIOWrapper(stream, encoding="utf-8-sig", errors="replace", newline="")
@@ -265,10 +265,14 @@ def _parse_rows(reader, mapping: ColumnMapping) -> tuple[np.recarray, IngestRepo
         raise SchemaError("input has no header row")
     except csv.Error as exc:
         raise SchemaError(f"unreadable header row: {exc}")
-    header_index = {name.strip(): i for i, name in enumerate(header)}
+    names = [name.strip() for name in header]
+    header_index = {name: i for i, name in enumerate(names)}
     missing = [col for col in mapping.required() if col not in header_index]
     if missing:
         raise SchemaError(f"header is missing required columns: {', '.join(missing)}")
+    repeated = [col for col in dict.fromkeys(mapping.required()) if names.count(col) > 1]
+    if repeated:  # which of the columns holds the data is not known
+        raise SchemaError(f"header names required columns twice: {', '.join(repeated)}")
     columns = [header_index[col] for col in mapping.required()]
     width = max(columns) + 1
     # stands in for a short row, which is rejected before its fields are read
@@ -345,48 +349,39 @@ def parse_readings_path(
         return parse_readings(handle, mapping)
 
 
-def join_readings(
-    tables: Sequence[np.recarray], reports: Sequence[IngestReport]
-) -> tuple[np.recarray, dict[str, str]]:
-    """Several files' tables joined once, and their merged ``stations_seen``
-    (the first file's spelling wins). Each table's station codes are first
-    mapped, in place, from positions in its own report's ``stations_seen`` to
-    positions in the merged one. One file's table is returned as it is."""
-    seen = first_spellings(name for report in reports for name in report.stations_seen.values())
-    if len(tables) == 1:
-        return tables[0], seen
-    merged = {key: code for code, key in enumerate(seen)}
-    for table, report in zip(tables, reports):
-        lookup = np.array([merged[key] for key in report.stations_seen], np.int32)
-        table["station"] = lookup[table["station"]]
-    return np.concatenate(tables).view(np.recarray), seen
-
-
 def build_station_series(
-    readings: np.recarray,
-    keys: Iterable[str],
+    files: Iterable[tuple[np.ndarray, Collection[str]]],
     station: str,
     pollutant: Pollutant = Pollutant.PM25,
 ) -> TimeSeries:
     """Per-station raw series: filtered, time-sorted, duplicates mean-collapsed in file order.
 
-    ``keys`` are the table's station keys in code order (a report's
-    ``stations_seen``), so a row is the station's when its ``station`` is the
-    position of ``station_key(station)`` there. Raises EmptySeriesError when
-    no row is the station's and the pollutant's.
+    ``files`` are the input files' (table, station keys) pairs in input order,
+    each file's keys in its table's code order (its report's ``stations_seen``).
+    Raises EmptySeriesError when no row is the station's and the pollutant's.
     """
-    keys = list(keys)
-    key = station_key(station)
-    mine = readings.pollutant == list(Pollutant).index(pollutant)
-    mine &= readings.station == (keys.index(key) if key in keys else -1)
-    if not mine.any():
+    key, wanted = station_key(station), list(Pollutant).index(pollutant)
+    # each table with the station's code in it: -1, no row's, where its file has none
+    codes = [(table, list(keys).index(key) if key in keys else -1) for table, keys in files]
+
+    def picked(column: str) -> np.ndarray:
+        # the station's rows of one column, in input order; each table's mask is
+        # made again for each column, so none is held from one column to the next
+        parts = []
+        for table, code in codes:
+            mine = table["pollutant"] == wanted
+            mine &= table["station"] == code
+            parts.append(table[column][mine])
+        return np.concatenate(parts)
+
+    at = picked("at")
+    if not at.size:
         raise EmptySeriesError(f"no {pollutant.value} readings for station {station!r}")
-    # the station's rows in time order, each instant's duplicates in file order,
-    # each column dropped unsorted once its sorted copy is made
-    at = readings.at[mine]
+    # the station's rows in time order: the stable sort keeps each instant's
+    # duplicates in file order, and each column is dropped unsorted once sorted
     order = np.argsort(at, kind="stable")
     at = at[order]
-    values = readings.value[mine][order]
-    del mine, order
+    values = picked("value")[order]
+    del order
     instants, values, _ = group_means(at, values)
     return TimeSeries(Granularity.RAW, instants, values)

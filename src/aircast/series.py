@@ -37,6 +37,9 @@ _LOCAL_SUFFIX = datetime.fromtimestamp(0, LOCAL_TZ).isoformat()[19:]
 
 _MIN_TRAIN = 10
 
+#: The share of a bucket's expected observations :func:`resample_mean` keeps it for.
+DEFAULT_MIN_COVERAGE = 0.75
+
 
 class Granularity(Enum):
     RAW = "raw"
@@ -186,7 +189,7 @@ def scaled_where_overflowing(statistic: Callable[[np.ndarray], float], values: n
 
 
 def resample_mean(
-    series: TimeSeries, target: Granularity, min_coverage: float = 0.75
+    series: TimeSeries, target: Granularity, min_coverage: float = DEFAULT_MIN_COVERAGE
 ) -> TimeSeries:
     """Aggregate to a coarser granularity by per-bucket arithmetic mean.
 

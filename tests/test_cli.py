@@ -178,32 +178,39 @@ class TestIngest:
         assert len(daily_rows) == 14
 
     def test_peak_memory_per_accepted_row(self, tmp_path):
-        # 3 stations x 33,334 quarter-hours. The table is 21 bytes a row, and
-        # ingest peaks at about 40 bytes per accepted row while it groups a
-        # station's rows; the bound is that plus 10% (55 when np.unique
-        # grouped them, 66 when the table held each row's station key and
-        # pollutant as objects in 32 bytes, 102 when it also held the table
-        # twice)
+        # 3 stations x 33,334 quarter-hours, as one file and split across two.
+        # The table is 21 bytes a row, and ingest peaks at about 40 bytes per
+        # accepted row while it groups a station's rows; the bound is that plus
+        # 10% (49 for two files when their tables were joined into one copy,
+        # 55 when np.unique grouped a station's rows, 66 when the table held
+        # each row's station key and pollutant as objects in 32 bytes, 102 when
+        # it also held the table twice)
         stamps = np.datetime_as_string(
             np.datetime64("2021-01-01T00:00:00") + np.arange(33_334) * np.timedelta64(900, "s")
         ).tolist()
-        src = tmp_path / "readings.csv"
-        src.write_text(self.HEADER + "".join(
+        lines = [
             f"{station},{stamp}+02:00,PM25,{40 + i % 7}.5\n"
             for station in ("Gitega", "Kiyovu", "Rebero")
             for i, stamp in enumerate(stamps)
-        ), encoding="utf-8")
-        out = tmp_path / "out"
-        tracemalloc.start()
-        try:
-            assert main(["ingest", "--out", str(out), "--input", str(src)]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        rows = json.loads((out / "ingest_report.json").read_text())["rows_accepted"]
-        assert rows == 3 * len(stamps)
-        per_row = peak / rows
-        assert per_row <= 44, f"ingest peaked at {per_row:.1f} bytes per accepted row"
+        ]
+        half = len(lines) // 2
+        for name, parts in [("one", [lines]), ("two", [lines[:half], lines[half:]])]:
+            inputs = []
+            for i, part in enumerate(parts):
+                src = tmp_path / f"{name}{i}.csv"
+                src.write_text(self.HEADER + "".join(part), encoding="utf-8")
+                inputs += ["--input", str(src)]
+            out = tmp_path / name
+            tracemalloc.start()
+            try:
+                assert main(["ingest", "--out", str(out), *inputs]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            rows = json.loads((out / "ingest_report.json").read_text())["rows_accepted"]
+            assert rows == 3 * len(stamps)
+            per_row = peak / rows
+            assert per_row <= 44, f"{name}: ingest peaked at {per_row:.1f} bytes per accepted row"
 
     def test_gzip_input(self, tmp_path):
         src = tmp_path / "readings.csv.gz"
@@ -238,6 +245,17 @@ class TestIngest:
         src = tmp_path / "bad.csv"
         src.write_text("a,b\n1,2\n", encoding="utf-8")
         assert main(["ingest", "--out", str(tmp_path), "--input", str(src)]) == 2
+
+    def test_a_required_column_named_twice_is_schema_error(self, tmp_path, capsys):
+        src = tmp_path / "twice.csv"
+        src.write_text("station,timestamp,pollutant,value,value\n"
+                       "G,2021-06-01T08:00:00+02:00,PM25,1,999\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(src)]) == 2
+        assert capsys.readouterr().err == (
+            f"ingest: {src}: header names required columns twice: value\n"
+        )
+        assert not out.exists()
 
     def test_two_inputs_merge_station_spellings(self, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -292,8 +310,8 @@ class TestIngest:
         assert report["rows_read"] == len(self.CSV.splitlines()) - 1
 
     def test_two_inputs_in_other_station_orders_write_the_one_file_series(self, tmp_path):
-        # each file numbers its stations in its own order of first acceptance;
-        # the second's codes are mapped into the merged order before the join
+        # each file numbers its stations in its own order of first acceptance,
+        # and a station's rows are picked from each table by that file's code
         first = "".join(hourly_rows(s, range(12), level) for s, level in
                         [("Gitega", 40), ("Kiyovu", 60), ("Rebero", 80)])
         second = "".join([

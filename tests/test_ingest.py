@@ -99,6 +99,18 @@ class TestParseReadings:
         with pytest.raises(SchemaError):
             parse_text("station,pollutant,value\nGitega,PM25,1.0\n")
 
+    def test_required_column_named_twice_is_schema_error(self):
+        # which of the two holds the values is not known, so neither is read
+        with pytest.raises(SchemaError, match=r"twice: value$"):
+            parse_text("station,timestamp,pollutant,value,value\n"
+                       "Gitega,2021-06-01T08:00:00+02:00,PM25,1,999\n")
+        with pytest.raises(SchemaError, match=r"twice: station, value$"):
+            parse_text(" value,station,timestamp,pollutant,value ,station\n")
+        # a repeated name that no role uses is read as before
+        readings, _ = parse_text("note,station,timestamp,note,pollutant,value\n"
+                                 "a,Gitega,2021-06-01T08:00:00+02:00,b,PM25,1.5\n")
+        assert readings.value.tolist() == [1.5]
+
     def test_negative_value_rejected(self):
         text = HEADER + "Gitega,2021-06-01T08:00:00+02:00,PM25,-3.0\n"
         readings, report = parse_text(text)
@@ -488,44 +500,56 @@ def reading_table(rows):
 
 class TestBuildStationSeries:
     def test_filters_and_sorts(self):
-        readings, keys = reading_table([
+        files = [reading_table([
             ("Rebero", 200, 2.0),
             ("Gitega", 300, 3.0),
             ("Gitega", 100, 1.0),
-        ])
-        series = build_station_series(readings, keys, "gitega")
+        ])]
+        series = build_station_series(files, "gitega")
         np.testing.assert_array_equal(series.at, [100, 300])
         np.testing.assert_array_equal(series.values, [1.0, 3.0])
 
     def test_duplicate_instants_mean_collapsed(self):
-        readings, keys = reading_table([
+        files = [reading_table([
             ("Gitega", 100, 10.0),
             ("Gitega", 100, 20.0),
-        ])
-        series = build_station_series(readings, keys, "Gitega")
+        ])]
+        series = build_station_series(files, "Gitega")
         assert len(series) == 1
         assert series.values[0] == 15.0
 
     def test_duplicates_collapse_to_np_mean_in_file_order(self):
         # up to seven values, np.mean sums in file order; a grouped sum in
-        # another order (np.add.reduceat's) differs from it in the last bit
+        # another order (np.add.reduceat's) differs from it in the last bit.
+        # The rows are read as one file, and then as two files that list their
+        # keys in other orders, where the instants in both files are summed in
+        # input order
         rng = np.random.default_rng(7)
         counts = np.repeat(np.arange(1, 8), 40)
         at = np.repeat(100 * np.arange(counts.size), counts)
         values = rng.uniform(0.0, 500.0, at.size) * 10.0 ** rng.integers(-3, 4, at.size)
         order = rng.permutation(at.size)
         at, values = at[order], values[order]
-        readings, keys = reading_table(("Gitega", int(t), float(v)) for t, v in zip(at, values))
-        series = build_station_series(readings, keys, "Gitega")
-        expected = [np.mean(values[at == t]) for t in series.at]
-        assert series.values.tobytes() == np.array(expected).tobytes()
+        rows = [("Gitega", int(t), float(v)) for t, v in zip(at, values)]
+        half = len(rows) // 2
+        assert set(at[:half].tolist()) & set(at[half:].tolist())
+        for files in (
+            [reading_table(rows)],
+            [reading_table([*rows[:half], ("Rebero", 100, 1.0)]),
+             reading_table([("Rebero", 100, 2.0), *rows[half:]])],
+        ):
+            if len(files) == 2:
+                assert [keys for _, keys in files] == [["gitega", "rebero"], ["rebero", "gitega"]]
+            series = build_station_series(files, "Gitega")
+            expected = [np.mean(values[at == t]) for t in series.at]
+            assert series.values.tobytes() == np.array(expected).tobytes()
 
     def test_empty_selection(self):
-        readings, keys = reading_table([("Gitega", 100, 1.0)])
+        files = [reading_table([("Gitega", 100, 1.0)])]
         with pytest.raises(EmptySeriesError):
-            build_station_series(readings, keys, "Gitega", Pollutant.SO2)
+            build_station_series(files, "Gitega", Pollutant.SO2)
 
     def test_unknown_station(self):
-        readings, keys = reading_table([("Gitega", 100, 1.0)])
+        files = [reading_table([("Gitega", 100, 1.0)]), reading_table([("Kiyovu", 100, 1.0)])]
         with pytest.raises(EmptySeriesError):
-            build_station_series(readings, keys, "Rebero")
+            build_station_series(files, "Rebero")
