@@ -314,9 +314,9 @@ def _parse_coeffs(text: str) -> tuple[float, ...]:
 
 def _station_names(out: Path, requested: Sequence[str]) -> list[str]:
     """Stations to process: the requested filter, spelled as ingest reported
-    each one, or every ingested station. An ingest report that is not a JSON
-    object whose ``stations_seen`` is a list of non-blank names raises
-    SchemaError naming the file."""
+    each one, or every station the last ingest wrote. An ingest report that
+    is not a JSON object whose ``stations_written`` is a list of non-blank
+    names raises SchemaError naming the file."""
     report_path = out / "ingest_report.json"
     known: object = []
     if report_path.exists():
@@ -325,10 +325,10 @@ def _station_names(out: Path, requested: Sequence[str]) -> list[str]:
                 report = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise SchemaError(f"{report_path}: {exc}") from None
-        known = report.get("stations_seen") if isinstance(report, dict) else None
+        known = report.get("stations_written") if isinstance(report, dict) else None
     if not isinstance(known, list) or not all(isinstance(n, str) and n.strip() for n in known):
-        raise SchemaError(f"{report_path}: expected a JSON object whose stations_seen "
-                          "is a list of non-blank names")
+        raise SchemaError(f"{report_path}: expected a JSON object whose stations_written "
+                          "is a list of non-blank names (re-run ingest to rewrite it)")
     if requested:
         known_by_key = {station_key(name): name for name in known}
         return [known_by_key.get(station_key(name), name) for name in requested]
@@ -510,22 +510,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _write_station_series(
     args: argparse.Namespace, files: list[tuple[np.recarray, dict[str, str]]], station: str
-) -> int:
-    """Write one station's series files; returns how many were written. Its
-    series are dropped on return, before the next station's are built."""
+) -> list[Path]:
+    """Write one station's series files; returns their paths. Its series are
+    dropped on return, before the next station's are built."""
     out = Path(args.out)
     gaps = {Granularity.HOURLY: MAX_GAP_HOURLY, Granularity.DAILY: MAX_GAP_DAILY}
-    for granularity in gaps:  # series/ keeps only what this run writes for the station
-        series_path(out, station, granularity).unlink(missing_ok=True)
     try:
         raw = build_station_series(files, station, args.pollutant)
     except EmptySeriesError:
         print(f"ingest: no data for station {station!r}", file=sys.stderr)
-        return 0
+        return []
     except NonFiniteMeanError as exc:  # the station's rows stay accepted
         print(f"ingest: {station}: {exc}", file=sys.stderr)
-        return 0
-    written = 0
+        return []
+    written = []
     for granularity, max_gap in gaps.items():
         try:
             cleaned = interpolate_gaps(resample_mean(raw, granularity, args.min_coverage), max_gap)
@@ -535,8 +533,9 @@ def _write_station_series(
         except NonFiniteMeanError as exc:
             print(f"ingest: {station}: {granularity.value} {exc}", file=sys.stderr)
             continue
-        write_series_csv(series_path(out, station, granularity), cleaned)
-        written += 1
+        path = series_path(out, station, granularity)
+        write_series_csv(path, cleaned)
+        written.append(path)
     return written
 
 
@@ -566,26 +565,34 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     rows_read = sum(report.rows_read for _, report in reports)
     rows_accepted = sum(report.rows_accepted for _, report in reports)
     stations_seen = first_spellings(name for _, seen in files for name in seen.values())
+    stations = (args.station or sorted(stations_seen.values())) if rows_accepted else []
+    written, kept = [], set()  # the stations written, as reported, and their files' names
+    for station in stations:
+        paths = _write_station_series(args, files, station)
+        if paths:
+            written.append(stations_seen[station_key(station)])
+            kept.update(path.name for path in paths)
+    # series/ holds only what this run wrote, so no stage reads an older run's series
+    if (out / "series").is_dir():
+        for path in (out / "series").iterdir():
+            if path.is_file() and path.name not in kept:
+                path.unlink()
     write_json(out / "ingest_report.json", {
         "files": {str(path): report.to_dict() for path, report in reports},
         "rows_read": rows_read,
         "rows_accepted": rows_accepted,
         "stations_seen": sorted(stations_seen.values()),
+        "stations_written": sorted(written),
     })
 
     if rows_accepted == 0:
         print("ingest: no rows accepted", file=sys.stderr)
         return EXIT_EMPTY
-
-    written = sum(
-        _write_station_series(args, files, station)
-        for station in args.station or sorted(stations_seen.values())
-    )
-    if written == 0:
+    if not kept:
         print("ingest: no station series written", file=sys.stderr)
         return EXIT_EMPTY
     print(f"ingest: accepted {rows_accepted}/{rows_read} rows; "
-          f"wrote {written} series files under {out / 'series'}")
+          f"wrote {len(kept)} series files under {out / 'series'}")
     return EXIT_OK
 
 

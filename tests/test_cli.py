@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-import aircast
 from aircast import ann, arima, gp, ingest
 from aircast.cli import (
     _openblas_thread_controls,
@@ -29,11 +28,10 @@ from aircast.cli import (
 )
 from aircast.errors import SchemaError
 from aircast.evaluation import AnnAdapter, ArimaAdapter, GpAdapter
-from aircast.ingest import station_key
 from aircast.series import LOCAL_TZ, Granularity, TimeSeries
 from aircast.trends import Season
 
-from conftest import BASE_EPOCH
+from conftest import BASE_EPOCH, SRC, strict_json
 from test_trends import SEASON_OF_MONTH, quantile_oracle
 
 FAST_EVAL = ["--arima-grid", "1,0,1", "--workers", "1"]
@@ -333,6 +331,9 @@ class TestIngest:
         assert sorted(path.name for path in (two / "series").iterdir()) == names
         for name in names:
             assert (two / "series" / name).read_bytes() == (one / "series" / name).read_bytes()
+        reports = [json.loads((out / "ingest_report.json").read_text()) for out in (one, two)]
+        for key in ("rows_read", "rows_accepted", "stations_seen"):
+            assert reports[0][key] == reports[1][key], key
 
     def test_station_spellings_that_differ_in_punctuation_are_one_station(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
@@ -367,6 +368,46 @@ class TestIngest:
         assert sorted(p.name for p in (out / "series").iterdir()) == ["gitega_hourly.csv"]
         _, hourly = read_csv(out / "series" / "gitega_hourly.csv")
         assert {row[0][11:13] for row in hourly} == {f"{h:02d}" for h in range(12)}
+
+    def test_reingest_of_one_station_leaves_no_other_station_series(self, tmp_path):
+        """Kiyovu's series from an earlier ingest go when the next ingest writes
+        Gitega alone, so trend does not rank Kiyovu at the old readings' median."""
+        old, new = tmp_path / "c.csv", tmp_path / "a.csv"
+        old.write_text(self.HEADER + hourly_rows("Kiyovu", level=7), encoding="utf-8")
+        new.write_text(self.HEADER + hourly_rows("Gitega") + hourly_rows("Kiyovu", level=60),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(old)]) == 0
+        assert main(["ingest", "--out", str(out), "--input", str(new), "--station", "Gitega"]) == 0
+        assert sorted(p.name for p in (out / "series").iterdir()) == [
+            "gitega_daily.csv", "gitega_hourly.csv",
+        ]
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["stations_seen"] == ["Gitega", "Kiyovu"]
+        assert report["stations_written"] == ["Gitega"]
+        assert main(["trend", "--out", str(out), "--workers", "1"]) == 0
+        summary = json.loads((out / "trend" / "summary.json").read_text())
+        assert [entry["station"] for entry in summary["station_ranking_by_median_hourly"]] == [
+            "Gitega",
+        ]
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param("Gitega,2021-06-01T10:00:00+02:00,PM25,-1.0\n", id="no-row-accepted"),
+        pytest.param("".join(f"Gitega,2021-06-01T10:00:00+02:00,PM25,{value}\n"
+                             for value in ("20", "1e308", "1e308")), id="no-series-written"),
+    ])
+    def test_reingest_that_exits_3_leaves_no_series(self, tmp_path, capsys, rows):
+        full, empty = tmp_path / "full.csv", tmp_path / "empty.csv"
+        full.write_text(self.CSV, encoding="utf-8")
+        empty.write_text(self.HEADER + rows, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--out", str(out), "--input", str(full)]) == 0
+        assert main(["ingest", "--out", str(out), "--input", str(empty)]) == 3
+        assert list((out / "series").iterdir()) == []
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["stations_written"] == []
+        assert main(["trend", "--out", str(out)]) == 3
+        assert "no stations to process" in capsys.readouterr().err
 
     def test_pollutant_flag_takes_the_data_spellings(self, tmp_path):
         src = tmp_path / "readings.csv"
@@ -964,10 +1005,13 @@ class TestDamagedSeriesFile:
 
 
 class TestDamagedIngestReport:
-    """An ingest report that is not an object listing non-blank station names
-    ends the stage with exit 2, naming the file, before any output."""
+    """An ingest report that is not an object listing the non-blank names of
+    the stations written ends the stage with exit 2, naming the file, before
+    any output. A report from before ``stations_written`` is one of these."""
 
-    @pytest.mark.parametrize("damage", ["truncated", "list", "blank name", "number"])
+    @pytest.mark.parametrize("damage", [
+        "truncated", "list", "blank name", "number", "no stations_written",
+    ])
     @pytest.mark.parametrize("command, extra", [
         pytest.param("trend", [], id="trend"),
         pytest.param("forecast", ["--models", "arima", *FAST_EVAL], id="forecast"),
@@ -982,13 +1026,18 @@ class TestDamagedIngestReport:
         path.write_text({
             "truncated": text[: len(text) // 2],
             "list": "[1, 2]",
-            "blank name": json.dumps({**report, "stations_seen": ["Gitega", " "]}),
-            "number": json.dumps({**report, "stations_seen": ["Gitega", 7]}),
+            "blank name": json.dumps({**report, "stations_written": ["Gitega", " "]}),
+            "number": json.dumps({**report, "stations_written": ["Gitega", 7]}),
+            "no stations_written": json.dumps(
+                {key: value for key, value in report.items() if key != "stations_written"}
+            ),
         }[damage], encoding="utf-8")
 
         assert main([command, "--out", str(out), *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{command}: {path}: ")
+        if damage != "truncated":
+            assert err.endswith("(re-run ingest to rewrite it)\n")
         assert "Traceback" not in err
         assert not (out / STAGE_DIRS[command]).exists()
 
@@ -1124,13 +1173,6 @@ def ingest_with_a_huge_gitega_reading(out: Path, *indices: int, value: str = "1e
     return out
 
 
-def strict_json(path: Path):
-    def refuse(token):
-        raise ValueError(f"not JSON: {token}")
-
-    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
-
-
 class TestOverflowingMedian:
     def test_trend_writes_a_finite_median_as_strict_json(self, tmp_path):
         """Two finite hourly values whose sum overflows have a finite median."""
@@ -1247,7 +1289,6 @@ class TestOverflowingEvidence:
             strict_json(path)
 
 
-SRC = Path(aircast.__file__).resolve().parent.parent
 LOADED_SCIPY = "sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy')"
 
 
@@ -1444,7 +1485,3 @@ class TestHygiene:
         assert main(["ingest", "--out", str(out), "--input",
                      str(out / "simulated_readings.csv")]) == 0
         assert list(workdir.iterdir()) == []
-
-    def test_station_slug(self):
-        assert station_key("Mount Kigali") == "mount_kigali"
-        assert station_key("Gikondo Mburabuturo") == "gikondo_mburabuturo"

@@ -64,7 +64,9 @@ class TestStation:
                 "Mount Kigali", "Kimihurura", "Gikondo Mburabuturo", "Gikomero"} == names
 
     @pytest.mark.parametrize("name, key", [
+        ("Mount Kigali", "mount_kigali"),
         ("  Mount-Kigali ", "mount_kigali"),
+        ("Gikondo Mburabuturo", "gikondo_mburabuturo"),
         ("Gikondo/Mburabuturo", "gikondo_mburabuturo"),
         ("Straße 7", "strasse_7"),  # casefold, not lower: the key of "STRASSE 7" too
     ])
