@@ -409,9 +409,9 @@ def _start_worker(modules: Sequence[str]) -> None:
     had loaded, then set every loaded OpenBLAS to one thread.
 
     A forked worker already has them, pinned. A worker started another way
-    (spawn, the default on Linux from Python 3.14) begins from a bare
-    interpreter, and scipy's BLAS, which loads with the model layers, would
-    otherwise load after the pin and run unpinned.
+    (forkserver, the default on Linux from Python 3.14, or spawn) begins from
+    a bare interpreter, and scipy's BLAS, which loads with the model layers,
+    would otherwise load after the pin and run unpinned.
     """
     for name in modules:
         importlib.import_module(name)
@@ -457,7 +457,7 @@ def _run_pool(worker: Callable, tasks: Sequence, workers: int) -> list:
 def _run_stations(args: argparse.Namespace, worker: Callable) -> list | None:
     """``worker(args, station)`` for each station to process, in station order;
     None, after saying so, when there is none."""
-    stations = _station_names(Path(args.out), args.station)
+    stations = _station_names(args.out, args.station)
     if not stations:
         print(f"{args.command}: no stations to process (run ingest first?)", file=sys.stderr)
         return None
@@ -470,19 +470,17 @@ def _run_stations(args: argparse.Namespace, worker: Callable) -> list | None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .simulate import FALLBACK_SIM, STATION_SIM_PARAMS, simulate_arma
 
-    out = Path(args.out)
     stations = args.station or list(STATION_SIM_PARAMS)
-    given = {
+    overrides = {
         field: getattr(args, field)
         for field in ("alpha", "beta", "theta", "sigma")
         if getattr(args, field) is not None
     }
-    override = replace(FALLBACK_SIM, **given) if given else None
     roster = {station_key(name): params for name, params in STATION_SIM_PARAMS.items()}
     rows = []
     try:
         for name in stations:
-            params = override or roster.get(station_key(name), FALLBACK_SIM)
+            params = replace(roster.get(station_key(name), FALLBACK_SIM), **overrides)
             series = simulate_arma(
                 params.alpha,
                 params.beta,
@@ -499,7 +497,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"simulate: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
-    path = out / "simulated_readings.csv"
+    path = args.out / "simulated_readings.csv"
     write_table(path, ["station", "timestamp", "pollutant", "value"], rows, "csv")
     print(f"wrote {path} ({len(rows)} rows, {len(stations)} stations)")
     return EXIT_OK
@@ -513,7 +511,6 @@ def _write_station_series(
 ) -> list[Path]:
     """Write one station's series files; returns their paths. Its series are
     dropped on return, before the next station's are built."""
-    out = Path(args.out)
     gaps = {Granularity.HOURLY: MAX_GAP_HOURLY, Granularity.DAILY: MAX_GAP_DAILY}
     try:
         raw = build_station_series(files, station, args.pollutant)
@@ -533,14 +530,13 @@ def _write_station_series(
         except NonFiniteMeanError as exc:
             print(f"ingest: {station}: {granularity.value} {exc}", file=sys.stderr)
             continue
-        path = series_path(out, station, granularity)
+        path = series_path(args.out, station, granularity)
         write_series_csv(path, cleaned)
         written.append(path)
     return written
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    out = Path(args.out)
     mapping = ColumnMapping(
         station=args.station_column,
         timestamp=args.timestamp_column,
@@ -573,11 +569,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             written.append(stations_seen[station_key(station)])
             kept.update(path.name for path in paths)
     # series/ holds only what this run wrote, so no stage reads an older run's series
-    if (out / "series").is_dir():
-        for path in (out / "series").iterdir():
+    if (args.out / "series").is_dir():
+        for path in (args.out / "series").iterdir():
             if path.is_file() and path.name not in kept:
                 path.unlink()
-    write_json(out / "ingest_report.json", {
+    write_json(args.out / "ingest_report.json", {
         "files": {str(path): report.to_dict() for path, report in reports},
         "rows_read": rows_read,
         "rows_accepted": rows_accepted,
@@ -592,7 +588,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print("ingest: no station series written", file=sys.stderr)
         return EXIT_EMPTY
     print(f"ingest: accepted {rows_accepted}/{rows_read} rows; "
-          f"wrote {len(kept)} series files under {out / 'series'}")
+          f"wrote {len(kept)} series files under {args.out / 'series'}")
     return EXIT_OK
 
 
@@ -600,12 +596,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # trend
 
 def _trend_station(args: argparse.Namespace, station: str) -> dict:
-    out = Path(args.out)
     result: dict = {"station": station, "files": [], "error": None}
 
     try:
         hourly, daily = (
-            load_series_csv(series_path(out, station, granularity), granularity)
+            load_series_csv(series_path(args.out, station, granularity), granularity)
             for granularity in (Granularity.HOURLY, Granularity.DAILY)
         )
     except SchemaError as exc:
@@ -640,13 +635,12 @@ def _trend_station(args: argparse.Namespace, station: str) -> dict:
 
     key = station_key(station)
     for name, (header, rows) in tables:
-        path = write_table(out / "trend" / f"{key}_{name}", header, rows, args.format)
+        path = write_table(args.out / "trend" / f"{key}_{name}", header, rows, args.format)
         result["files"].append(str(path))
     return result
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
-    out = Path(args.out)
     results = _run_stations(args, _trend_station)
     if results is None:
         return EXIT_EMPTY
@@ -676,8 +670,8 @@ def cmd_trend(args: argparse.Namespace) -> int:
             for r in processed
         },
     }
-    write_json(out / "trend" / "summary.json", summary)
-    print(f"trend: wrote analyses for {len(processed)} stations under {out / 'trend'}")
+    write_json(args.out / "trend" / "summary.json", summary)
+    print(f"trend: wrote analyses for {len(processed)} stations under {args.out / 'trend'}")
     return EXIT_OK
 
 
@@ -687,12 +681,11 @@ def cmd_trend(args: argparse.Namespace) -> int:
 def _forecast_station(args: argparse.Namespace, station: str) -> dict:
     from .evaluation import fit_or_load
 
-    out = Path(args.out)
     granularity = Granularity(args.granularity)
     result: dict = {"station": station, "models": {}, "errors": {}}
 
     try:
-        series = load_series_csv(series_path(out, station, granularity), granularity)
+        series = load_series_csv(series_path(args.out, station, granularity), granularity)
         if series is None:
             result["errors"]["*"] = "no ingested series found"
             return result
@@ -707,7 +700,7 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
     tracks: dict[str, np.ndarray] = {}
     variances: dict[str, np.ndarray] = {}
     for adapter in _build_adapters(args, station):
-        path = model_path(out, station, adapter.name)
+        path = model_path(args.out, station, adapter.name)
         try:
             key = fit_or_load(adapter, train, path)
             tracks[adapter.name], variance = adapter.forecast(train, future_at)
@@ -731,7 +724,7 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
         row.append(actual if actual is not None else "")
         row.extend(float(column[k]) for column in columns.values())
         rows.append(row)
-    forecast_path = out / "forecast" / f"{station_key(station)}_forecast"
+    forecast_path = args.out / "forecast" / f"{station_key(station)}_forecast"
     write_table(forecast_path, header, rows, args.format)
     result["models"] = {name: len(track) for name, track in tracks.items()}
     return result
@@ -752,7 +745,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         print("forecast: no model produced a forecast", file=sys.stderr)
         return EXIT_NO_MODEL
     print(f"forecast: wrote forecasts for {sum(1 for r in results if r['models'])} "
-          f"stations under {Path(args.out) / 'forecast'}")
+          f"stations under {args.out / 'forecast'}")
     return EXIT_OK
 
 
@@ -774,16 +767,15 @@ def compare_models(*args, **kwargs) -> EvalReport:
 def _evaluate_station(args: argparse.Namespace, station: str) -> EvalReport:
     from .evaluation import EvalReport
 
-    out = Path(args.out)
     granularity = Granularity(args.granularity)
     report = EvalReport(station=station, split="")
     try:
-        series = load_series_csv(series_path(out, station, granularity), granularity)
+        series = load_series_csv(series_path(args.out, station, granularity), granularity)
         if series is None:
             report.errors["*"] = "no ingested series found"
             return report
         adapters = _build_adapters(args, station)
-        paths = {adapter.name: model_path(out, station, adapter.name) for adapter in adapters}
+        paths = {adapter.name: model_path(args.out, station, adapter.name) for adapter in adapters}
         return compare_models(series, args.holdout, adapters, station=station, model_paths=paths)
     except AircastError as exc:
         report.errors["*"] = str(exc)
@@ -805,7 +797,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print("evaluate: no model succeeded on any station", file=sys.stderr)
         return EXIT_NO_MODEL
 
-    eval_dir = Path(args.out) / "evaluation"
+    eval_dir = args.out / "evaluation"
     header, rows = comparison_table(reports, args.models)
     write_table(eval_dir / "comparison", header, rows, args.format)
     write_json(
@@ -828,6 +820,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out",
+        type=Path,
         default=os.environ.get("AIRCAST_OUT", "aircast_out"),
         help="output directory (default: $AIRCAST_OUT or ./aircast_out)",
     )

@@ -97,7 +97,11 @@ class IngestReport:
 
 
 def parse_timestamp(text: str) -> int:
-    """ISO-8601 with explicit offset -> epoch seconds. Raises ValueError."""
+    """ISO-8601 with explicit offset -> epoch seconds. Raises ValueError.
+
+    One grammar on every supported Python: 3.11's ``datetime.fromisoformat``,
+    with surrounding space ignored, a lowercase ``z`` read as ``Z``, and an
+    offset required (``2021-06-01T08:00:00`` is refused)."""
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"

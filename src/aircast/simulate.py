@@ -41,7 +41,7 @@ STATION_SIM_PARAMS: dict[str, SimParams] = {
     "Gikomero": SimParams(15.0, (0.65,), (), 5.0),
 }
 
-#: A station off the roster; also the base that ``--alpha``..``--sigma`` override.
+#: A station off the roster.
 FALLBACK_SIM = SimParams(12.0, (0.7,), (), 3.0)
 
 

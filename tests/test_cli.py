@@ -113,6 +113,20 @@ class TestSimulate:
             out_b / "simulated_readings.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("station, flag", [
+        ("Gitega", "--alpha=12"), ("Gitega", "--beta=0.7"),
+        ("Kiyovu", "--theta=0.5"), ("Rebero", "--sigma=2.0"),
+    ])
+    def test_override_replaces_only_the_field_it_names(self, tmp_path, station, flag):
+        """Naming one of a roster station's own parameters leaves its series as
+        it is: the other fields stay the station's, not the off-roster model's."""
+        for name, flags in (("own", []), ("named", [flag])):
+            assert main(["simulate", "--out", str(tmp_path / name), "--n-days", "120",
+                         "--station", station, *flags]) == 0
+        assert (tmp_path / "named" / "simulated_readings.csv").read_bytes() == (
+            tmp_path / "own" / "simulated_readings.csv"
+        ).read_bytes()
+
     def test_nonstationary_override_rejected(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path), "--beta", "1.1"]) == 2
 
@@ -334,6 +348,21 @@ class TestIngest:
         reports = [json.loads((out / "ingest_report.json").read_text()) for out in (one, two)]
         for key in ("rows_read", "rows_accepted", "stations_seen"):
             assert reports[0][key] == reports[1][key], key
+
+    def test_column_flags_read_a_renamed_header_as_the_canonical_one(self, tmp_path):
+        assert main(["simulate", "--out", str(tmp_path), "--n-days", "30"]) == 0
+        canonical = tmp_path / "simulated_readings.csv"
+        header, body = canonical.read_text(encoding="utf-8").split("\n", 1)
+        assert header == self.HEADER.strip()
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text("site,time,species,reading\n" + body, encoding="utf-8")
+        assert main(["ingest", "--out", str(tmp_path / "canonical"), "--input", str(canonical)]) == 0
+        assert main(["ingest", "--out", str(tmp_path / "renamed"), "--input", str(renamed),
+                     "--station-column", "site", "--timestamp-column", "time",
+                     "--pollutant-column", "species", "--value-column", "reading"]) == 0
+        series = stage_files(tmp_path / "canonical" / "series")
+        assert len(series) == 18
+        assert stage_files(tmp_path / "renamed" / "series") == series
 
     def test_station_spellings_that_differ_in_punctuation_are_one_station(self, tmp_path, capsys):
         src = tmp_path / "readings.csv"
@@ -1438,10 +1467,12 @@ class TestStageImports:
 
     @pytest.mark.parametrize("start, models", [
         ("fork", "arima"), ("fork", "ann"), ("fork", "gp"), ("spawn", "ann"), ("spawn", "gp"),
+        ("forkserver", "arima"), ("forkserver", "ann"), ("forkserver", "gp"),
     ])  # spawned workers of all three: the test above
     def test_model_stage_workers_pin_every_blas(self, pipeline_out, tmp_path, start, models):
         """The parent loads the layers of the models named before the pool pins
-        and forks, and a spawned worker loads the same ones before it pins."""
+        and forks, and a spawned or forkserver worker (forkserver is Linux's
+        default from Python 3.14) loads the same ones before it pins."""
         if start not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {start} start method here")
         loaded, workers = stage_worker_blas(pipeline_out, tmp_path, start, models)

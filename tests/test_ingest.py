@@ -259,6 +259,22 @@ random_digit_stamps = st.builds(
     ),
 )
 
+#: Stamps that Python 3.11's ``datetime.fromisoformat`` reads and 3.10's does
+#: not (3.11 is the oldest supported interpreter), and a lowercase ``z``: each
+#: is 2021-06-01 06:00:00 UTC.
+ISO_FORMS_FROM_311 = [
+    "2021-06-01T08:00:00+0200",
+    "2021-06-01T08:00:00+02",
+    "20210601T080000+0200",
+    "2021-W22-2T08:00:00+02:00",  # a week date
+    "2021-06-01T08:00:00.5+02:00",
+    "2021-06-01T08:00:00.1234567+02:00",
+    "2021-06-01T08:00:00,5+02:00",
+    "2021-06-01T0800+02:00",
+    "2021-06-01T06:00:00z",
+]
+
+
 ADVERSARIAL_STAMPS = [
     "1900-02-29T00:00:00+02:00",  # not a leap year
     "2000-02-29T00:00:00+02:00",  # a leap year
@@ -297,6 +313,11 @@ ADVERSARIAL_STAMPS = [
 
 class TestParseTimestamps:
     """The array rule gives parse_timestamp's answer for every text."""
+
+    @pytest.mark.parametrize("text", ISO_FORMS_FROM_311)
+    def test_one_grammar_on_every_supported_python(self, text):
+        assert parse_timestamp(text) == 1_622_527_200
+        assert_matches_rule([text])
 
     def test_adversarial_stamps(self):
         assert_matches_rule(ADVERSARIAL_STAMPS)
