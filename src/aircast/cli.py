@@ -12,7 +12,8 @@ can be re-run independently:
 All randomness flows from --seed, fanned out deterministically per station
 and model, so identical invocations produce bitwise-identical outputs.
 Exit codes: 0 ok, 1 I/O failure, 2 schema/validation failure, 3 no usable
-data, 4 no model succeeded.
+data (ingest kept no row or series, or no station of a later stage could
+run), 4 no model succeeded at any station that ran.
 
 Importing this module loads only the numpy layers (``errors``, ``ingest``,
 ``orders``, ``series``, ``trends``), so ``ingest`` and ``trend`` never load
@@ -454,14 +455,43 @@ def _run_pool(worker: Callable, tasks: Sequence, workers: int) -> list:
             return list(pool.map(worker, tasks))
 
 
-def _run_stations(args: argparse.Namespace, worker: Callable) -> list | None:
-    """``worker(args, station)`` for each station to process, in station order;
-    None, after saying so, when there is none."""
+def _station_outcome(worker: Callable, args: argparse.Namespace, station: str) -> tuple:
+    """``worker(args, station)``, or (None, {"*": why}) when it raises
+    AircastError: the station cannot run at all."""
+    try:
+        return worker(args, station)
+    except AircastError as exc:
+        return None, {"*": str(exc)}
+
+
+def _run_stations(args: argparse.Namespace, worker: Callable) -> list[tuple] | None:
+    """(station, result, errors) of each station to process, in station order,
+    from ``worker(args, station) -> (result, errors by model)``; the result is
+    None where the worker raised. Every error is printed once, as
+    ``<command>: <station>: <why>`` or ``<command>: <station> [<model>]: <why>``.
+    None when no station could run."""
     stations = _station_names(args.out, args.station)
     if not stations:
         print(f"{args.command}: no stations to process (run ingest first?)", file=sys.stderr)
         return None
-    return _run_pool(partial(worker, args), stations, args.workers)
+    ran = _run_pool(partial(_station_outcome, worker, args), stations, args.workers)
+    outcomes = [(station, *outcome) for station, outcome in zip(stations, ran)]
+    for station, _, errors in outcomes:
+        for scope, message in errors.items():
+            where = station if scope == "*" else f"{station} [{scope}]"
+            print(f"{args.command}: {where}: {message}", file=sys.stderr)
+    if all(result is None for _, result, _ in outcomes):
+        return None
+    return outcomes
+
+
+def _ingested_series(out: Path, station: str, *granularities: Granularity) -> list[TimeSeries | None]:
+    """The station's series of each of ``granularities``, None where ingest
+    wrote none; EmptySeriesError where it wrote none of them."""
+    loaded = [load_series_csv(series_path(out, station, g), g) for g in granularities]
+    if all(series is None for series in loaded):
+        raise EmptySeriesError("no ingested series found")
+    return loaded
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +625,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # trend
 
-def _trend_station(args: argparse.Namespace, station: str) -> dict:
-    result: dict = {"station": station, "files": [], "error": None}
-
-    try:
-        hourly, daily = (
-            load_series_csv(series_path(args.out, station, granularity), granularity)
-            for granularity in (Granularity.HOURLY, Granularity.DAILY)
-        )
-    except SchemaError as exc:
-        result["error"] = str(exc)
-        return result
-    if hourly is None and daily is None:
-        result["error"] = "no ingested series found"
-        return result
+def _trend_station(args: argparse.Namespace, station: str) -> tuple[dict, dict]:
+    hourly, daily = _ingested_series(args.out, station, Granularity.HOURLY, Granularity.DAILY)
+    result: dict = {"station": station, "files": []}
 
     tables: list[tuple[str, tuple[list[str], list[list]]]] = []
     if hourly is not None:
@@ -637,21 +656,15 @@ def _trend_station(args: argparse.Namespace, station: str) -> dict:
     for name, (header, rows) in tables:
         path = write_table(args.out / "trend" / f"{key}_{name}", header, rows, args.format)
         result["files"].append(str(path))
-    return result
+    return result, {}
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
-    results = _run_stations(args, _trend_station)
-    if results is None:
+    outcomes = _run_stations(args, _trend_station)
+    if outcomes is None:
         return EXIT_EMPTY
 
-    for r in results:
-        if r["error"]:
-            print(f"trend: {r['station']}: {r['error']}", file=sys.stderr)
-    processed = [r for r in results if r["error"] is None]
-    if not processed:
-        return EXIT_EMPTY
-
+    processed = [result for _, result, _ in outcomes if result is not None]
     ranking = sorted(
         (r for r in processed if "median_hourly" in r),
         key=lambda r: -r["median_hourly"],
@@ -678,27 +691,19 @@ def cmd_trend(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # forecast
 
-def _forecast_station(args: argparse.Namespace, station: str) -> dict:
+def _forecast_station(args: argparse.Namespace, station: str) -> tuple[list[str], dict]:
+    """(the models that forecast, errors by model)."""
     from .evaluation import fit_or_load
 
     granularity = Granularity(args.granularity)
-    result: dict = {"station": station, "models": {}, "errors": {}}
-
-    try:
-        series = load_series_csv(series_path(args.out, station, granularity), granularity)
-        if series is None:
-            result["errors"]["*"] = "no ingested series found"
-            return result
-        train, _ = split_holdout(series, args.holdout)
-    except AircastError as exc:
-        result["errors"]["*"] = str(exc)
-        return result
-
+    (series,) = _ingested_series(args.out, station, granularity)
+    train, _ = split_holdout(series, args.holdout)
     future_at = instants_after(train, args.horizon).tolist()
     actual_by_at = dict(zip(series.at.tolist(), series.values.tolist()))
 
     tracks: dict[str, np.ndarray] = {}
     variances: dict[str, np.ndarray] = {}
+    errors: dict[str, str] = {}
     for adapter in _build_adapters(args, station):
         path = model_path(args.out, station, adapter.name)
         try:
@@ -708,9 +713,9 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
                 variances[f"{adapter.name}_variance"] = variance
             write_json(path, {**adapter.to_dict(), "fit_key": key})
         except AircastError as exc:
-            result["errors"][adapter.name] = str(exc)
+            errors[adapter.name] = str(exc)
     if not tracks:
-        return result
+        return [], errors
 
     columns = {**tracks, **variances}
     header = ["date", "actual"] + list(columns)
@@ -726,26 +731,20 @@ def _forecast_station(args: argparse.Namespace, station: str) -> dict:
         rows.append(row)
     forecast_path = args.out / "forecast" / f"{station_key(station)}_forecast"
     write_table(forecast_path, header, rows, args.format)
-    result["models"] = {name: len(track) for name, track in tracks.items()}
-    return result
+    return list(tracks), errors
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     _load_model_layers(args.models)  # here, before _run_pool pins BLAS and starts workers
-    results = _run_stations(args, _forecast_station)
-    if results is None:
+    outcomes = _run_stations(args, _forecast_station)
+    if outcomes is None:
         return EXIT_EMPTY
 
-    succeeded = 0
-    for result in results:
-        for scope, message in result["errors"].items():
-            print(f"forecast: {result['station']} [{scope}]: {message}", file=sys.stderr)
-        succeeded += len(result["models"])
-    if succeeded == 0:
+    forecast = [models for _, models, _ in outcomes if models]
+    if not forecast:
         print("forecast: no model produced a forecast", file=sys.stderr)
         return EXIT_NO_MODEL
-    print(f"forecast: wrote forecasts for {sum(1 for r in results if r['models'])} "
-          f"stations under {args.out / 'forecast'}")
+    print(f"forecast: wrote forecasts for {len(forecast)} stations under {args.out / 'forecast'}")
     return EXIT_OK
 
 
@@ -764,35 +763,28 @@ def compare_models(*args, **kwargs) -> EvalReport:
     return evaluation.compare_models(*args, **kwargs)
 
 
-def _evaluate_station(args: argparse.Namespace, station: str) -> EvalReport:
-    from .evaluation import EvalReport
-
+def _evaluate_station(args: argparse.Namespace, station: str) -> tuple[EvalReport, dict]:
+    """(the station's report, its errors by model)."""
     granularity = Granularity(args.granularity)
-    report = EvalReport(station=station, split="")
-    try:
-        series = load_series_csv(series_path(args.out, station, granularity), granularity)
-        if series is None:
-            report.errors["*"] = "no ingested series found"
-            return report
-        adapters = _build_adapters(args, station)
-        paths = {adapter.name: model_path(args.out, station, adapter.name) for adapter in adapters}
-        return compare_models(series, args.holdout, adapters, station=station, model_paths=paths)
-    except AircastError as exc:
-        report.errors["*"] = str(exc)
-        return report
+    (series,) = _ingested_series(args.out, station, granularity)
+    adapters = _build_adapters(args, station)
+    paths = {adapter.name: model_path(args.out, station, adapter.name) for adapter in adapters}
+    report = compare_models(series, args.holdout, adapters, station=station, model_paths=paths)
+    return report, report.errors
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _load_model_layers(args.models)  # here, before _run_pool pins BLAS and starts workers
-    from .evaluation import comparison_table
+    from .evaluation import EvalReport, comparison_table
 
-    reports = _run_stations(args, _evaluate_station)
-    if reports is None:
+    outcomes = _run_stations(args, _evaluate_station)
+    if outcomes is None:
         return EXIT_EMPTY
 
-    for report in reports:
-        for scope, message in report.errors.items():
-            print(f"evaluate: {report.station} [{scope}]: {message}", file=sys.stderr)
+    reports = [
+        EvalReport(station=station, split="", errors=errors) if report is None else report
+        for station, report, errors in outcomes
+    ]
     if all(not report.models for report in reports):
         print("evaluate: no model succeeded on any station", file=sys.stderr)
         return EXIT_NO_MODEL

@@ -164,7 +164,8 @@ def group_means(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
     run_starts = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=run_starts[1:])
     distinct = keys[run_starts]
-    group = np.cumsum(run_starts)
+    group = run_starts.astype(np.intp)
+    np.cumsum(group, out=group)  # in place: a cumsum of the bools would buffer its cast
     group -= 1  # each key's group: its position in ``distinct``
     counts = np.bincount(group, minlength=distinct.size)
     sums = np.zeros(distinct.size)

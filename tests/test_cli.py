@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from aircast import ann, arima, gp, ingest
+from aircast import ann, arima, gp, ingest, trends
 from aircast.cli import (
     _openblas_thread_controls,
     load_series_csv,
@@ -26,7 +26,7 @@ from aircast.cli import (
     single_blas_thread,
     write_series_csv,
 )
-from aircast.errors import SchemaError
+from aircast.errors import GranularityError, SchemaError
 from aircast.evaluation import AnnAdapter, ArimaAdapter, GpAdapter
 from aircast.series import LOCAL_TZ, Granularity, TimeSeries
 from aircast.trends import Season
@@ -1033,6 +1033,83 @@ class TestDamagedSeriesFile:
             assert "rebero" in written and "gitega" not in written
 
 
+class TestStationFailures:
+    """A station that cannot run (no series, or one that does not read) fails
+    as a whole: one stderr line ``<command>: <station>: <why>``, and exit 3
+    when no station could run, the same for each station stage."""
+
+    COMMANDS = [
+        pytest.param("trend", [], id="trend"),
+        pytest.param("forecast", ["--models", "arima", *FAST_EVAL], id="forecast"),
+        pytest.param("evaluate", ["--models", "arima", *FAST_EVAL], id="evaluate"),
+    ]
+
+    @staticmethod
+    def negative_gitega_value(out: Path) -> Path:
+        """Gitega's daily series with a negative value on line 2; returns its path."""
+        path = out / "series" / "gitega_daily.csv"
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join([header, first.split(",")[0] + ",-1.0\n", *rest]),
+                        encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command, extra", COMMANDS)
+    def test_station_without_series_exits_3(self, pipeline_out, tmp_path, capsys, command,
+                                             extra):
+        out = fresh_out(pipeline_out, tmp_path / "out")
+        assert main([command, "--out", str(out), "--station", "Kiyovu", *extra]) == 3
+        assert capsys.readouterr().err == f"{command}: Kiyovu: no ingested series found\n"
+        assert not (out / STAGE_DIRS[command]).exists()
+
+    @pytest.mark.parametrize("command, extra", COMMANDS)
+    def test_unreadable_series_exits_3(self, pipeline_out, tmp_path, capsys, command, extra):
+        out = fresh_out(pipeline_out, tmp_path / "out")
+        path = self.negative_gitega_value(out)
+        assert main([command, "--out", str(out), "--station", "Gitega", *extra]) == 3
+        assert capsys.readouterr().err == f"{command}: Gitega: {path}, line 2: negative value\n"
+        assert not (out / STAGE_DIRS[command]).exists()
+
+    @pytest.mark.parametrize("command, extra", COMMANDS)
+    def test_one_readable_station_exits_0(self, pipeline_out, tmp_path, capsys, command, extra):
+        out = fresh_out(pipeline_out, tmp_path / "out")
+        path = self.negative_gitega_value(out)
+        assert main([command, "--out", str(out), *extra, "--workers", "2"]) == 0
+        err = capsys.readouterr().err
+        assert err.count(f"{command}: Gitega: {path}, line 2: negative value\n") == 1
+        assert "[*]" not in err
+        if command == "trend":
+            assert list(strict_json(out / "trend" / "summary.json")["stations"]) == ["Rebero"]
+        elif command == "evaluate":
+            stations = strict_json(out / "evaluation" / "evaluation_report.json")["stations"]
+            assert stations[0] == {
+                "station": "Gitega", "split": "", "models": {},
+                "errors": {"*": f"{path}, line 2: negative value"},
+            }
+            assert set(stations[1]["models"]) == {"arima"}
+        else:
+            assert (out / "forecast" / "rebero_forecast.csv").exists()
+            assert not (out / "forecast" / "gitega_forecast.csv").exists()
+
+    def test_any_aircast_error_at_a_station_fails_that_station(self, pipeline_out, tmp_path,
+                                                              capsys, monkeypatch):
+        """Not only a series that does not read: an AircastError from a later
+        step at the station (here a trend computation) fails it as a whole."""
+        day_of_week_profile = trends.day_of_week_profile
+        calls = []
+
+        def refuse_first_station(series):  # stations run in order, Gitega first
+            calls.append(series)
+            if len(calls) == 1:
+                raise GranularityError("refused")
+            return day_of_week_profile(series)
+
+        monkeypatch.setattr(trends, "day_of_week_profile", refuse_first_station)
+        out = fresh_out(pipeline_out, tmp_path / "out")
+        assert main(["trend", "--out", str(out), "--workers", "1"]) == 0
+        assert capsys.readouterr().err == "trend: Gitega: refused\n"
+        assert list(strict_json(out / "trend" / "summary.json")["stations"]) == ["Rebero"]
+
+
 class TestDamagedIngestReport:
     """An ingest report that is not an object listing the non-blank names of
     the stations written ends the stage with exit 2, naming the file, before
@@ -1349,10 +1426,10 @@ def stage_worker_blas(pipeline_out: Path, tmp_path: Path, start: str, models: st
         "_evaluate_station = cli._evaluate_station\n"
         "\n"
         "def evaluate_station(args, station):\n"
-        "    report = _evaluate_station(args, station)\n"
+        "    report, errors = _evaluate_station(args, station)\n"
         "    threads = [get() for get, _ in cli._openblas_thread_controls()]\n"
         "    report.errors['blas'] = json.dumps(['scipy.linalg' in sys.modules, threads])\n"
-        "    return report\n",
+        "    return report, errors\n",
         encoding="utf-8",
     )
     code = (

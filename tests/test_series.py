@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from datetime import datetime
 
@@ -22,6 +23,7 @@ from aircast.series import (
     SplitSpec,
     TimeSeries,
     difference,
+    group_means,
     interpolate_gaps,
     inverse_difference,
     inverse_difference_values,
@@ -179,6 +181,25 @@ class TestResampleMean:
         raw = TimeSeries(Granularity.RAW, at, np.array([1.0, 2, 3, 4, 10, 10, 10, 10]))
         out = resample_mean(raw, Granularity.HOURLY, min_coverage=1.0)
         np.testing.assert_allclose(out.values, [2.5, 10.0])
+
+
+class TestGroupMeans:
+    def test_peak_memory_on_repeated_keys(self):
+        # 50,000 sorted keys in runs of 8. The group index takes one int64 per
+        # key; a cumsum of the run-start bools would buffer its cast and hold
+        # about twice that
+        keys = np.repeat(np.arange(6_250, dtype=np.int64), 8)
+        values = np.random.default_rng(3).uniform(0, 100, keys.size)
+        tracemalloc.start()
+        try:
+            distinct, means, counts = group_means(keys, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert distinct.tolist() == list(range(6_250)) and set(counts.tolist()) == {8}
+        np.testing.assert_allclose(means, values.reshape(-1, 8).mean(axis=1), rtol=1e-15)
+        per_key = peak / keys.size
+        assert per_key <= 16, f"group_means peaked at {per_key:.1f} bytes per key"
 
 
 class TestDifference:
