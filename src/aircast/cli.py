@@ -718,19 +718,13 @@ def _forecast_station(args: argparse.Namespace, station: str) -> tuple[list[str]
         return [], errors
 
     columns = {**tracks, **variances}
-    header = ["date", "actual"] + list(columns)
-    rows = []
     stamps = iso_local(future_at)
     if granularity is Granularity.DAILY:
         stamps = [stamp[:10] for stamp in stamps]  # the local date
-    for k, (at, stamp) in enumerate(zip(future_at, stamps)):
-        row: list = [stamp]
-        actual = actual_by_at.get(at)
-        row.append(actual if actual is not None else "")
-        row.extend(float(column[k]) for column in columns.values())
-        rows.append(row)
+    actual = [actual_by_at.get(at, "") for at in future_at]
+    rows = zip(stamps, actual, *(column.tolist() for column in columns.values()))
     forecast_path = args.out / "forecast" / f"{station_key(station)}_forecast"
-    write_table(forecast_path, header, rows, args.format)
+    write_table(forecast_path, ["date", "actual", *columns], rows, args.format)
     return list(tracks), errors
 
 

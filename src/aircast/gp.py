@@ -229,7 +229,7 @@ def log_marginal_likelihood(model: GpModel) -> float:
 
 
 def _lml_surface(
-    sq_dist: np.ndarray,
+    x: np.ndarray,
     centered: np.ndarray,
     length_scale: float,
     amplitudes: np.ndarray,
@@ -238,13 +238,15 @@ def _lml_surface(
     """Log marginal likelihood of every (amplitude, noise) cell at one length
     scale, NaN where no jitter leaves the matrix positive definite.
 
-    One eigendecomposition R = Q diag(lam) Q^T of R = exp(-d^2 / l^2) serves
-    every cell: a*R + (noise + jitter)*I has the eigenvectors Q and the
-    eigenvalues a*lam + noise + jitter (Rasmussen & Williams 2006, §2.2, §5.4),
-    so a cell's quadratic form and log-determinant cost O(n). Each cell takes
-    the first of ``fit_gp``'s jitters that leaves every eigenvalue positive.
+    One eigendecomposition Q diag(lam) Q^T of R, the ``gram_matrix`` of ``x``
+    at amplitude 1, serves every cell: a*R + (noise + jitter)*I has the
+    eigenvectors Q and the eigenvalues a*lam + noise + jitter (Rasmussen &
+    Williams 2006, §2.2, §5.4), so a cell's quadratic form and log-determinant
+    cost O(n). Each cell takes the first of ``fit_gp``'s jitters that leaves
+    every eigenvalue positive.
     """
-    lam, vectors = eigh(np.exp(-sq_dist / length_scale**2), overwrite_a=True, driver="evd")
+    unit = gram_matrix(x, SeKernelParams(1.0, length_scale))
+    lam, vectors = eigh(unit, overwrite_a=True, driver="evd")
     projected_sq = (vectors.T @ centered) ** 2
     constant = centered.size * np.log(2.0 * np.pi)
     surface = np.full((amplitudes.size, noises.size), np.nan)
@@ -285,12 +287,11 @@ def fit_hyperparameters(
     # centred as fit_gp's posteriors are, and refused where fit_gp refuses the
     # targets, though as a ValueError where it is their mean that overflows
     centered = np.asarray_chkfinite(y - np.mean(y))
-    sq_dist = np.subtract.outer(x, x) ** 2
 
     best_key: tuple[float, float, float] | None = None  # lml, l, -amplitude
     best: tuple[SeKernelParams, float] | None = None
     for length_scale in length_grid:
-        surface = _lml_surface(sq_dist, centered, length_scale, amplitude_grid, noise_grid)
+        surface = _lml_surface(x, centered, length_scale, amplitude_grid, noise_grid)
         for (i, j), lml in np.ndenumerate(surface):
             key = (float(lml), float(length_scale), -float(amplitude_grid[i]))
             # strict, so a full tie keeps the earlier noise; a skipped cell never wins

@@ -51,10 +51,6 @@ class Granularity(Enum):
         """Nominal spacing between observations; None for raw sensor cadence."""
         return {"raw": None, "hourly": 3600, "daily": 86400}[self.value]
 
-    @property
-    def coarseness(self) -> int:
-        return {"raw": 0, "hourly": 1, "daily": 2}[self.value]
-
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -168,9 +164,7 @@ def group_means(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
     np.cumsum(group, out=group)  # in place: a cumsum of the bools would buffer its cast
     group -= 1  # each key's group: its position in ``distinct``
     counts = np.bincount(group, minlength=distinct.size)
-    sums = np.zeros(distinct.size)
-    with np.errstate(over="ignore"):
-        np.add.at(sums, group, values)
+    sums = np.bincount(group, weights=values, minlength=distinct.size)
     if not np.all(np.isfinite(sums)):
         raise NonFiniteMeanError("mean is not finite (a sum of readings overflows)")
     sums /= counts
@@ -198,7 +192,8 @@ def resample_mean(
     count are omitted. Expected counts come from the source's declared step,
     or from the median observed cadence for raw input.
     """
-    if target.coarseness <= series.granularity.coarseness:
+    step = target.step_seconds
+    if step is None or step <= (series.granularity.step_seconds or 0):
         raise GranularityError(
             f"target {target.value} is not coarser than {series.granularity.value}"
         )
@@ -207,8 +202,6 @@ def resample_mean(
     if len(series) == 0:
         raise EmptySeriesError("cannot resample an empty series")
 
-    step = target.step_seconds
-    assert step is not None
     source_step = estimate_step_seconds(series)
     expected = max(1, int(round(step / source_step)))
 

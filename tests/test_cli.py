@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import collections
 import csv
 import gzip
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,6 +23,7 @@ import pytest
 from aircast import ann, arima, gp, ingest, trends
 from aircast.cli import (
     _openblas_thread_controls,
+    build_parser,
     load_series_csv,
     main,
     single_blas_thread,
@@ -1593,3 +1596,18 @@ class TestHygiene:
         assert main(["ingest", "--out", str(out), "--input",
                      str(out / "simulated_readings.csv")]) == 0
         assert list(workdir.iterdir()) == []
+
+    def test_readme_names_the_parsers_flags(self):
+        # pip's --no-build-isolation is the one README flag that is not aircast's
+        (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        parsed = {
+            flag
+            for command in commands.choices.values()
+            for action in command._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+        assert sorted(parsed - named) == [], "flags the README never names"
+        assert sorted(named - parsed) == [], "README flags no command takes"

@@ -431,7 +431,7 @@ class TestHyperparameterFit:
     def test_all_cells_failing(self, monkeypatch):
         # the scoring seam marks every cell as one no jitter can factorize
         monkeypatch.setattr(
-            gp, "_lml_surface", lambda sq, y, l, amps, noises: np.full((amps.size, noises.size), np.nan)
+            gp, "_lml_surface", lambda x, y, l, amps, noises: np.full((amps.size, noises.size), np.nan)
         )
         with pytest.raises(NoValidFitError):
             fit_hyperparameters([0.0, 1.0], [1.0, 2.0], [0.1], [1.0], [5.0])
@@ -450,7 +450,7 @@ class TestHyperparameterFit:
         # every cell scores the same: the larger length scale wins, then the
         # smaller amplitude, then the earlier noise in grid order
         monkeypatch.setattr(
-            gp, "_lml_surface", lambda sq, y, l, amps, noises: np.full((amps.size, noises.size), -1.0)
+            gp, "_lml_surface", lambda x, y, l, amps, noises: np.full((amps.size, noises.size), -1.0)
         )
         x = np.arange(12, dtype=np.float64)
         params, noise = fit_hyperparameters(x, np.sin(x), [0.2, 0.1], [2.0, 1.0, 3.0], [3.0, 30.0, 7.0])
@@ -467,9 +467,8 @@ class TestHyperparameterFit:
     def test_every_cell_scores_its_cholesky_likelihood(self, kind, n):
         x, y = seeded_series(kind, n, seed=7)
         noises, amplitudes, length_scales = (np.asarray(g) for g in gp.default_grids(y))
-        sq_dist = np.subtract.outer(x, x) ** 2
         for length_scale in length_scales:
-            surface = gp._lml_surface(sq_dist, y - y.mean(), length_scale, amplitudes, noises)
+            surface = gp._lml_surface(x, y - y.mean(), length_scale, amplitudes, noises)
             for (i, j), lml in np.ndenumerate(surface):
                 model = fit_gp(x, y, SeKernelParams(amplitudes[i], length_scale), noises[j])
                 assert lml == pytest.approx(log_marginal_likelihood(model), rel=1e-9)
@@ -481,7 +480,7 @@ class TestHyperparameterFit:
         sq_dist = np.subtract.outer(x, x) ** 2
         assert np.linalg.eigvalsh(np.exp(-sq_dist / 60.0**2)).min() < 0.0
         noises, amplitudes = np.array([0.05 * y.var()]), np.array([0.5 * y.var(), 2.0 * y.var()])
-        surface = gp._lml_surface(sq_dist, y - y.mean(), 60.0, amplitudes, noises)
+        surface = gp._lml_surface(x, y - y.mean(), 60.0, amplitudes, noises)
         for (i, j), lml in np.ndenumerate(surface):
             model = fit_gp(x, y, SeKernelParams(amplitudes[i], 60.0), noises[j])
             assert model.jitter == 1e-10 * amplitudes[i]
@@ -507,7 +506,7 @@ class TestHyperparameterFit:
         amplitude, noise, length_scale = 2.0, 0.1, 3.0
         self.shifted_eigh(monkeypatch, (-shortfall * amplitude - noise) / amplitude)
         sq_dist = np.subtract.outer(x, x) ** 2
-        surface = gp._lml_surface(sq_dist, y - y.mean(), length_scale, np.array([amplitude]), np.array([noise]))
+        surface = gp._lml_surface(x, y - y.mean(), length_scale, np.array([amplitude]), np.array([noise]))
         lam, vectors = gp.eigh(np.exp(-sq_dist / length_scale**2))
         spectrum = amplitude * lam + noise + jitter * amplitude
         A = vectors @ np.diag(spectrum) @ vectors.T
@@ -522,7 +521,7 @@ class TestHyperparameterFit:
 
     def test_a_skipped_cell_never_wins(self, monkeypatch):
         # the first cell in search order has no likelihood; any scored cell beats it
-        def surface(sq, y, l, amps, noises):
+        def surface(x, y, l, amps, noises):
             scores = np.full((amps.size, noises.size), -50.0)
             scores[0, 0] = np.nan
             return scores

@@ -147,12 +147,20 @@ class TestResampleMean:
         assert len(out) == 2
         assert np.all(out.values == 7.0)
 
-    def test_target_must_be_coarser(self):
-        series = daily_series([1.0, 2.0])
-        with pytest.raises(GranularityError):
-            resample_mean(series, Granularity.HOURLY, min_coverage=0.5)
-        with pytest.raises(GranularityError):
-            resample_mean(series, Granularity.DAILY, min_coverage=0.5)
+    @pytest.mark.parametrize("target", list(Granularity), ids=lambda g: g.value)
+    @pytest.mark.parametrize("source", list(Granularity), ids=lambda g: g.value)
+    def test_target_must_be_coarser(self, source, target):
+        # raw < hourly < daily: only a strictly coarser target with a step resamples
+        series = TimeSeries(source, BASE_EPOCH + DAY * np.arange(2), [1.0, 2.0])
+        if (source, target) in {
+            (Granularity.RAW, Granularity.HOURLY),
+            (Granularity.RAW, Granularity.DAILY),
+            (Granularity.HOURLY, Granularity.DAILY),
+        }:
+            assert len(resample_mean(series, target, min_coverage=0.0)) == 2
+        else:
+            with pytest.raises(GranularityError):
+                resample_mean(series, target, min_coverage=0.0)
 
     def test_preserves_global_mean_on_complete_buckets(self, rng):
         values = rng.uniform(0, 100, 24 * 10)
