@@ -97,17 +97,10 @@ class MlpForecaster:
     def window(self) -> int:
         return self.weights[0].shape[1]
 
-    @property
-    def layer_sizes(self) -> tuple[int, int, int]:
-        hidden, window = self.weights[0].shape
-        return (window, hidden, 1)
-
     def to_dict(self) -> dict:
         return {
-            "window": self.window,
-            "layer_sizes": list(self.layer_sizes),
             "hidden_activation": self.hidden_activation.value,
-            "weights": [w.ravel().tolist() for w in self.weights],
+            "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
             "scaler": {"shift": self.scaler.shift, "scale": self.scaler.scale},
             "train_loss": self.train_loss,
@@ -116,25 +109,15 @@ class MlpForecaster:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MlpForecaster":
-        """Refuses a file whose ``window`` or ``layer_sizes`` disagree with its
-        weights, or that holds other than one hidden layer."""
-        sizes = tuple(data["layer_sizes"])
-        if len(sizes) != 3 or len(data["weights"]) != 2:
-            raise DimensionError(f"layer_sizes {list(sizes)} is not window -> hidden -> 1")
-        net = cls(
-            weights=tuple(
-                np.array(flat, dtype=np.float64).reshape(sizes[k + 1], sizes[k])
-                for k, flat in enumerate(data["weights"])
-            ),
+        """Refuses a file whose matrices are not window -> hidden -> 1."""
+        return cls(
+            weights=tuple(np.array(w, dtype=np.float64) for w in data["weights"]),
             biases=tuple(np.array(b, dtype=np.float64) for b in data["biases"]),
             hidden_activation=Activation(data["hidden_activation"]),
-            scaler=Scaler(**data["scaler"]),
+            scaler=Scaler(float(data["scaler"]["shift"]), float(data["scaler"]["scale"])),
             train_loss=data.get("train_loss"),
             diagnostics={key: data[key] for key in DIAGNOSTICS if key in data},
         )
-        if data["window"] != net.window:
-            raise DimensionError(f"window {data['window']} does not match layer_sizes {list(sizes)}")
-        return net
 
 
 def make_windows(series: TimeSeries, w: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import least_squares, minimize
 
-from .errors import NoConvergedModelError, OptimizerFailure, TooShortError
+from .errors import DimensionError, NoConvergedModelError, OptimizerFailure, TooShortError
 from .orders import (
     ArimaOrder, _min_root_modulus, _roots_ascending, ar_is_stationary, ma_is_invertible,
 )
@@ -54,6 +54,11 @@ class ArimaModel:
     ar_stationary: bool
     ma_invertible: bool
 
+    def __post_init__(self) -> None:
+        if (len(self.beta), len(self.theta)) != (self.order.p, self.order.q):
+            raise DimensionError(f"{len(self.beta)} AR and {len(self.theta)} MA "
+                                 f"coefficients do not fit order {self.order}")
+
     def to_dict(self) -> dict:
         # field order is the JSON key order; tuples encode as lists
         return asdict(self)
@@ -63,8 +68,9 @@ class ArimaModel:
         return cls(**{
             **data,
             "order": ArimaOrder(**data["order"]),
-            "beta": tuple(data["beta"]),
-            "theta": tuple(data["theta"]),
+            "alpha": float(data["alpha"]),
+            "beta": tuple(map(float, data["beta"])),
+            "theta": tuple(map(float, data["theta"])),
         })
 
 
@@ -406,19 +412,18 @@ def aic(model: ArimaModel) -> float:
     return float(model.n_effective * np.log(model.sigma2) + 2 * k)
 
 
-def select_order(
-    series: TimeSeries, p_max: int = 5, d_max: int = 1, q_max: int = 5
-) -> tuple[ArimaOrder, ArimaModel]:
-    """Exhaustive AIC grid search; ties prefer smaller p+q, then smaller p.
+def select_order(series: TimeSeries, grid: ArimaOrder) -> tuple[ArimaOrder, ArimaModel]:
+    """Exhaustive AIC search over every order up to ``grid`` in each of p, d
+    and q; ties prefer smaller p+q, then smaller p.
 
     Non-converged or failed fits are excluded; raises NoConvergedModelError
     when nothing on the grid survives.
     """
     best_key: tuple | None = None
     best: tuple[ArimaOrder, ArimaModel] | None = None
-    for d in range(d_max + 1):
-        for p in range(p_max + 1):
-            for q in range(q_max + 1):
+    for d in range(grid.d + 1):
+        for p in range(grid.p + 1):
+            for q in range(grid.q + 1):
                 order = ArimaOrder(p, d, q)
                 try:
                     model = fit_arima(series, order)

@@ -95,9 +95,9 @@ EXIT_EMPTY = 3
 EXIT_NO_MODEL = 4
 
 DEFAULT_MODELS = ("arima", "ann", "gp")
-# CLI-level order-search bounds; the library's select_order default is wider
+# CLI-level order-search bound; the library's ArimaAdapter default is wider
 # but a 9-station run needs to stay interactive.
-DEFAULT_ARIMA_GRID = (2, 1, 2)
+DEFAULT_ARIMA_GRID = ArimaOrder(2, 1, 2)
 MAX_GAP_HOURLY = 6
 MAX_GAP_DAILY = 3
 DEFAULT_SIM_DAYS = 540
@@ -293,16 +293,15 @@ def _parse_models(text: str) -> list[str]:
 
 
 @_flag_type
-def _parse_grid(text: str) -> tuple[int, int, int]:
-    """'p_max,d_max,q_max', each within the bounds of an ARIMA order."""
+def _parse_grid(text: str) -> ArimaOrder:
+    """The largest order the search tries, as 'p,d,q' within an order's bounds."""
     try:
         p, d, q = (int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(
             f"arima grid must be 'p_max,d_max,q_max' integers, got {text!r}"
         ) from None
-    ArimaOrder(p, d, q)  # raises ValueError outside its bounds
-    return p, d, q
+    return ArimaOrder(p, d, q)  # raises ValueError outside its bounds
 
 
 @_flag_type
@@ -351,8 +350,7 @@ def _build_adapters(args: argparse.Namespace, station: str) -> list[Forecaster]:
     adapters: list[Forecaster] = []
     for name in args.models:
         if name == "arima":
-            p_max, d_max, q_max = args.arima_grid
-            adapters.append(ArimaAdapter(p_max=p_max, d_max=d_max, q_max=q_max))
+            adapters.append(ArimaAdapter(grid=args.arima_grid))
         elif name == "ann":
             adapters.append(
                 AnnAdapter(config=TrainConfig(seed=derive_seed(args.seed, station_key(station), "ann")))
@@ -714,7 +712,10 @@ def _forecast_station(args: argparse.Namespace, station: str) -> tuple[list[str]
             write_json(path, {**adapter.to_dict(), "fit_key": key})
         except AircastError as exc:
             errors[adapter.name] = str(exc)
-    if not tracks:
+    forecast_path = args.out / "forecast" / f"{station_key(station)}_forecast"
+    if not tracks:  # no earlier run's table stays to pass for this run's
+        for suffix in (".csv", ".json"):
+            forecast_path.with_suffix(suffix).unlink(missing_ok=True)
         return [], errors
 
     columns = {**tracks, **variances}
@@ -723,7 +724,6 @@ def _forecast_station(args: argparse.Namespace, station: str) -> tuple[list[str]
         stamps = [stamp[:10] for stamp in stamps]  # the local date
     actual = [actual_by_at.get(at, "") for at in future_at]
     rows = zip(stamps, actual, *(column.tolist() for column in columns.values()))
-    forecast_path = args.out / "forecast" / f"{station_key(station)}_forecast"
     write_table(forecast_path, ["date", "actual", *columns], rows, args.format)
     return list(tracks), errors
 
@@ -779,11 +779,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         EvalReport(station=station, split="", errors=errors) if report is None else report
         for station, report, errors in outcomes
     ]
+    eval_dir = args.out / "evaluation"
     if all(not report.models for report in reports):
+        # no earlier run's comparison stays to pass for this run's
+        for name in ("comparison.csv", "comparison.json", "evaluation_report.json"):
+            (eval_dir / name).unlink(missing_ok=True)
         print("evaluate: no model succeeded on any station", file=sys.stderr)
         return EXIT_NO_MODEL
 
-    eval_dir = args.out / "evaluation"
     header, rows = comparison_table(reports, args.models)
     write_table(eval_dir / "comparison", header, rows, args.format)
     write_json(
@@ -837,8 +840,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument("--granularity", choices=["hourly", "daily"], default="daily",
                         help="which cleaned series to model")
-    parser.add_argument("--arima-grid", type=_parse_grid,
-                        default=",".join(map(str, DEFAULT_ARIMA_GRID)),
+    parser.add_argument("--arima-grid", type=_parse_grid, default=DEFAULT_ARIMA_GRID,
                         help="ARIMA order-selection bounds 'p_max,d_max,q_max'")
 
 

@@ -65,7 +65,7 @@ class NoConvergedModelError(AircastError):
 
 
 class DimensionError(AircastError):
-    """Network layer shapes and inputs do not chain."""
+    """Parameters or inputs do not have the shapes a model's structure needs."""
 
 
 class DivergenceError(AircastError):

@@ -38,6 +38,7 @@ from .errors import (
     NoValidFitError,
     TooShortError,
 )
+from .orders import ArimaOrder
 from .series import (
     SplitSpec, TimeSeries, append_observation, scaled_where_overflowing, split_holdout,
 )
@@ -130,14 +131,12 @@ class Forecaster(ABC):
 
 @dataclass(eq=False)
 class ArimaAdapter(Forecaster):
-    """ARIMA with AIC order selection (or a pinned order) on the train split;
-    the instants to predict are taken as consecutive steps after the history."""
+    """ARIMA at ``order``, or at the AIC-best order up to ``grid``, fitted on the
+    train split; the instants to predict are consecutive steps after the history."""
 
     name: ClassVar[str] = "arima"
-    order: arima.ArimaOrder | None = None
-    p_max: int = 5
-    d_max: int = 1
-    q_max: int = 5
+    order: ArimaOrder | None = None
+    grid: ArimaOrder = ArimaOrder(5, 1, 5)
     model: arima.ArimaModel | None = field(default=None, init=False, repr=False)
 
     def fit(self, train: TimeSeries) -> None:
@@ -146,7 +145,7 @@ class ArimaAdapter(Forecaster):
         if self.order is not None:
             self.model = arima.fit_arima(train, self.order)
         else:
-            _, self.model = arima.select_order(train, self.p_max, self.d_max, self.q_max)
+            _, self.model = arima.select_order(train, self.grid)
 
     def forecast(self, history: TimeSeries, at: Sequence[int]) -> tuple[np.ndarray, None]:
         from . import arima

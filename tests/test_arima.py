@@ -744,7 +744,7 @@ class TestAic:
 class TestSelectOrder:
     def test_recovers_ar_structure(self):
         series = simulate_arma(0.0, [0.7], [], 1.0, 600, seed=16)
-        order, model = select_order(series, 3, 1, 3)
+        order, model = select_order(series, ArimaOrder(3, 1, 3))
         assert order.p >= 1
         true_model = fit_arima(series, ArimaOrder(1, 0, 0))
         # one-step in-sample RMSE close to the true-order fit
@@ -755,12 +755,12 @@ class TestSelectOrder:
     def test_constant_plus_tiny_noise(self):
         rng = np.random.default_rng(20)
         series = daily_series(50.0 + 1e-3 * rng.standard_normal(200))
-        order, _ = select_order(series, 2, 1, 2)
+        order, _ = select_order(series, ArimaOrder(2, 1, 2))
         assert (order.p, order.d, order.q) == (0, 0, 0)
 
     def test_single_cell_grid(self):
         series = simulate_arma(0.0, [], [], 1.0, 100, seed=18)
-        order, model = select_order(series, 0, 0, 0)
+        order, model = select_order(series, ArimaOrder(0, 0, 0))
         assert (order.p, order.d, order.q) == (0, 0, 0)
         assert model.converged
 
@@ -781,14 +781,14 @@ class TestSelectOrder:
                 raise
 
         monkeypatch.setattr(arima, "fit_arima", failing)
-        order, model = select_order(series, 2, 0, 2)
+        order, model = select_order(series, ArimaOrder(2, 0, 2))
         assert set(failures) == {TooShortError, OptimizerFailure}
         assert order.p + order.q + 2 <= 4 and (order.p, order.q) != (0, 0)
         assert model.converged
 
     def test_no_surviving_cell_raises(self):
         with pytest.raises(NoConvergedModelError):
-            select_order(daily_series([40.0]), 2, 1, 2)
+            select_order(daily_series([40.0]), ArimaOrder(2, 1, 2))
 
     @pytest.mark.parametrize("station", [
         "Rusororo", "Gacuriro", "Gikondo Mburabuturo", "Kiyovu",
@@ -801,7 +801,7 @@ class TestSelectOrder:
 
         sim = STATION_SIM_PARAMS[station]
         series = simulate_arma(sim.alpha, sim.beta, sim.theta, sim.sigma, 432, seed=432)
-        selected = select_order(series, 2, 1, 2)
+        selected = select_order(series, ArimaOrder(2, 1, 2))
 
         calls = []
 
@@ -812,7 +812,7 @@ class TestSelectOrder:
         monkeypatch.setattr(arima, "_inadmissible", oracle_inadmissible)
         monkeypatch.setattr(arima, "ar_is_stationary", numpy_ar_is_stationary)
         monkeypatch.setattr(arima, "ma_is_invertible", numpy_ma_is_invertible)
-        assert select_order(series, 2, 1, 2) == selected
+        assert select_order(series, ArimaOrder(2, 1, 2)) == selected
         assert len(calls) > 100  # more than one per cell: Nelder-Mead ran
 
     def test_overflowing_css_warns_nothing(self):
@@ -823,7 +823,9 @@ class TestSelectOrder:
         values[0] = 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            order, model = select_order(TimeSeries(series.granularity, series.at, values), 2, 1, 2)
+            order, model = select_order(
+                TimeSeries(series.granularity, series.at, values), ArimaOrder(2, 1, 2)
+            )
         assert np.isfinite(model.css)
 
 
@@ -865,7 +867,7 @@ class TestCompanionOverflow:
         assert scores[0] == math.inf and math.isfinite(scores[1])
 
         # in a grid search the cell fails and the others still compete
-        order, model = select_order(series, 0, 0, 3)
+        order, model = select_order(series, ArimaOrder(0, 0, 3))
         assert (order.p, order.d, order.q) == (0, 0, 0)
 
 

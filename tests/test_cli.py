@@ -872,6 +872,57 @@ class TestForecasterContract:
             assert "need at least 10 observations to fit the GP" in capsys.readouterr().err
 
 
+class TestTwoWeeksHourly:
+    """Model stages on two weeks of hourly Gitega readings, hourly and daily."""
+
+    @pytest.fixture(scope="class")
+    def ingested(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("two_weeks")
+        (out / "readings.csv").write_text(TestIngest.HEADER + hourly_rows(), encoding="utf-8")
+        assert main(["ingest", "--out", str(out), "--input", str(out / "readings.csv")]) == 0
+        return out
+
+    @pytest.mark.parametrize("granularity, holdout, dates", [
+        ("hourly", "24", [f"2021-06-14T{h:02d}:00:00+02:00" for h in range(3)]),
+        ("daily", "2", ["2021-06-13", "2021-06-14", "2021-06-15"]),
+    ])
+    def test_forecast_dates_follow_the_train_split(self, ingested, tmp_path, granularity,
+                                                  holdout, dates):
+        """The date column holds each step's local ISO-8601 hour in an hourly
+        run and its local date in a daily run, from the step after the train split."""
+        out = fresh_out(ingested, tmp_path)
+        assert main(["forecast", "--out", str(out), "--granularity", granularity,
+                     "--holdout", holdout, "--horizon", "3", "--models", "ann",
+                     "--workers", "1"]) == 0
+        header, rows = read_csv(out / "forecast" / "gitega_forecast.csv")
+        assert header == ["date", "actual", "ann"]
+        assert [row[0] for row in rows] == dates
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, results, kept", [
+        pytest.param("forecast", ["gitega_forecast.{fmt}"], ["gitega_ann_model.json"],
+                     id="forecast"),
+        pytest.param("evaluate", ["comparison.{fmt}", "evaluation_report.json"], [],
+                     id="evaluate"),
+    ])
+    def test_rerun_with_no_model_leaves_no_earlier_result(self, ingested, tmp_path, capsys,
+                                                         fmt, command, results, kept):
+        """A rerun in which no model succeeds (7 daily train points are too few
+        for the ANN) exits 4 and removes the hourly run's results; model files,
+        fit caches keyed by their data, stay."""
+        out = fresh_out(ingested, tmp_path)
+        folder = out / STAGE_DIRS[command]
+        args = [command, "--out", str(out), "--models", "ann", "--workers", "1",
+                *(["--horizon", "3"] if command == "forecast" else [])]
+        assert main([*args, "--granularity", "hourly", "--format", fmt]) == 0
+        written = sorted(path.name for path in folder.iterdir())
+        assert written == sorted([*kept, *(name.format(fmt=fmt) for name in results)])
+        capsys.readouterr()
+        assert main([*args, "--holdout", "7"]) == 4
+        assert "need at least 8 observations, got 7" in capsys.readouterr().err
+        assert sorted(path.name for path in folder.iterdir()) == kept
+
+
 MODELS = ("arima", "ann", "gp")
 REUSE_ARGS = ["--models", ",".join(MODELS), "--seed", "3", *FAST_EVAL]
 
@@ -965,12 +1016,23 @@ class TestFitReuse:
             (name, "fit" if name in refitted else "load") for name in MODELS
         )
 
+    #: (model, edit) of each damage that keeps a model file's key but that
+    #: model's ``load`` refuses
+    REFUSED_BY_LOAD = {
+        "refused by load": ("ann", lambda stored: stored["weights"][0].pop()),  # a hidden row
+        "ann scaler shift not a number": ("ann", lambda stored: stored["scaler"].update(shift="x")),
+        "arima extra AR coefficient": ("arima", lambda stored: stored["beta"].append(0.1)),
+        "arima two extra MA coefficients": ("arima",
+                                            lambda stored: stored["theta"].extend([0.1, 0.1])),
+        "arima alpha not a number": ("arima", lambda stored: stored.update(alpha="x")),
+    }
+
     @pytest.mark.parametrize("damage, damaged, events", [
         *(pytest.param(damage, MODELS, [(name, "fit") for name in MODELS], id=damage)
           for damage in ("other key", "truncated", "no key", "not an object")),
-        pytest.param("refused by load", ("ann",),
-                     [("ann", "load"), ("ann", "fit"), ("arima", "load"), ("gp", "load")],
-                     id="refused by load"),
+        *(pytest.param(damage, (model,),
+                       [(name, "load") for name in MODELS] + [(model, "fit")], id=damage)
+          for damage, (model, _) in REFUSED_BY_LOAD.items()),
     ])
     def test_damaged_model_file_means_a_fresh_fit(self, gitega_forecast, gitega_alone, tmp_path,
                                                  fit_events, damage, damaged, events):
@@ -985,8 +1047,8 @@ class TestFitReuse:
                 del stored["fit_key"]
             elif damage == "not an object":
                 stored = [stored]
-            elif damage == "refused by load":
-                stored["window"] = 6  # the key still matches; the layer sizes do not
+            elif damage in self.REFUSED_BY_LOAD:
+                self.REFUSED_BY_LOAD[damage][1](stored)
             path.write_text(
                 text[: len(text) // 2] if damage == "truncated" else json.dumps(stored),
                 encoding="utf-8",

@@ -394,7 +394,7 @@ class TestGpAdapter:
 
 
 LOADABLE = {
-    "arima": lambda: ArimaAdapter(p_max=1, d_max=0, q_max=1),
+    "arima": lambda: ArimaAdapter(grid=arima.ArimaOrder(1, 0, 1)),
     "ann": lambda: AnnAdapter(config=ann.TrainConfig(seed=1, epochs=30)),
     "gp": GpAdapter,
 }
@@ -435,18 +435,18 @@ class TestFitOrLoad:
 
     def test_key_covers_data_settings_and_code(self, ar1_split, monkeypatch):
         train, _ = ar1_split
-        key = ArimaAdapter(p_max=1, d_max=0, q_max=1).fit_key(train)
-        assert key == ArimaAdapter(p_max=1, d_max=0, q_max=1).fit_key(train)
+        key = ArimaAdapter(grid=arima.ArimaOrder(1, 0, 1)).fit_key(train)
+        assert key == ArimaAdapter(grid=arima.ArimaOrder(1, 0, 1)).fit_key(train)
         values = train.values.copy()
         values[3] += 1e-9
         others = [
-            ArimaAdapter(p_max=1, d_max=0, q_max=1).fit_key(
+            ArimaAdapter(grid=arima.ArimaOrder(1, 0, 1)).fit_key(
                 TimeSeries(train.granularity, train.at, values)
             ),
-            ArimaAdapter(p_max=1, d_max=0, q_max=1).fit_key(
+            ArimaAdapter(grid=arima.ArimaOrder(1, 0, 1)).fit_key(
                 TimeSeries(train.granularity, train.at + 86_400, train.values)
             ),
-            ArimaAdapter(p_max=2, d_max=0, q_max=1).fit_key(train),
+            ArimaAdapter(grid=arima.ArimaOrder(2, 0, 1)).fit_key(train),
             ArimaAdapter(order=arima.ArimaOrder(1, 0, 1)).fit_key(train),
             AnnAdapter(config=ann.TrainConfig(seed=1)).fit_key(train),
             AnnAdapter(config=ann.TrainConfig(seed=2)).fit_key(train),
@@ -454,7 +454,7 @@ class TestFitOrLoad:
             GpAdapter().fit_key(train),
         ]
         monkeypatch.setattr(evaluation, "_source_digest", lambda: b"other code")
-        others.append(ArimaAdapter(p_max=1, d_max=0, q_max=1).fit_key(train))
+        others.append(ArimaAdapter(grid=arima.ArimaOrder(1, 0, 1)).fit_key(train))
         assert len({key, *others}) == 1 + len(others)
 
     def test_matching_file_is_loaded_and_nothing_is_written(self, ar1_split, tmp_path):
@@ -475,10 +475,8 @@ class TestFitOrLoad:
         adapter = LOADABLE["ann"]()
         sizes = [adapter.WINDOW, 16, 4, 1]
         stored = {
-            "window": adapter.WINDOW,
-            "layer_sizes": sizes,
             "hidden_activation": "tanh",
-            "weights": [[0.1] * (a * b) for a, b in zip(sizes, sizes[1:])],
+            "weights": [[[0.1] * a] * b for a, b in zip(sizes, sizes[1:])],
             "biases": [[0.0] * b for b in sizes[1:]],
             "scaler": {"shift": 0.0, "scale": 1.0},
             "train_loss": None,
@@ -492,7 +490,7 @@ class TestFitOrLoad:
         adapter.fit = lambda train: fits.append(real_fit(train))
         fit_or_load(adapter, train, path)
         assert len(fits) == 1
-        assert adapter.net.layer_sizes == (adapter.WINDOW, adapter.HIDDEN, 1)
+        assert adapter.net.weights[0].shape == (adapter.HIDDEN, adapter.WINDOW)
 
 
 class TestComparisonTable:
