@@ -109,8 +109,9 @@ class MlpForecaster:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MlpForecaster":
-        """Refuses a file whose matrices are not window -> hidden -> 1."""
-        return cls(
+        """Refuses a file whose matrices are not window -> hidden -> 1, or
+        whose weights, biases or scaler are not finite."""
+        net = cls(
             weights=tuple(np.array(w, dtype=np.float64) for w in data["weights"]),
             biases=tuple(np.array(b, dtype=np.float64) for b in data["biases"]),
             hidden_activation=Activation(data["hidden_activation"]),
@@ -118,6 +119,10 @@ class MlpForecaster:
             train_loss=data.get("train_loss"),
             diagnostics={key: data[key] for key in DIAGNOSTICS if key in data},
         )
+        scaler = np.array([net.scaler.shift, net.scaler.scale])
+        if not all(np.isfinite(a).all() for a in (*net.weights, *net.biases, scaler)):
+            raise ValueError("an ANN weight, bias or scaler value is not finite")
+        return net
 
 
 def make_windows(series: TimeSeries, w: int) -> tuple[np.ndarray, np.ndarray]:

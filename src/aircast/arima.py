@@ -21,7 +21,7 @@ a failed solve, falls back to Nelder-Mead restarted from (i) all zeros and
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -65,13 +65,17 @@ class ArimaModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArimaModel":
-        return cls(**{
+        """Refuses coefficients that do not fit the order or are not finite."""
+        model = cls(**{
             **data,
             "order": ArimaOrder(**data["order"]),
             "alpha": float(data["alpha"]),
             "beta": tuple(map(float, data["beta"])),
             "theta": tuple(map(float, data["theta"])),
         })
+        if not all(map(math.isfinite, (model.alpha, *model.beta, *model.theta))):
+            raise ValueError("an ARIMA coefficient is not finite")
+        return model
 
 
 # The admissibility rules below run inside the CSS objective on a handful of
@@ -165,30 +169,41 @@ def _lag_matrix(z: np.ndarray, p: int) -> np.ndarray:
     return lags
 
 
-def _ma_inverse(theta: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _ma_inverse(theta: np.ndarray, b: np.ndarray, pinned: int = 0) -> np.ndarray:
     """The e with Theta(L) e = b and zero pre-sample values, Theta(L) = 1 +
     sum_j theta_j L^j, for one right-hand side ``b`` or one per column.
 
     Theta(L) is a unit lower-triangular banded matrix whose j-th subdiagonal
     holds theta_j, so this is one forward substitution (LAPACK's banded
     triangular solve). Where Theta is not invertible the solution grows
-    geometrically, to inf and NaN once it overflows."""
+    geometrically, to inf and NaN once it overflows.
+
+    The first ``pinned`` rows of Theta keep only their unit diagonal, so
+    e equals b there: a window of a longer solve whose leading rows hold that
+    solve's finite e, at least q of them, gives the rows after them as that
+    solve does, with the same updates in the same order."""
     # LAPACK's band storage: row j of a column-major (q+1) x n array holds
     # theta_j (row 0, the unit diagonal, is not read). Filled one row at a
     # time: a broadcast fill, or f2py's copy of a broadcast view, steps through
-    # q+1 values per column and costs up to twice as much
+    # q+1 values per column and costs up to twice as much. Entry (j, c) sits
+    # in matrix row c + j
     band = np.empty((theta.size + 1, b.shape[0]), order="F")
     for j, coefficient in enumerate([1.0, *theta.tolist()]):
         band[j] = coefficient
+    for j in range(1, min(pinned, theta.size + 1)):
+        band[j, : pinned - j] = 0.0
     e, info = dtbtrs(band, b, uplo="L", diag="U")
     if info != 0:
         raise RuntimeError(f"dtbtrs rejected its argument {-info}")
     return e
 
 
-def _css_errors(params: np.ndarray, z: np.ndarray, lags: np.ndarray) -> np.ndarray:
+def _css_errors(
+    params: np.ndarray, z: np.ndarray, lags: np.ndarray, pinned: Sequence[float] = ()
+) -> np.ndarray:
     """CSS residuals at ``params`` (alpha, beta, theta), for t = p .. len(z)-1;
-    non-finite where the MA filter blows up. Callers hold
+    non-finite where the MA filter blows up. The first residuals are
+    ``pinned`` where given (see ``_ma_inverse``). Callers hold
     ``np.errstate(over="ignore", invalid="ignore")``, so a blow-up is a value
     here, not a warning, and the Nelder-Mead objective enters no context per
     call."""
@@ -196,7 +211,9 @@ def _css_errors(params: np.ndarray, z: np.ndarray, lags: np.ndarray) -> np.ndarr
     u = z[p:] - params[0]
     if p:
         u = u - lags @ params[1 : 1 + p]
-    return _ma_inverse(params[1 + p :], u)
+    if len(pinned):
+        u[: len(pinned)] = pinned
+    return _ma_inverse(params[1 + p :], u, len(pinned))
 
 
 def _css_jacobian(
@@ -371,12 +388,87 @@ def fit_arima(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
     )
 
 
-def forecast(model: ArimaModel, history: TimeSeries, horizon: int) -> np.ndarray:
+#: ``lags @ beta`` rounds a row by where it sits among blocks of rows counted
+#: from the product's first row: OpenBLAS's Nehalem and Sandybridge kernels
+#: take four rows at a time and round the rows after the last whole block
+#: another way, and a one-row product takes another path again.
+_AR_BLOCK = 4
+
+
+def _window(remembered: int, q: int) -> tuple[int, int]:
+    """``(start, settled)`` for an extended solve over ``remembered`` known
+    residuals: it keeps the first ``settled`` of them, the rows before the
+    last whole ``_AR_BLOCK`` of their product (the rows after it may have been
+    rounded as the last rows of a shorter product, so are solved again), and
+    solves a window from ``start`` on whose leading rows, up to ``settled``,
+    are pinned to their known values: at least the q that the next row's MA
+    terms read. Both are multiples of ``_AR_BLOCK``, so each row of the
+    window's product sits where it sits in the full one, and the product
+    spans more than one block. ``start`` is negative when too few are known."""
+    settled = remembered // _AR_BLOCK * _AR_BLOCK
+    return (settled - max(q, 1)) // _AR_BLOCK * _AR_BLOCK, settled
+
+
+def _extended_css_errors(
+    params: np.ndarray, z: np.ndarray, p: int, known: np.ndarray, start: int
+) -> np.ndarray:
+    """The CSS residuals of ``z`` whose leading ones are ``known``, solving for
+    the rows after them only, in a window from row ``start`` on whose rows
+    before ``known.size`` are pinned to their known values, so each new row
+    gets the updates the full solve gives it, in the same order."""
+    window = z[start:]
+    solved = _css_errors(params, window, _lag_matrix(window, p), known[start:])
+    return np.concatenate([known, solved[known.size - start :]])
+
+
+@dataclass(eq=False)
+class ResidualMemo:
+    """The CSS residuals ``e`` of the differenced history ``z`` that ``model``
+    last forecast from.
+
+    A history whose differences start with ``z`` (``np.array_equal``), under
+    the same model object, keeps those residuals up to ``_window``'s
+    ``settled`` and solves for the rows after them alone; any other history,
+    model or refit is solved in full. Both give the full solve's residuals,
+    bit for bit, where the BLAS rounds each row of ``lags @ beta`` by its
+    place in blocks of at most ``_AR_BLOCK`` rows from the first: verified
+    with OpenBLAS 0.3.31's SkylakeX, Haswell, Sandybridge and Nehalem kernels
+    on one and two threads only; other BLAS builds and CPUs are unverified."""
+
+    model: ArimaModel | None = None
+    z: np.ndarray = field(default_factory=lambda: np.empty(0))
+    e: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def residuals(self, model: ArimaModel, z: np.ndarray) -> np.ndarray:
+        p = model.order.p
+        start, settled = _window(self.e.size, model.order.q)
+        params = np.array([model.alpha, *model.beta, *model.theta])
+        extends = (
+            self.model is model
+            and start >= 0
+            and self.z.size <= z.size
+            and np.array_equal(z[: self.z.size], self.z)
+            and np.all(np.isfinite(self.e[start:settled]))
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            if extends:
+                e = _extended_css_errors(params, z, p, self.e[:settled], start)
+            else:
+                e = _css_errors(params, z, _lag_matrix(z, p))
+        self.model, self.z, self.e = model, z, e
+        return e
+
+
+def forecast(
+    model: ArimaModel, history: TimeSeries, horizon: int, memo: ResidualMemo | None = None
+) -> np.ndarray:
     """h-step mean forecasts on the original scale.
 
     Future innovations enter at their zero mean; unknown future values are
     replaced by their own forecasts; results are re-integrated through the
-    differencing seeds taken from the end of the history.
+    differencing seeds taken from the end of the history. The MA terms read
+    the history's last q CSS residuals, through ``memo`` where given, so a
+    history that extends its last one pays for its new rows; q = 0 solves none.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -387,9 +479,7 @@ def forecast(model: ArimaModel, history: TimeSeries, horizon: int) -> np.ndarray
         return np.empty(0)
 
     z = difference_values(history.values, d)
-    params = np.array([model.alpha, *model.beta, *model.theta])
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = _css_errors(params, z, _lag_matrix(z, p))
+    e = (memo or ResidualMemo()).residuals(model, z) if q else np.empty(0)
     # the last p values and q residuals, zero before the history; each forecast extends both
     recent_z = z[z.size - p :].tolist()
     recent_e = [0.0] * max(q - e.size, 0) + e[max(e.size - q, 0) :].tolist()

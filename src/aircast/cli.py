@@ -690,9 +690,13 @@ def cmd_trend(args: argparse.Namespace) -> int:
 # forecast
 
 def _forecast_station(args: argparse.Namespace, station: str) -> tuple[list[str], dict]:
-    """(the models that forecast, errors by model)."""
+    """(the models that forecast, errors by model). The station's earlier
+    forecast table goes first, so none stays to pass for this run's."""
     from .evaluation import fit_or_load
 
+    forecast_path = args.out / "forecast" / f"{station_key(station)}_forecast"
+    for suffix in (".csv", ".json"):
+        forecast_path.with_suffix(suffix).unlink(missing_ok=True)
     granularity = Granularity(args.granularity)
     (series,) = _ingested_series(args.out, station, granularity)
     train, _ = split_holdout(series, args.holdout)
@@ -712,10 +716,7 @@ def _forecast_station(args: argparse.Namespace, station: str) -> tuple[list[str]
             write_json(path, {**adapter.to_dict(), "fit_key": key})
         except AircastError as exc:
             errors[adapter.name] = str(exc)
-    forecast_path = args.out / "forecast" / f"{station_key(station)}_forecast"
-    if not tracks:  # no earlier run's table stays to pass for this run's
-        for suffix in (".csv", ".json"):
-            forecast_path.with_suffix(suffix).unlink(missing_ok=True)
+    if not tracks:
         return [], errors
 
     columns = {**tracks, **variances}
@@ -771,6 +772,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _load_model_layers(args.models)  # here, before _run_pool pins BLAS and starts workers
     from .evaluation import EvalReport, comparison_table
 
+    eval_dir = args.out / "evaluation"
+    # an earlier run's comparison goes first, so none stays to pass for this run's
+    for name in ("comparison.csv", "comparison.json", "evaluation_report.json"):
+        (eval_dir / name).unlink(missing_ok=True)
     outcomes = _run_stations(args, _evaluate_station)
     if outcomes is None:
         return EXIT_EMPTY
@@ -779,11 +784,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         EvalReport(station=station, split="", errors=errors) if report is None else report
         for station, report, errors in outcomes
     ]
-    eval_dir = args.out / "evaluation"
     if all(not report.models for report in reports):
-        # no earlier run's comparison stays to pass for this run's
-        for name in ("comparison.csv", "comparison.json", "evaluation_report.json"):
-            (eval_dir / name).unlink(missing_ok=True)
         print("evaluate: no model succeeded on any station", file=sys.stderr)
         return EXIT_NO_MODEL
 

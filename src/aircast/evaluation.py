@@ -132,12 +132,17 @@ class Forecaster(ABC):
 @dataclass(eq=False)
 class ArimaAdapter(Forecaster):
     """ARIMA at ``order``, or at the AIC-best order up to ``grid``, fitted on the
-    train split; the instants to predict are consecutive steps after the history."""
+    train split; the instants to predict are consecutive steps after the history.
+
+    The CSS residuals of the last history forecast from are remembered
+    (``arima.ResidualMemo``), so a history that extends it, as each rolling
+    step's does, solves for its new rows only."""
 
     name: ClassVar[str] = "arima"
     order: ArimaOrder | None = None
     grid: ArimaOrder = ArimaOrder(5, 1, 5)
     model: arima.ArimaModel | None = field(default=None, init=False, repr=False)
+    _residuals: arima.ResidualMemo | None = field(default=None, init=False, repr=False)
 
     def fit(self, train: TimeSeries) -> None:
         from . import arima
@@ -151,7 +156,9 @@ class ArimaAdapter(Forecaster):
         from . import arima
 
         assert self.model is not None, "fit before predicting"
-        return arima.forecast(self.model, history, len(at)), None
+        if self._residuals is None:
+            self._residuals = arima.ResidualMemo()
+        return arima.forecast(self.model, history, len(at), self._residuals), None
 
     def to_dict(self) -> dict:
         assert self.model is not None, "fit before summarizing"

@@ -73,24 +73,34 @@ class TimeSeries:
             raise ValueError("at and values must be 1-D")
         if at.size != values.size:
             raise ValueError(f"length mismatch: {at.size} instants, {values.size} values")
-        if at.size and np.any(np.diff(at) <= 0):
-            raise ValueError("instants must be strictly increasing (no duplicates)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        step = self.granularity.step_seconds
-        if step is not None and at.size:
-            if np.any((at + UTC_OFFSET_SECONDS) % step != 0):
-                raise ValueError(
-                    f"{self.granularity.value} series must be aligned to local "
-                    f"{step}-second boundaries"
-                )
-        at.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "at", at)
-        object.__setattr__(self, "values", values)
+        _check_observations(self.granularity, at, values)
+        _freeze(self, at, values)
 
     def __len__(self) -> int:
         return int(self.at.size)
+
+
+def _check_observations(granularity: Granularity, at: np.ndarray, values: np.ndarray) -> None:
+    """Raise ValueError unless the instants ``at`` strictly increase and sit on
+    the granularity's local step, and their ``values`` are finite."""
+    # array methods, not numpy's functions: a one-point append calls this on two points
+    if (at[1:] <= at[:-1]).any():
+        raise ValueError("instants must be strictly increasing (no duplicates)")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    step = granularity.step_seconds
+    if step is not None and ((at + UTC_OFFSET_SECONDS) % step).any():
+        raise ValueError(
+            f"{granularity.value} series must be aligned to local {step}-second boundaries"
+        )
+
+
+def _freeze(series: TimeSeries, at: np.ndarray, values: np.ndarray) -> None:
+    """Store checked, read-only ``at`` and ``values`` on ``series``."""
+    at.setflags(write=False)
+    values.setflags(write=False)
+    object.__setattr__(series, "at", at)
+    object.__setattr__(series, "values", values)
 
 
 def iso_local(at: Sequence[int] | np.ndarray) -> list[str]:
@@ -312,9 +322,17 @@ def split_holdout(series: TimeSeries, spec: SplitSpec) -> tuple[TimeSeries, Time
 
 
 def append_observation(series: TimeSeries, at: int, value: float) -> TimeSeries:
-    """Return a new series with one observation appended at the end."""
-    return TimeSeries(
-        series.granularity,
-        np.append(series.at, np.int64(at)),
-        np.append(series.values, value),
+    """Return a new series with one observation appended at the end.
+
+    ``series`` already keeps :class:`TimeSeries`' rules, so they are checked on
+    its last observation and the new one alone: a call costs the two copies,
+    not a pass over the whole series. The refusals are the constructor's.
+    """
+    at, value = np.int64(at), np.float64(value)
+    _check_observations(
+        series.granularity, np.array([*series.at[-1:], at]), np.array([*series.values[-1:], value])
     )
+    extended = object.__new__(TimeSeries)
+    object.__setattr__(extended, "granularity", series.granularity)
+    _freeze(extended, np.append(series.at, at), np.append(series.values, value))
+    return extended

@@ -922,6 +922,27 @@ class TestTwoWeeksHourly:
         assert "need at least 8 observations, got 7" in capsys.readouterr().err
         assert sorted(path.name for path in folder.iterdir()) == kept
 
+    @pytest.mark.parametrize("command, results, kept", [
+        pytest.param("forecast", ["gitega_forecast.csv"], ["gitega_ann_model.json"],
+                     id="forecast"),
+        pytest.param("evaluate", ["comparison.csv", "evaluation_report.json"], [],
+                     id="evaluate"),
+    ])
+    def test_rerun_that_cannot_run_leaves_no_earlier_result(self, ingested, tmp_path, capsys,
+                                                            command, results, kept):
+        """A rerun whose split leaves no train points (14 held-out days of 14)
+        exits 3 and removes the earlier run's results; model files stay."""
+        out = fresh_out(ingested, tmp_path)
+        folder = out / STAGE_DIRS[command]
+        args = [command, "--out", str(out), "--models", "ann", "--workers", "1",
+                *(["--horizon", "3"] if command == "forecast" else [])]
+        assert main(args) == 0
+        assert sorted(path.name for path in folder.iterdir()) == sorted([*kept, *results])
+        capsys.readouterr()
+        assert main([*args, "--holdout", "14"]) == 3
+        assert "split leaves train=0" in capsys.readouterr().err
+        assert sorted(path.name for path in folder.iterdir()) == kept
+
 
 MODELS = ("arima", "ann", "gp")
 REUSE_ARGS = ["--models", ",".join(MODELS), "--seed", "3", *FAST_EVAL]
@@ -1025,6 +1046,8 @@ class TestFitReuse:
         "arima two extra MA coefficients": ("arima",
                                             lambda stored: stored["theta"].extend([0.1, 0.1])),
         "arima alpha not a number": ("arima", lambda stored: stored.update(alpha="x")),
+        "arima alpha NaN": ("arima", lambda stored: stored.update(alpha=float("nan"))),
+        "ann weight NaN": ("ann", lambda stored: stored["weights"][0][0].__setitem__(0, float("nan"))),
     }
 
     @pytest.mark.parametrize("damage, damaged, events", [

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -41,7 +45,7 @@ from aircast.series import (
     split_holdout,
 )
 
-from conftest import daily_series
+from conftest import DAY, daily_series
 
 
 def two_pass_rmse(actual, predicted):
@@ -391,6 +395,128 @@ class TestGpAdapter:
         report = compare_models(series, SplitSpec(fraction=0.2), adapters, station="S")
         assert set(report.models) == {"arima"}
         assert "capped at 2000" in report.errors["gp"]
+
+
+def random_arima(rng: np.random.Generator, p: int, d: int, q: int) -> arima.ArimaModel:
+    """An ARIMA model at (p, d, q) whose AR and MA |coefficients| each sum
+    below 0.9, so it is stationary and invertible."""
+    beta, theta = (tuple(rng.uniform(-0.9, 0.9, k) / max(k, 1)) for k in (p, q))
+    return arima.ArimaModel(
+        order=arima.ArimaOrder(p, d, q), alpha=float(rng.normal(0.0, 2.0)), beta=beta,
+        theta=theta, sigma2=1.0, css=1.0, n_effective=1, converged=True,
+        ar_stationary=True, ma_invertible=True,
+    )
+
+
+def full_solve_forecast(model: arima.ArimaModel, history: TimeSeries) -> float:
+    """The one-step ARIMA forecast from the whole history, with no remembered residuals."""
+    return float(arima.forecast(model, history, 1)[0])
+
+
+def prefix(series: TimeSeries, n: int) -> TimeSeries:
+    return TimeSeries(series.granularity, series.at[:n], series.values[:n])
+
+
+#: Seeded series around 30 with a 24-step cycle, one per seed.
+ORACLE_SERIES = [
+    TimeSeries(
+        simulated.granularity, simulated.at,
+        30.0 + 8.0 * np.sin(np.arange(len(simulated)) * (2 * np.pi / 24)) + simulated.values,
+    )
+    for simulated in (simulate.simulate_arma(0.0, [0.8], [0.3], 3.0, 260, seed=s) for s in (41, 42, 43))
+]
+
+
+class TestArimaRememberedResiduals:
+    """`ArimaAdapter` solves the CSS residuals of a history that extends the
+    last one for its new rows only; its forecasts equal, bit for bit, those
+    from a full solve of every history."""
+
+    @pytest.mark.parametrize("p", range(6))
+    @pytest.mark.parametrize("d", range(2))
+    def test_rolling_equals_the_full_solve(self, p, d):
+        rng = np.random.default_rng(100 + 10 * p + d)
+        for q in range(6):
+            for series in ORACLE_SERIES:
+                train, test = split_holdout(series, SplitSpec(count=40))
+                adapter = ArimaAdapter()
+                adapter.model = random_arima(rng, p, d, q)
+                predictions, _ = rolling_one_step(adapter, train, test)
+                expected = [full_solve_forecast(adapter.model, prefix(series, len(train) + i))
+                            for i in range(len(test))]
+                assert np.array_equal(predictions, expected), (p, d, q)
+
+    @pytest.mark.parametrize("q", [0, 1, 3, 5])
+    def test_histories_that_do_not_extend_the_last(self, q):
+        series = ORACLE_SERIES[0]
+        adapter = ArimaAdapter()
+        adapter.model = random_arima(np.random.default_rng(200 + q), 2, 1, q)
+        revised_values = series.values.copy()
+        revised_values[150] += 0.5
+        revised = TimeSeries(series.granularity, series.at, revised_values)
+        histories = [
+            prefix(series, 200), prefix(series, 201),
+            prefix(series, 201),  # the same history again
+            prefix(revised, 202),  # a value revised inside the remembered history
+            prefix(revised, 203),
+            prefix(series, 180),  # a shorter history
+            prefix(series, 181),
+            TimeSeries(series.granularity, series.at[5:190], series.values[5:190]),  # another start
+            prefix(series, 4),  # fewer residuals than an extension pins
+            prefix(series, 5),
+        ]
+        for history in histories:
+            at = int(history.at[-1]) + DAY
+            assert adapter.predict_one(history, at) == full_solve_forecast(adapter.model, history)
+
+    def test_a_loaded_model_is_solved_in_full(self):
+        """A model restored from its file is another model: residuals remembered
+        under the old one are not reused, even for a history that extends theirs."""
+        series = ORACLE_SERIES[1]
+        adapter = ArimaAdapter()
+        adapter.model = random_arima(np.random.default_rng(7), 1, 1, 2)
+        history = prefix(series, 220)
+        adapter.predict_one(history, int(history.at[-1]) + DAY)
+        adapter.load({**adapter.to_dict(), "alpha": adapter.model.alpha + 1.0}, prefix(series, 200))
+        extended = prefix(series, 221)
+        prediction = adapter.predict_one(extended, int(extended.at[-1]) + DAY)
+        assert prediction == full_solve_forecast(adapter.model, extended)
+
+    def test_rows_solved_grow_with_the_series_not_its_square(self, monkeypatch):
+        """Each rolling step solves its new row and a few pinned ones, so the
+        rows solved over a whole evaluation stay within a small multiple of
+        train + test, where solving every history in full is quadratic."""
+        rows = []
+        real = arima._ma_inverse
+
+        def counting(theta, b, *args):
+            rows.append(b.shape[0])
+            return real(theta, b, *args)
+
+        series = simulate.simulate_arma(20.0, [0.6], [0.3], 2.0, 3000, seed=44)
+        train, test = split_holdout(series, SplitSpec(count=600))
+        adapter = ArimaAdapter()
+        adapter.model = random_arima(np.random.default_rng(8), 2, 1, 2)
+        monkeypatch.setattr(arima, "_ma_inverse", counting)
+        rolling_one_step(adapter, train, test)
+        assert len(rows) == len(test)
+        assert sum(rows) <= 3 * len(series)
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="the kernels named are OpenBLAS's x86-64 ones")
+    @pytest.mark.parametrize("kernel", ["Nehalem", "Sandybridge"])
+    def test_the_oracle_holds_under_a_blas_kernel_with_four_row_blocks(self, kernel):
+        """These OpenBLAS kernels round the rows after the last whole block of
+        four of ``lags @ beta`` another way, so a row's bits depend on the
+        product's length and on where the row sits in it. The oracle tests
+        rerun in a process where ``OPENBLAS_CORETYPE`` forces the kernel (a
+        BLAS other than a DYNAMIC_ARCH OpenBLAS ignores it)."""
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestArimaRememberedResiduals", "-k", "not blas_kernel"],
+            env={**os.environ, "OPENBLAS_CORETYPE": kernel}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stdout[-3000:]
 
 
 LOADABLE = {

@@ -22,6 +22,7 @@ from aircast.series import (
     Granularity,
     SplitSpec,
     TimeSeries,
+    append_observation,
     difference,
     group_means,
     interpolate_gaps,
@@ -75,6 +76,48 @@ class TestTimeSeriesInvariants:
         series = daily_series([1.0, 2.0])
         with pytest.raises(ValueError):
             series.values[0] = 9.0
+
+
+class TestAppendObservation:
+    """`append_observation` checks the new observation alone, by the rules
+    and with the messages of the `TimeSeries` constructor."""
+
+    @staticmethod
+    def constructor_error(series: TimeSeries, at: int, value: float) -> str:
+        with pytest.raises(ValueError) as info:
+            TimeSeries(series.granularity, np.append(series.at, at), np.append(series.values, value))
+        return str(info.value)
+
+    @pytest.mark.parametrize("granularity, offset, value", [
+        pytest.param(Granularity.HOURLY, -HOUR, 1.0, id="earlier"),
+        pytest.param(Granularity.HOURLY, 0, 1.0, id="equal"),
+        pytest.param(Granularity.RAW, -1, 1.0, id="raw-earlier"),
+        pytest.param(Granularity.HOURLY, HOUR, np.nan, id="nan"),
+        pytest.param(Granularity.DAILY, DAY, -np.inf, id="minus-inf"),
+        pytest.param(Granularity.HOURLY, HOUR + 60, 1.0, id="hourly-misaligned"),
+        pytest.param(Granularity.DAILY, HOUR, 1.0, id="daily-misaligned"),
+        pytest.param(Granularity.HOURLY, 0, np.nan, id="equal-and-nan"),
+    ])
+    def test_refuses_what_the_constructor_refuses(self, granularity, offset, value):
+        step = granularity.step_seconds or 60
+        series = TimeSeries(granularity, BASE_EPOCH + step * np.arange(5), np.arange(5.0))
+        at = int(series.at[-1]) + offset
+        message = self.constructor_error(series, at, value)
+        with pytest.raises(ValueError) as info:
+            append_observation(series, at, value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("values", [[], [3.0], [3.0, -1.5, 2.25]])
+    def test_equals_the_constructed_series(self, values):
+        series = hourly_series(values)
+        at = BASE_EPOCH + HOUR * (len(values) + 2)
+        extended = append_observation(series, at, 7.5)
+        expected = TimeSeries(Granularity.HOURLY, np.append(series.at, at), np.append(series.values, 7.5))
+        assert extended.granularity is Granularity.HOURLY
+        for got, want in ((extended.at, expected.at), (extended.values, expected.values)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert len(series) == len(values)  # the series appended to is unchanged
 
 
 class TestLocalTime:
